@@ -3,7 +3,11 @@
 Robust accuracy attacks every example with PGD; with several restarts an
 example only counts as correct when it survives all of them. Gradient and
 Hessian forgetting compare input-space derivatives of the final model
-against each per-task model on that task's test data. Landscape grids
+against each per-task model on that task's test data. Their losses are
+row sums of a per-row scalar, so each row's input gradient is that
+example's own: the gradients of a whole subsample come from one graph,
+and each input Hessian batches its 2d finite-difference probes into one
+graph per point. Landscape grids
 sweep the loss along an adversarial direction and a random sign
 direction.
 """
@@ -14,12 +18,15 @@ from typing import Sequence
 
 import numpy as np
 
+from . import autodiff as ad
 from . import losses
 from .attacks import AttackConfig, pgd
 from .data import Dataset
 from .errors import ArgumentError, ContractError, UndefinedValueError
-from .network import (HESSIAN_DIM_CAP, Network, grad_input, hessian_input,
+from .network import (HESSIAN_DIM_CAP, Network, fd_hessian, fd_probes, grad_input,
                       snapshot)
+# kept as a module name: perfbench/tracer.py counts calls made through it
+from .network import hessian_input  # noqa: F401
 from .seeding import derive_rng, derive_seed
 
 Array = np.ndarray
@@ -114,23 +121,33 @@ class FlatnessReport:
     hf_available: bool
 
 
-def _point_scalar(model: Network, scalar_def: str, x_row: Array, y: int):
-    """(loss adapter, aux) pair for one example under one model.
+def _ce_row_sum(z, y):
+    return ad.sum_all(losses.ce_rows(z, y))
 
-    "ce" differentiates the cross-entropy at the true label; "max-logit"
-    pins the class to the model's argmax at the center point and
-    differentiates that logit, which keeps finite differences smooth.
-    """
-    if scalar_def == "ce":
-        return (lambda z, aux: losses.ce(z, aux)), np.asarray([y])
-    if scalar_def == "max-logit":
-        from . import autodiff as ad
-        c = int(np.argmax(model.forward(x_row[None, :])[0]))
 
-        def pick(z, aux):
-            return ad.mean_all(ad.take_per_row(z, aux))
-        return pick, np.asarray([c])
-    raise ArgumentError(f"unknown scalar definition {scalar_def!r}")
+def _logit_row_sum(z, c):
+    return ad.sum_all(ad.take_per_row(z, c))
+
+
+# Row sums of a per-row scalar: the input gradient of row k is then exactly
+# the gradient of example k's own scalar, so one graph serves a whole batch.
+# "ce" is the cross-entropy at the true label; "max-logit" pins each row's
+# class to the model's argmax at the center point and sums those logits,
+# which keeps finite differences smooth.
+_ROW_SUM_LOSSES = {"ce": _ce_row_sum, "max-logit": _logit_row_sum}
+FLATNESS_SCALARS = tuple(_ROW_SUM_LOSSES)
+
+
+def _center_aux(model: Network, scalar_def: str, x: Array, y: Array) -> Array:
+    """Per-row aux of the flatness scalar: labels, or argmax classes at x."""
+    return y if scalar_def == "ce" else np.argmax(model.forward(x), axis=1)
+
+
+def _probe_hessian(model: Network, loss, x_row: Array, aux, step: float) -> Array:
+    """Input Hessian at one point from a single graph over its 2d probes."""
+    probes = fd_probes(x_row, step)
+    return fd_hessian(grad_input(model, loss, probes, np.full(len(probes), aux)),
+                      step)
 
 
 def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Dataset],
@@ -142,8 +159,13 @@ def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Datas
     For each past task i, draws a seeded subsample of its test set and
     averages ||grad_x s_T(x) - grad_x s_i(x)||_2; the Hessian counterpart
     uses the Frobenius norm. Hessians are skipped (hf=None) above the
-    dimension cap.
+    dimension cap. Per model, the gradients take one graph over the
+    whole subsample and each Hessian one graph over its point's probes.
     """
+    if scalar_def not in _ROW_SUM_LOSSES:
+        raise ArgumentError(f"unknown scalar definition {scalar_def!r}")
+    if subsample < 1:
+        raise ArgumentError(f"flatness subsample must be at least 1, got {subsample}")
     if len(models) < 2:
         raise UndefinedValueError("flatness forgetting needs at least two models")
     if len(task_testsets) < len(models) - 1:
@@ -153,6 +175,7 @@ def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Datas
     if any(m.input_dim != input_dim for m in models):
         raise ArgumentError("all models must share input_dim")
     hf_ok = input_dim <= hessian_cap
+    loss = _ROW_SUM_LOSSES[scalar_def]
     gf_per: list[float] = []
     hf_per: list[float] = []
     for i, past in enumerate(models[:-1]):
@@ -161,24 +184,17 @@ def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Datas
             raise UndefinedValueError("empty test set for flatness estimation")
         rng = derive_rng(seed, task=i, purpose="subsample")
         idx = rng.choice(len(ds), size=min(subsample, len(ds)), replace=False)
-        g_drift = []
-        h_drift = []
-        for k in idx:
-            x_row = ds.inputs[k]
-            y = int(ds.labels[k])
-            loss_f, aux_f = _point_scalar(final, scalar_def, x_row, y)
-            loss_p, aux_p = _point_scalar(past, scalar_def, x_row, y)
-            g_final = grad_input(final, loss_f, x_row[None, :], aux_f)[0]
-            g_past = grad_input(past, loss_p, x_row[None, :], aux_p)[0]
-            g_drift.append(np.linalg.norm(g_final - g_past))
-            if hf_ok:
-                h_final = hessian_input(final, loss_f, x_row, aux_f,
-                                        step=hessian_step, dim_cap=hessian_cap)
-                h_past = hessian_input(past, loss_p, x_row, aux_p,
-                                       step=hessian_step, dim_cap=hessian_cap)
-                h_drift.append(np.linalg.norm(h_final - h_past, ord="fro"))
+        x, y = ds.inputs[idx], ds.labels[idx]
+        aux_f = _center_aux(final, scalar_def, x, y)
+        aux_p = _center_aux(past, scalar_def, x, y)
+        g_drift = np.linalg.norm(grad_input(final, loss, x, aux_f)
+                                 - grad_input(past, loss, x, aux_p), axis=1)
         gf_per.append(float(np.mean(g_drift)))
         if hf_ok:
+            h_drift = [np.linalg.norm(_probe_hessian(final, loss, x_row, a_f, hessian_step)
+                                      - _probe_hessian(past, loss, x_row, a_p, hessian_step),
+                                      ord="fro")
+                       for x_row, a_f, a_p in zip(x, aux_f, aux_p)]
             hf_per.append(float(np.mean(h_drift)))
     gf = float(np.mean(gf_per))
     hf = float(np.mean(hf_per)) if hf_ok else None

@@ -285,13 +285,24 @@ def hessian_input(net: Network, scalar_loss: Callable, x: Array, aux,
     d = x.shape[0]
     if d > dim_cap:
         raise CapacityError(f"input dim {d} exceeds Hessian cap {dim_cap}")
-    cols = np.empty((d, d))
-    for k in range(d):
-        e = np.zeros(d)
-        e[k] = step
-        gp = grad_input(net, scalar_loss, (x + e)[None, :], aux)[0]
-        gm = grad_input(net, scalar_loss, (x - e)[None, :], aux)[0]
-        cols[:, k] = (gp - gm) / (2.0 * step)
+    grads = np.stack([grad_input(net, scalar_loss, p[None, :], aux)[0]
+                      for p in fd_probes(x, step)])
+    return fd_hessian(grads, step)
+
+
+def fd_probes(x: Array, step: float) -> Array:
+    """The 2d central-difference probes of a (d,) point, one per row.
+
+    Row k is x + step * e_k and row d + k is x - step * e_k.
+    """
+    e = step * np.eye(x.shape[0])
+    return np.concatenate([x + e, x - e])
+
+
+def fd_hessian(grads: Array, step: float) -> Array:
+    """Symmetrized Hessian (H + H^T)/2 from input gradients at `fd_probes` rows."""
+    d = grads.shape[1]
+    cols = ((grads[:d] - grads[d:]) / (2.0 * step)).T
     h = 0.5 * (cols + cols.T)
     _check_finite(h, "input Hessian")
     return h

@@ -26,7 +26,7 @@ from .continual import (HerdingBuffer, ReservoirBuffer, Schedule, TaskStream,
 from .data import gen_gaussian_tasks, load_csv_dataset
 from .errors import ConfigurationError, IntegrityError
 from .methods import REGISTRY, MethodConfig, RegState, make_method_config
-from .metrics import (AccuracyMatrix, FlatnessReport, accuracy,
+from .metrics import (FLATNESS_SCALARS, AccuracyMatrix, FlatnessReport, accuracy,
                       flatness_forgetting, r_bwt, robust_accuracy)
 from .network import Layer, Network, expand_head, snapshot
 from .seeding import derive_seed
@@ -179,8 +179,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
             "needs a positive buffer capacity")
 
     flat_raw = raw.get("flatness", {})
-    flatness_subsample = int(flat_raw.get("subsample", 64))
+    flatness_subsample = flat_raw.get("subsample", 64)
+    if (isinstance(flatness_subsample, bool) or not isinstance(flatness_subsample, int)
+            or flatness_subsample < 1):
+        raise ConfigurationError(f"flatness subsample must be a positive integer, "
+                                 f"got {flatness_subsample!r}")
     flatness_scalar = flat_raw.get("scalar", "ce")
+    if flatness_scalar not in FLATNESS_SCALARS:
+        raise ConfigurationError(f"flatness scalar must be one of {FLATNESS_SCALARS}, "
+                                 f"got {flatness_scalar!r}")
 
     text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return ExperimentConfig(
@@ -448,6 +455,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     snapshots: list[Network] = []
     net: Network | None = None
     teacher: Network | None = None
+    bwt: float | None = None
+    flat: FlatnessReport | None = None
 
     input_dim = train_stream.tasks[0].input_dim
     try:
@@ -480,12 +489,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                               seed=derive_seed(cfg.seed, t + 1, 0, "eval-attack",
                                                extra=j))
                 robust_m.set(t, j, robust_accuracy(snap, test_stream.tasks[j], atk))
-    except Exception as exc:
+        if t_count >= 2:
+            bwt = r_bwt(robust_m)
+            flat = flatness_forgetting(snapshots, test_stream.tasks[:t_count - 1],
+                                       scalar_def=cfg.flatness_scalar,
+                                       subsample=cfg.flatness_subsample,
+                                       seed=cfg.seed)
+    except Exception:
         # flush whatever is complete so a crashed run still leaves evidence
         partial = RunReport(
             version=__version__, config_sha256=cfg.sha256,
             method=cfg.method.name, seed=cfg.seed, clean_matrix=clean_m,
-            robust_matrix=robust_m, r_bwt=None, flatness=None,
+            robust_matrix=robust_m, r_bwt=bwt, flatness=None,
             final_clean=None, final_robust=None,
             buffer_capacity=cfg.buffer_capacity,
             buffer_stored_per_task=stored_per_task, task_logs=logs,
@@ -493,13 +508,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
         emit_report(partial, cfg.output_dir)
         raise
 
-    bwt = r_bwt(robust_m) if t_count >= 2 else None
-    flat = None
-    if t_count >= 2:
-        flat = flatness_forgetting(snapshots, test_stream.tasks[:t_count - 1],
-                                   scalar_def=cfg.flatness_scalar,
-                                   subsample=cfg.flatness_subsample,
-                                   seed=cfg.seed)
     report = RunReport(
         version=__version__, config_sha256=cfg.sha256, method=cfg.method.name,
         seed=cfg.seed, clean_matrix=clean_m, robust_matrix=robust_m,

@@ -71,6 +71,22 @@ def test_buffer_method_needs_capacity(tmp_path):
         rc.config_from_dict(cfg)
 
 
+@pytest.mark.parametrize("flatness", [{"scalar": "typo"}, {"subsample": 0},
+                                      {"subsample": 2.7}, {"subsample": True}])
+def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
+    with pytest.raises(ConfigurationError):
+        rc.config_from_dict(tiny_config(tmp_path, flatness=flatness))
+
+
+def test_cli_bad_flatness_scalar_exits_2_before_training(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out",
+                                               flatness={"scalar": "typo"})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "flatness scalar" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_grid_enumerates_25_runs(tmp_path):
     cfg_dict = tiny_config(tmp_path)
     cfg_dict["grid"] = {"alpha": [0, 0.5, 1, 2, 4], "beta": [0, 0.5, 1, 2, 4]}
@@ -260,6 +276,20 @@ def test_cli_flatness(tmp_path, capsys):
     assert "gf=" in out and "hf=" in out
 
 
+def test_cli_flatness_rejects_zero_subsample(tmp_path, capsys):
+    ckpt_dir, data_dir = tmp_path / "ckpt", tmp_path / "data"
+    ckpt_dir.mkdir()
+    data_dir.mkdir()
+    for t in (1, 2):
+        net = rc.Network.init_mlp(6, [5], 2, activation="tanh", seed=t)
+        rc.save_checkpoint(net, str(ckpt_dir / f"task_{t:03d}"))
+    rc.save_csv_dataset(rc.gen_gaussian_tasks(2, 6, 10.0, 8, seed=6),
+                        str(data_dir / "task_001.csv"))
+    assert cli_main(["flatness", "--checkpoints", str(ckpt_dir),
+                     "--datasets", str(data_dir), "--subsample", "0"]) == 2
+    assert "subsample" in capsys.readouterr().err
+
+
 def test_cli_exit_code_2_on_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -288,6 +318,23 @@ def test_numeric_abort_carries_task_context_and_flushes_partial(tmp_path):
     payload = json.loads((out / "report.json").read_text())
     assert payload["r_bwt"] is None
     assert payload["final_robust_acc"] is None
+
+
+def test_flatness_failure_flushes_partial_report(tmp_path, monkeypatch):
+    from robustcl.errors import NumericError
+
+    def boom(*args, **kwargs):
+        raise NumericError("flatness stage failed")
+    monkeypatch.setattr(rc.runner, "flatness_forgetting", boom)
+    out = tmp_path / "flat-boom"
+    with pytest.raises(NumericError, match="flatness stage"):
+        rc.run_experiment(rc.config_from_dict(tiny_config(out)))
+    payload = json.loads((out / "report.json").read_text())
+    for key in ("clean_matrix", "robust_matrix"):
+        rows = payload[key]
+        assert all(rows[i][j] is not None for i in range(2) for j in range(i + 1))
+    assert payload["r_bwt"] is not None
+    assert payload["gf"] is None and payload["final_robust_acc"] is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
