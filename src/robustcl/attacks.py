@@ -8,7 +8,7 @@ Everything is deterministic given the config seed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
@@ -180,6 +180,3 @@ def attack_objective_values(model: Network, x_points: Array, x_clean: Array, y,
     values, _ = objective_fn(np.asarray(x_points, dtype=np.float64))
     return values
 
-
-def with_seed(cfg: AttackConfig, seed: int) -> AttackConfig:
-    return replace(cfg, seed=seed)

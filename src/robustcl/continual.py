@@ -1,11 +1,11 @@
 """Task streams, replay buffers, and the per-task training loop.
 
-A task stream is an ordered list of class-disjoint datasets with
-cumulative class boundaries. Replay comes in two flavours: a
-herding-ordered exemplar store rebuilt at each task end, and an
-online reservoir that can also pin the model's logits at insertion
-time. `run_task` drives one task of adversarial training for any
-registered method.
+A task stream is an ordered list of class-disjoint datasets. Replay
+comes in two flavours: a herding-ordered exemplar store rebuilt at each
+task end, whose exemplars are merged into the training pool, and an
+online reservoir, sampled as a separate replay batch, that can also pin
+the model's logits at insertion time. `run_task` drives one task of
+adversarial training for any registered method.
 """
 from __future__ import annotations
 
@@ -17,11 +17,10 @@ import numpy as np
 
 from . import autodiff as ad
 from . import methods
-from .attacks import AttackConfig, pgd, with_seed
+from .attacks import AttackConfig, pgd
 from .data import AugmentPolicy, Dataset, augment
 from .errors import (ArgumentError, ConfigurationError, ContractError,
                      NumericError)
-from .losses import LogitSlice, slice_bounds
 from .methods import MethodConfig, RegState
 from .network import Network, ParamNodes, sgd_step, snapshot
 from .seeding import derive_rng, derive_seed
@@ -33,30 +32,9 @@ Array = np.ndarray
 # task streams
 
 
-@dataclass
-class TaskStream:
-    tasks: list[Dataset]
-    class_order: list[int]            # original class id at each new position
-    boundaries: list[int]             # cumulative class counts per task
-
-    def __post_init__(self):
-        if any(b2 <= b1 for b1, b2 in zip(self.boundaries, self.boundaries[1:])):
-            raise ArgumentError("boundaries must be strictly increasing")
-        seen: set[int] = set()
-        for task in self.tasks:
-            classes = set(int(c) for c in np.unique(task.labels))
-            if classes & seen:
-                raise ArgumentError("task class sets must be pairwise disjoint")
-            seen |= classes
-
-    @property
-    def n_tasks(self) -> int:
-        return len(self.tasks)
-
-
 def split_dataset(dataset: Dataset, n_tasks: int, classes_per_task: int,
                   class_order: Sequence[int] | None = None,
-                  seed: int = 0) -> TaskStream:
+                  seed: int = 0) -> list[Dataset]:
     """Partition a dataset into class-disjoint tasks.
 
     `class_order` permutes the original class ids; labels are remapped to
@@ -84,15 +62,7 @@ def split_dataset(dataset: Dataset, n_tasks: int, classes_per_task: int,
         tasks.append(Dataset(dataset.inputs[idx], new_labels[idx], n_classes,
                              value_range=dataset.value_range,
                              image_shape=dataset.image_shape))
-    boundaries = [(t + 1) * classes_per_task for t in range(n_tasks)]
-    return TaskStream(tasks, order, boundaries)
-
-
-def slice_logits(logits, boundaries: Sequence[int], i: int, j: int) -> LogitSlice:
-    """Columns covering tasks i+1..j, with the global offset recorded."""
-    start, end = slice_bounds(boundaries, i, j)
-    arr = logits.value if hasattr(logits, "value") else np.asarray(logits)
-    return LogitSlice(arr[:, start:end], start)
+    return tasks
 
 
 # ---------------------------------------------------------------------------
@@ -159,8 +129,7 @@ class HerdingBuffer:
 
 
 def buffer_update_herding(buffer: HerdingBuffer, model: Network,
-                          task_dataset: Dataset,
-                          boundaries: Sequence[int] | None = None) -> HerdingBuffer:
+                          task_dataset: Dataset) -> HerdingBuffer:
     """Admit a finished task's classes and rebalance all quotas."""
     new_classes = sorted(int(c) for c in np.unique(task_dataset.labels))
     all_classes = sorted(set(buffer.classes) | set(new_classes))
@@ -238,6 +207,10 @@ def reservoir_update(buffer: ReservoirBuffer, sample: tuple[Array, int],
 # ---------------------------------------------------------------------------
 # schedules and the task loop
 
+LR_DECAY = 0.1             # learning-rate factor at each milestone
+LOG_SUBSAMPLE = 64         # examples in each per-epoch clean/robust log
+FISHER_EXAMPLES = 256      # attacked examples behind each EWC Fisher refresh
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -246,7 +219,6 @@ class Schedule:
     batch_size: int
     weight_decay: float = 1e-5
     milestones: tuple[int, ...] | None = None
-    lr_decay: float = 0.1
 
     # reference milestones (24, 31, 40) assume a 50-epoch task; scale them
     def resolved_milestones(self) -> tuple[int, ...]:
@@ -256,7 +228,7 @@ class Schedule:
 
     def lr_at(self, epoch: int) -> float:
         drops = sum(1 for m in self.resolved_milestones() if epoch >= m)
-        return self.lr * (self.lr_decay ** drops)
+        return self.lr * (LR_DECAY ** drops)
 
 
 def _params_digest(net: Network) -> str:
@@ -267,11 +239,9 @@ def _params_digest(net: Network) -> str:
     return h.hexdigest()
 
 
-def _merged_pool(task_data: Dataset, buffer, cfg: MethodConfig
-                 ) -> tuple[Array, Array]:
+def _merged_pool(task_data: Dataset, buffer) -> tuple[Array, Array]:
     xs, ys = task_data.inputs, task_data.labels
-    if (cfg.info.composition == "merged" and isinstance(buffer, HerdingBuffer)
-            and len(buffer) > 0):
+    if isinstance(buffer, HerdingBuffer) and len(buffer) > 0:
         bx, by = buffer.as_arrays()
         xs = np.concatenate([xs, bx])
         ys = np.concatenate([ys, by])
@@ -281,11 +251,13 @@ def _merged_pool(task_data: Dataset, buffer, cfg: MethodConfig
 def run_task(student: Network, teacher: Network | None, task_data: Dataset,
              buffer, method_cfg: MethodConfig, schedule: Schedule, *,
              reg: RegState | None = None, root_seed: int = 0,
-             task_index: int = 1, log_subsample: int = 64) -> tuple[Network, list[dict]]:
+             task_index: int = 1) -> tuple[Network, list[dict]]:
     """Train the (already head-expanded) student on one task.
 
     Per batch: optional augmentation, PGD with the method's attack
-    config, the method loss, one SGD step. Returns the trained network
+    config, the method loss, one SGD step. A herding buffer is merged
+    into the training pool; a reservoir gives each batch a separate,
+    separately attacked replay batch. Returns the trained network
     and per-epoch rows (task, epoch, train_loss, clean_acc, robust_acc).
     The teacher is never touched; this is checked by hashing.
     """
@@ -296,7 +268,7 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
     teacher_digest = _params_digest(teacher) if teacher is not None else None
 
     info = method_cfg.info
-    pool_x, pool_y = _merged_pool(task_data, buffer, method_cfg)
+    pool_x, pool_y = _merged_pool(task_data, buffer)
     n_pool = pool_x.shape[0]
     clamp = task_data.value_range
     attack_base = method_cfg.attack
@@ -323,21 +295,17 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
                                 rng=derive_rng(root_seed, task_index, epoch,
                                                "augment", extra=b))
                 frozen = snapshot(student)
-                atk = with_seed(attack_base,
-                                derive_seed(root_seed, task_index, epoch,
-                                            "attack", b))
+                atk = replace(attack_base, seed=derive_seed(root_seed, task_index,
+                                                            epoch, "attack", b))
                 x_adv = pgd(frozen, x, y, atk)
 
                 buffer_batch = None
                 x_adv_buffer = None
-                if (info.composition == "separate"
-                        and isinstance(buffer, ReservoirBuffer)
-                        and len(buffer) > 0):
+                if isinstance(buffer, ReservoirBuffer) and len(buffer) > 0:
                     buffer_batch = buffer.sample_batch(schedule.batch_size,
                                                        buffer_rng)
-                    atk_b = with_seed(attack_base,
-                                      derive_seed(root_seed, task_index, epoch,
-                                                  "attack-buffer", b))
+                    atk_b = replace(attack_base, seed=derive_seed(
+                        root_seed, task_index, epoch, "attack-buffer", b))
                     x_adv_buffer = pgd(frozen, buffer_batch[0], buffer_batch[1],
                                        atk_b)
 
@@ -356,9 +324,7 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
             after = sgd_step(before, grads, lr, schedule.weight_decay)
             student.load_params(after)
             if info.reg == "si" and reg is not None:
-                methods.update_reg_state("si", reg,
-                                         step=(grads.vector,
-                                               after.vector - before.vector))
+                methods.si_step(reg, grads.vector, after.vector - before.vector)
             if (epoch == 0 and isinstance(buffer, ReservoirBuffer)):
                 z_batch = student.forward(x) if buffer.with_logits else None
                 for i in range(x.shape[0]):
@@ -369,15 +335,14 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
         row = {"task": task_index, "epoch": epoch,
                "train_loss": float(np.mean(epoch_losses)) if epoch_losses else 0.0}
         row.update(_epoch_eval(student, task_data, attack_base, root_seed,
-                               task_index, epoch, log_subsample))
+                               task_index, epoch))
         log.append(row)
 
     if info.reg == "ewc" and reg is not None and schedule.epochs > 0:
-        _refresh_fisher(student, task_data, attack_base, method_cfg, reg,
-                        root_seed, task_index, schedule.batch_size)
+        _refresh_fisher(student, task_data, attack_base, reg, root_seed,
+                        task_index, schedule.batch_size)
     if info.reg == "si" and reg is not None and schedule.epochs > 0:
-        methods.update_reg_state("si", reg, student, consolidate=True,
-                                 xi=method_cfg.si_xi)
+        methods.si_consolidate(reg, student)
 
     if teacher is not None and _params_digest(teacher) != teacher_digest:
         raise ContractError("teacher parameters changed during training")
@@ -385,34 +350,33 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
 
 
 def _epoch_eval(student: Network, task_data: Dataset, attack: AttackConfig,
-                root_seed: int, task_index: int, epoch: int, k: int) -> dict:
+                root_seed: int, task_index: int, epoch: int) -> dict:
     n = len(task_data)
     if n == 0:
         return {"clean_acc": 0.0, "robust_acc": 0.0}
     rng = derive_rng(root_seed, task_index, epoch, "log-subsample")
-    idx = rng.choice(n, size=min(k, n), replace=False)
+    idx = rng.choice(n, size=min(LOG_SUBSAMPLE, n), replace=False)
     x, y = task_data.inputs[idx], task_data.labels[idx]
     frozen = snapshot(student)
     clean = float(np.mean(np.argmax(frozen.forward(x), axis=1) == y) * 100.0)
-    atk = with_seed(attack, derive_seed(root_seed, task_index, epoch, "eval-attack"))
+    atk = replace(attack, seed=derive_seed(root_seed, task_index, epoch, "eval-attack"))
     x_adv = pgd(frozen, x, y, atk)
     robust = float(np.mean(np.argmax(frozen.forward(x_adv), axis=1) == y) * 100.0)
     return {"clean_acc": clean, "robust_acc": robust}
 
 
 def _refresh_fisher(student: Network, task_data: Dataset, attack: AttackConfig,
-                    cfg: MethodConfig, reg: RegState, root_seed: int,
-                    task_index: int, batch_size: int, max_examples: int = 256) -> None:
+                    reg: RegState, root_seed: int, task_index: int,
+                    batch_size: int) -> None:
     rng = derive_rng(root_seed, task_index, 0, "fisher-attack")
     n = len(task_data)
-    idx = rng.choice(n, size=min(max_examples, n), replace=False)
+    idx = rng.choice(n, size=min(FISHER_EXAMPLES, n), replace=False)
     frozen = snapshot(student)
     batches = []
     for start in range(0, idx.size, batch_size):
         part = idx[start:start + batch_size]
         x, y = task_data.inputs[part], task_data.labels[part]
-        atk = with_seed(attack, derive_seed(root_seed, task_index, 0,
-                                            "fisher-attack", extra=start + 1))
+        atk = replace(attack, seed=derive_seed(root_seed, task_index, 0,
+                                               "fisher-attack", extra=start + 1))
         batches.append((pgd(frozen, x, y, atk), y))
-    methods.update_reg_state("ewc-on", reg, student, adv_batches=batches,
-                             gamma=cfg.ewc_gamma)
+    methods.refresh_fisher(reg, student, batches)

@@ -8,7 +8,6 @@ log-sum-exp stabilized and stay finite for logit magnitudes up to 1e4.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
@@ -19,26 +18,6 @@ from .errors import ArgumentError, DimensionError, LabelError
 
 Array = np.ndarray
 Logits = Union[Node, Array]
-
-
-@dataclass(frozen=True)
-class LogitSlice:
-    """A contiguous block of head columns plus its global class offset."""
-
-    logits: Logits
-    class_offset: int
-
-    def __post_init__(self):
-        v = self.logits.value if isinstance(self.logits, Node) else np.asarray(self.logits)
-        if v.ndim != 2 or v.shape[1] < 1:
-            raise DimensionError("logit slice must be 2-D with at least one column")
-        if self.class_offset < 0:
-            raise ArgumentError("class_offset must be nonnegative")
-
-    @property
-    def width(self) -> int:
-        v = self.logits.value if isinstance(self.logits, Node) else self.logits
-        return v.shape[1]
 
 
 def slice_bounds(boundaries: Sequence[int], i: int, j: int) -> tuple[int, int]:

@@ -1,16 +1,21 @@
 """Per-batch training losses for adversarially robust class-incremental learning.
 
-Each supported method is a named recipe combining: a cross-entropy or
-multilabel term on adversarial inputs, optional distillation against the
-frozen previous-task model, optional replay terms, and optional quadratic
-parameter penalties. Builders return graph nodes so one backward pass
-yields exact parameter gradients; zero-weighted terms are skipped
-entirely, which makes endpoint reductions bit-exact.
+`REGISTRY` holds one entry per method, and that entry owns the method's
+loss: its term builder combines a cross-entropy or multilabel term on
+adversarial inputs, optional distillation against the frozen
+previous-task model, optional replay terms, and optional quadratic
+parameter penalties. Replay is merged for a herding buffer (the stored
+exemplars join the task's training pool) and separate for a reservoir
+(a replay batch is drawn, attacked and passed to the builder). Builders
+return graph nodes so one backward pass yields exact parameter
+gradients; zero-weighted terms are skipped entirely, which makes
+endpoint reductions bit-exact.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Sequence
+from functools import partial
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -19,66 +24,29 @@ from . import losses
 from .attacks import AttackConfig
 from .autodiff import Node
 from .errors import ArgumentError, ConfigurationError, ContractError
-from .network import Network, ParamNodes, ParamView
+from .network import Network, ParamNodes, ParamView, grad_params
 
 Array = np.ndarray
 
 BUFFER_KINDS = ("none", "herding", "reservoir", "reservoir-with-logits")
 
+EWC_GAMMA = 0.9      # online-EWC decay of the previous Fisher diagonal
+SI_XI = 1e-3         # SI damping of the squared total parameter change
+
 
 @dataclass(frozen=True)
 class MethodInfo:
     name: str
-    family: str                       # at | iad | nonrehearsal | rehearsal | flatness
-    default_alpha: float
-    default_beta: float
-    default_buffer: str
-    allowed_buffers: tuple[str, ...]
-    inner_objective: str              # default PGD objective
-    composition: str                  # merged | separate | none
+    # terms(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+    #       reg, params) -> {term name: scalar node}
+    terms: Callable[..., dict[str, Node]]
+    default_alpha: float = 0.0
+    default_beta: float = 0.0
+    default_buffer: str = "none"
+    allowed_buffers: tuple[str, ...] = ("none",)
+    inner_objective: str = "ce"       # default PGD objective
     reg: str | None = None            # ewc | si
     augment_default: bool = False
-
-
-def _info(name, family, alpha=0.0, beta=0.0, buffer="none",
-          allowed=("none",), objective="ce", composition="none",
-          reg=None, augment=False) -> MethodInfo:
-    return MethodInfo(name, family, alpha, beta, buffer, allowed,
-                      objective, composition, reg, augment)
-
-
-REGISTRY: dict[str, MethodInfo] = {m.name: m for m in [
-    _info("pgd-at", "at", allowed=("none", "herding"), composition="merged"),
-    _info("trades", "at", alpha=6.0, allowed=("none", "herding"),
-          objective="kl-vs-clean", composition="merged"),
-    _info("mart", "at", alpha=6.0, allowed=("none", "herding"), composition="merged"),
-    _info("i-ard", "iad", alpha=1.0, beta=1.0, allowed=("none", "herding"),
-          composition="merged"),
-    _info("i-rslad", "iad", alpha=1.0, beta=1.0, allowed=("none", "herding"),
-          composition="merged"),
-    _info("i-adaad", "iad", alpha=1.0, beta=1.0, allowed=("none", "herding"),
-          composition="merged"),
-    _info("r-lwf", "nonrehearsal", alpha=1.0),
-    _info("r-lwf-mc", "nonrehearsal"),
-    _info("r-ewc-on", "nonrehearsal", alpha=1.0, reg="ewc"),
-    _info("r-si", "nonrehearsal", alpha=1.0, reg="si"),
-    _info("r-er", "rehearsal", buffer="reservoir", allowed=("reservoir",),
-          composition="separate"),
-    _info("r-er-ace", "rehearsal", buffer="reservoir", allowed=("reservoir",),
-          composition="separate"),
-    _info("r-der", "rehearsal", alpha=0.3, buffer="reservoir-with-logits",
-          allowed=("reservoir-with-logits",), composition="separate"),
-    _info("r-der++", "rehearsal", alpha=0.1, beta=0.5, buffer="reservoir-with-logits",
-          allowed=("reservoir-with-logits",), composition="separate"),
-    _info("r-icarl", "rehearsal", buffer="herding", allowed=("herding",),
-          composition="merged"),
-    _info("flair", "flatness", alpha=0.5, beta=2.0, allowed=("none", "herding"),
-          composition="merged"),
-    _info("flair+", "flatness", alpha=0.5, beta=2.0, allowed=("none", "herding"),
-          composition="merged", augment=True),
-]}
-
-METHOD_NAMES = tuple(REGISTRY)
 
 
 @dataclass(frozen=True)
@@ -89,8 +57,6 @@ class MethodConfig:
     buffer_kind: str
     attack: AttackConfig
     augment: bool = False
-    ewc_gamma: float = 0.9
-    si_xi: float = 1e-3
     fpd_metric: str = "kl"
 
     @property
@@ -100,8 +66,8 @@ class MethodConfig:
 
 def make_method_config(name: str, attack: AttackConfig, alpha: float | None = None,
                        beta: float | None = None, buffer_kind: str | None = None,
-                       augment: bool | None = None, fpd_metric: str = "kl",
-                       ewc_gamma: float = 0.9, si_xi: float = 1e-3) -> MethodConfig:
+                       augment: bool | None = None,
+                       fpd_metric: str = "kl") -> MethodConfig:
     """Fill method defaults and validate buffer compatibility."""
     if name not in REGISTRY:
         raise ConfigurationError(f"unknown method {name!r}; known: {sorted(REGISTRY)}")
@@ -122,8 +88,7 @@ def make_method_config(name: str, attack: AttackConfig, alpha: float | None = No
     if attack.objective == "ce" and info.inner_objective != "ce":
         attack = replace(attack, objective=info.inner_objective)
     augment = info.augment_default if augment is None else bool(augment)
-    return MethodConfig(name, alpha, beta, buffer_kind, attack, augment,
-                        ewc_gamma, si_xi, fpd_metric)
+    return MethodConfig(name, alpha, beta, buffer_kind, attack, augment, fpd_metric)
 
 
 # ---------------------------------------------------------------------------
@@ -187,57 +152,40 @@ def _quadratic_penalty(params: ParamNodes, weights: Array, anchor: Array,
     return total
 
 
-def update_reg_state(kind: str, reg: RegState, student: Network | None = None, *,
-                     adv_batches: Sequence[tuple[Array, Array]] | None = None,
-                     gamma: float = 0.9,
-                     step: tuple[Array, Array] | None = None,
-                     consolidate: bool = False, xi: float = 1e-3) -> RegState:
-    """Advance EWC or SI bookkeeping.
+def refresh_fisher(reg: RegState, student: Network,
+                   adv_batches: Sequence[tuple[Array, Array]],
+                   gamma: float = EWC_GAMMA) -> None:
+    """Online EWC: the Fisher diagonal becomes gamma * old + the mean over
+    the (x_adv, y) batches of squared CE parameter gradients."""
+    acc = np.zeros_like(reg.fisher)
+    for x_adv, y in adv_batches:
+        g = grad_params(student, lambda z, aux: losses.ce(z, aux), (x_adv, y))
+        acc += g.vector ** 2
+    reg.fisher = gamma * reg.fisher + acc / max(len(adv_batches), 1)
 
-    kind "ewc-on": `adv_batches` holds (x_adv, y) batches; the Fisher
-    diagonal becomes gamma * old + mean over batches of squared CE
-    parameter gradients. kind "si": pass `step=(grads, delta_theta)` per
-    optimizer step, and `consolidate=True` once at task end to fold the
-    accumulated path into omega (clamped nonnegative) against the anchor.
-    """
-    from .network import grad_params  # local to avoid a cycle at import time
 
-    if kind == "ewc-on":
-        if student is None or adv_batches is None:
-            raise ArgumentError("ewc-on update needs a student and adversarial batches")
-        acc = np.zeros_like(reg.fisher)
-        for x_adv, y in adv_batches:
-            g = grad_params(student, lambda z, aux: losses.ce(z, aux), (x_adv, y))
-            acc += g.vector ** 2
-        batch_stat = acc / max(len(adv_batches), 1)
-        reg.fisher = gamma * reg.fisher + batch_stat
-        return reg
-    if kind == "si":
-        if step is not None:
-            grads, delta = step
-            reg.si_path += -grads * delta
-        if consolidate:
-            if student is None:
-                raise ArgumentError("si consolidation needs the trained student")
-            total_delta = student.flatten().vector - reg.anchor
-            reg.omega += np.maximum(reg.si_path / (total_delta ** 2 + xi), 0.0)
-            reg.si_path = np.zeros_like(reg.si_path)
-        return reg
-    raise ArgumentError(f"unknown regularizer kind {kind!r}")
+def si_step(reg: RegState, grads: Array, delta: Array) -> None:
+    """SI: add one optimizer step's share -grads * delta to the path integral."""
+    reg.si_path += -grads * delta
+
+
+def si_consolidate(reg: RegState, student: Network, xi: float = SI_XI) -> None:
+    """SI at task end: fold the path into omega (clamped nonnegative)
+    against the anchor, then reset the path."""
+    total_delta = student.flatten().vector - reg.anchor
+    reg.omega += np.maximum(reg.si_path / (total_delta ** 2 + xi), 0.0)
+    reg.si_path = np.zeros_like(reg.si_path)
 
 
 # ---------------------------------------------------------------------------
 # helpers shared by the builders
 
 
-def _old_width(student: Network) -> int:
+def _check_teacher(student: Network, teacher: Network) -> int:
+    """Width of the student's old-class slice, which the teacher must match."""
     if student.n_tasks < 2:
         raise ContractError("no previous-task slice on a single-head network")
-    return student.head_boundaries[-2]
-
-
-def _check_teacher(student: Network, teacher: Network) -> int:
-    w = _old_width(student)
+    w = student.head_boundaries[-2]
     if teacher.out_dim != w:
         raise ContractError(f"teacher width {teacher.out_dim} != old-slice width {w}")
     return w
@@ -257,68 +205,92 @@ def _total(terms: dict[str, Node]) -> Node:
     return total
 
 
-# ---------------------------------------------------------------------------
-# plain adversarial-training losses
-
-
-def at_terms(kind: str, student: Network, batch, x_adv, cfg: MethodConfig,
-             params: ParamNodes | None = None) -> dict[str, Node]:
-    x, y = batch
-    x_adv = _require_adv(x_adv)
-    params = params or ParamNodes(student)
-    if kind == "pgd-at":
-        return {"ce_adv": losses.ce(student.forward_graph(x_adv, params), y)}
-    if kind == "trades":
-        clean = student.forward_graph(x, params)
-        terms = {"ce_clean": losses.ce(clean, y)}
-        if cfg.alpha != 0.0:
-            adv = student.forward_graph(x_adv, params)
-            terms["kl_adv_clean"] = cfg.alpha * losses.kl_div(adv, clean)
-        return terms
-    if kind == "mart":
-        adv = student.forward_graph(x_adv, params)
-        width = student.out_dim
-        terms = {"bce_adv": losses.bce_multilabel(adv, losses.one_hot(y, width))}
-        if cfg.alpha != 0.0:
-            clean = student.forward_graph(x, params)
-            p_true = ad.exp(ad.take_per_row(ad.log_softmax(clean), np.asarray(y)))
-            weight = ad.sub(1.0, p_true)
-            kl = losses.kl_rows(adv, clean)
-            terms["weighted_kl"] = cfg.alpha * ad.mean_all(ad.mul(weight, kl))
-        return terms
-    raise ArgumentError(f"unknown adversarial-training kind {kind!r}")
-
-
-def at_loss(kind, student, batch, x_adv, cfg, params=None) -> Node:
-    return _total(at_terms(kind, student, batch, x_adv, cfg, params))
-
-
-# ---------------------------------------------------------------------------
-# incremental adversarial distillation (previous-task model as teacher)
-
-
-def incremental_distill_terms(kind: str, student: Network, teacher: Network,
-                              batch, x_adv, cfg: MethodConfig,
-                              params: ParamNodes | None = None) -> dict[str, Node]:
-    x, y = batch
-    x_adv = _require_adv(x_adv)
-    params = params or ParamNodes(student)
+def _new_slice_bce(student: Network, teacher: Network | None, adv: Node, y) -> Node:
+    """Multilabel fit of the newest head slice (the whole head on the first task)."""
+    if teacher is None:
+        return losses.bce_multilabel(adv, losses.one_hot_in_slice(y, 0, student.out_dim))
     w = _check_teacher(student, teacher)
-    old = slice(0, w)
+    return losses.bce_multilabel(ad.take_cols(adv, slice(w, student.out_dim)),
+                                 losses.one_hot_in_slice(y, w, student.out_dim))
+
+
+def _replay(buffer_batch, x_adv_buffer):
+    """(x_adv, labels, stored logits) of a nonempty replay batch, else None."""
+    if buffer_batch is None or len(buffer_batch[0]) == 0:
+        return None
+    return _require_adv(x_adv_buffer), buffer_batch[1], buffer_batch[2]
+
+
+# ---------------------------------------------------------------------------
+# term builders; each has the signature of `MethodInfo.terms`
+
+
+def _ce_adv(student: Network, x_adv: Array, y, params: ParamNodes) -> dict[str, Node]:
+    return {"ce_adv": losses.ce(student.forward_graph(x_adv, params), y)}
+
+
+def _pgd_at(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+            reg, params):
+    return _ce_adv(student, x_adv, batch[1], params)
+
+
+def _trades(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+            reg, params):
+    x, y = batch
+    clean = student.forward_graph(x, params)
+    terms = {"ce_clean": losses.ce(clean, y)}
+    if cfg.alpha != 0.0:
+        adv = student.forward_graph(x_adv, params)
+        terms["kl_adv_clean"] = cfg.alpha * losses.kl_div(adv, clean)
+    return terms
+
+
+def _mart(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+          reg, params):
+    x, y = batch
+    adv = student.forward_graph(x_adv, params)
+    terms = {"bce_adv": losses.bce_multilabel(adv, losses.one_hot(y, student.out_dim))}
+    if cfg.alpha != 0.0:
+        clean = student.forward_graph(x, params)
+        p_true = ad.exp(ad.take_per_row(ad.log_softmax(clean), np.asarray(y)))
+        weight = ad.sub(1.0, p_true)
+        kl = losses.kl_rows(adv, clean)
+        terms["weighted_kl"] = cfg.alpha * ad.mean_all(ad.mul(weight, kl))
+    return terms
+
+
+def _i_ard(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+           reg, params):
+    """Adversarial CE plus KL of the old slice at x_adv to the clean teacher."""
+    x, y = batch
+    if teacher is None:
+        return _ce_adv(student, x_adv, y, params)
+    w = _check_teacher(student, teacher)
+    adv = student.forward_graph(x_adv, params)
+    terms = {"ce_adv": losses.ce(adv, y)}
+    if cfg.beta != 0.0:
+        terms["distill"] = cfg.beta * losses.kl_div(ad.take_cols(adv, slice(0, w)),
+                                                    teacher.forward(x))
+    return terms
+
+
+def _i_rslad(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+             reg, params, adversarial_reference=False):
+    """Adversarial CE plus distillation whose adversarial branch (weight
+    alpha) and clean branch (1 - alpha) both match the old slice to the
+    teacher; i-adaad takes the teacher at x_adv as the adversarial reference."""
+    x, y = batch
+    if teacher is None:
+        return _ce_adv(student, x_adv, y, params)
+    old = slice(0, _check_teacher(student, teacher))
     adv = student.forward_graph(x_adv, params)
     terms = {"ce_adv": losses.ce(adv, y)}
     if cfg.beta == 0.0:
         return terms
-    if kind == "i-ard":
-        terms["distill"] = cfg.beta * losses.kl_div(ad.take_cols(adv, old),
-                                                    teacher.forward(x))
-        return terms
-    if kind not in ("i-rslad", "i-adaad"):
-        raise ArgumentError(f"unknown distillation kind {kind!r}")
-    teacher_adv_ref = teacher.forward(x_adv) if kind == "i-adaad" else teacher.forward(x)
     parts: dict[str, Node] = {}
     if cfg.alpha != 0.0:
-        parts["adv"] = cfg.alpha * losses.kl_div(ad.take_cols(adv, old), teacher_adv_ref)
+        reference = teacher.forward(x_adv if adversarial_reference else x)
+        parts["adv"] = cfg.alpha * losses.kl_div(ad.take_cols(adv, old), reference)
     if cfg.alpha != 1.0:
         clean = student.forward_graph(x, params)
         parts["clean"] = (1.0 - cfg.alpha) * losses.kl_div(ad.take_cols(clean, old),
@@ -328,67 +300,62 @@ def incremental_distill_terms(kind: str, student: Network, teacher: Network,
     return terms
 
 
-def incremental_distill_loss(kind, student, teacher, batch, x_adv, cfg,
-                             params=None) -> Node:
-    return _total(incremental_distill_terms(kind, student, teacher, batch,
-                                            x_adv, cfg, params))
-
-
-# ---------------------------------------------------------------------------
-# revised CIL, non-rehearsal
-
-
-def nonrehearsal_terms(kind: str, student: Network, teacher: Network | None,
-                       reg: RegState | None, batch, x_adv, cfg: MethodConfig,
-                       params: ParamNodes | None = None) -> dict[str, Node]:
+def _r_lwf(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+           reg, params):
     x, y = batch
-    x_adv = _require_adv(x_adv)
-    params = params or ParamNodes(student)
-    if kind == "r-lwf":
-        adv = student.forward_graph(x_adv, params)
-        terms = {"ce_adv": losses.ce(adv, y)}
-        if cfg.alpha != 0.0 and teacher is not None:
-            w = _check_teacher(student, teacher)
-            clean = student.forward_graph(x, params)
-            terms["distill"] = cfg.alpha * losses.kl_div(
-                ad.take_cols(clean, slice(0, w)), teacher.forward(x))
-        return terms
-    if kind == "r-lwf-mc":
-        adv = student.forward_graph(x_adv, params)
-        if teacher is None:
-            width = student.out_dim
-            return {"bce_new": losses.bce_multilabel(adv, losses.one_hot_in_slice(
-                y, 0, width))}
+    terms = _ce_adv(student, x_adv, y, params)
+    if cfg.alpha != 0.0 and teacher is not None:
         w = _check_teacher(student, teacher)
         clean = student.forward_graph(x, params)
-        new = slice(w, student.out_dim)
-        return {
-            "bce_new": losses.bce_multilabel(ad.take_cols(adv, new),
-                                             losses.one_hot_in_slice(y, w, student.out_dim)),
-            "bce_distill": losses.bce_multilabel(ad.take_cols(clean, slice(0, w)),
-                                                 losses.sigmoid(teacher.forward(x))),
-        }
-    if kind in ("r-ewc-on", "r-si"):
-        if reg is None:
-            raise ContractError(f"{kind} needs an initialized regularization state")
-        adv = student.forward_graph(x_adv, params)
-        terms = {"ce_adv": losses.ce(adv, y)}
-        weights = reg.fisher if kind == "r-ewc-on" else reg.omega
-        if cfg.alpha != 0.0:
-            terms["penalty"] = cfg.alpha * _quadratic_penalty(
-                params, weights, reg.anchor, reg.layout)
-        return terms
-    raise ArgumentError(f"unknown non-rehearsal kind {kind!r}")
+        terms["distill"] = cfg.alpha * losses.kl_div(
+            ad.take_cols(clean, slice(0, w)), teacher.forward(x))
+    return terms
 
 
-def nonrehearsal_loss(kind, student, teacher, reg, batch, x_adv, cfg,
-                      params=None) -> Node:
-    return _total(nonrehearsal_terms(kind, student, teacher, reg, batch,
-                                     x_adv, cfg, params))
+def _multilabel_distill(cfg, student, teacher, batch, buffer_batch, x_adv,
+                        x_adv_buffer, reg, params):
+    """r-lwf-mc and r-icarl: multilabel fit of the new slice at x_adv plus
+    sigmoid distillation of the clean old slice; r-icarl's batch already
+    holds the replayed exemplars."""
+    x, y = batch
+    terms = {"bce_new": _new_slice_bce(student, teacher,
+                                       student.forward_graph(x_adv, params), y)}
+    if teacher is not None:
+        clean = student.forward_graph(x, params)
+        terms["bce_distill"] = losses.bce_multilabel(
+            ad.take_cols(clean, slice(0, teacher.out_dim)),
+            losses.sigmoid(teacher.forward(x)))
+    return terms
 
 
-# ---------------------------------------------------------------------------
-# revised CIL, rehearsal
+def _penalized(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+               reg, params, importance="fisher"):
+    """Adversarial CE plus alpha * sum importance * (theta - anchor)^2, where
+    `importance` names the RegState field (fisher for EWC, omega for SI)."""
+    if reg is None:
+        raise ContractError(f"{cfg.name} needs an initialized regularization state")
+    terms = _ce_adv(student, x_adv, batch[1], params)
+    if cfg.alpha != 0.0:
+        terms["penalty"] = cfg.alpha * _quadratic_penalty(
+            params, getattr(reg, importance), reg.anchor, reg.layout)
+    return terms
+
+
+def _r_er(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+          reg, params, asymmetric=False):
+    """CE on the current batch (r-er-ace: asymmetric CE over the classes
+    present in it) plus CE on the replayed samples."""
+    y = batch[1]
+    if asymmetric:
+        present = np.unique(np.asarray(y, dtype=np.int64))
+        terms = {"ace_adv": losses.ace(student.forward_graph(x_adv, params), y, present)}
+    else:
+        terms = _ce_adv(student, x_adv, y, params)
+    replay = _replay(buffer_batch, x_adv_buffer)
+    if replay is not None:
+        terms["ce_buffer"] = losses.ce(student.forward_graph(replay[0], params),
+                                       replay[1])
+    return terms
 
 
 def _der_mse(student: Network, params: ParamNodes, x_adv_buf: Array,
@@ -412,69 +379,22 @@ def _der_mse(student: Network, params: ParamNodes, x_adv_buf: Array,
     return total / n
 
 
-def rehearsal_terms(kind: str, student: Network, teacher: Network | None,
-                    batch, buffer_batch, x_adv_current, x_adv_buffer,
-                    cfg: MethodConfig, params: ParamNodes | None = None
-                    ) -> dict[str, Node]:
-    x, y = batch
-    params = params or ParamNodes(student)
-    have_buffer = buffer_batch is not None and len(buffer_batch[0]) > 0
-
-    if kind == "r-icarl":
-        # merged-pool method: `batch` already contains current + replayed data
-        x_adv = _require_adv(x_adv_current)
-        adv = student.forward_graph(x_adv, params)
-        if teacher is None:
-            return {"bce_new": losses.bce_multilabel(
-                adv, losses.one_hot_in_slice(y, 0, student.out_dim))}
-        w = _check_teacher(student, teacher)
-        clean = student.forward_graph(x, params)
-        return {
-            "bce_new": losses.bce_multilabel(
-                ad.take_cols(adv, slice(w, student.out_dim)),
-                losses.one_hot_in_slice(y, w, student.out_dim)),
-            "bce_distill": losses.bce_multilabel(
-                ad.take_cols(clean, slice(0, w)),
-                losses.sigmoid(teacher.forward(x))),
-        }
-
-    x_adv = _require_adv(x_adv_current)
-    adv = student.forward_graph(x_adv, params)
-    if kind == "r-er":
-        terms = {"ce_adv": losses.ce(adv, y)}
-        if have_buffer:
-            xb, yb = buffer_batch[0], buffer_batch[1]
-            terms["ce_buffer"] = losses.ce(
-                student.forward_graph(_require_adv(x_adv_buffer), params), yb)
+def _r_der(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+           reg, params, replay_ce=False):
+    """Adversarial CE plus alpha * MSE to the logits stored with each
+    replayed sample; r-der++ (replay_ce) adds beta * CE on replayed labels."""
+    terms = _ce_adv(student, x_adv, batch[1], params)
+    replay = _replay(buffer_batch, x_adv_buffer)
+    if replay is None:
         return terms
-    if kind == "r-er-ace":
-        present = np.unique(np.asarray(y, dtype=np.int64))
-        terms = {"ace_adv": losses.ace(adv, y, present)}
-        if have_buffer:
-            xb, yb = buffer_batch[0], buffer_batch[1]
-            terms["ce_buffer"] = losses.ce(
-                student.forward_graph(_require_adv(x_adv_buffer), params), yb)
-        return terms
-    if kind in ("r-der", "r-der++"):
-        terms = {"ce_adv": losses.ce(adv, y)}
-        if have_buffer:
-            xb, yb, zb = buffer_batch
-            if zb is None or any(z is None for z in zb):
-                raise ConfigurationError(f"{kind} needs stored logits in the buffer")
-            xab = _require_adv(x_adv_buffer)
-            if cfg.alpha != 0.0:
-                terms["mse_buffer"] = cfg.alpha * _der_mse(student, params, xab, zb)
-            if kind == "r-der++" and cfg.beta != 0.0:
-                terms["ce_buffer"] = cfg.beta * losses.ce(
-                    student.forward_graph(xab, params), yb)
-        return terms
-    raise ArgumentError(f"unknown rehearsal kind {kind!r}")
-
-
-def rehearsal_loss(kind, student, teacher, batch, buffer_batch, x_adv_current,
-                   x_adv_buffer, cfg, params=None) -> Node:
-    return _total(rehearsal_terms(kind, student, teacher, batch, buffer_batch,
-                                  x_adv_current, x_adv_buffer, cfg, params))
+    xab, yb, zb = replay
+    if zb is None or any(z is None for z in zb):
+        raise ConfigurationError(f"{cfg.name} needs stored logits in the buffer")
+    if cfg.alpha != 0.0:
+        terms["mse_buffer"] = cfg.alpha * _der_mse(student, params, xab, zb)
+    if replay_ce and cfg.beta != 0.0:
+        terms["ce_buffer"] = cfg.beta * losses.ce(student.forward_graph(xab, params), yb)
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -487,16 +407,11 @@ def separated_logit_terms(student: Network, teacher: Network | None, x_adv, y,
     x_adv = _require_adv(x_adv)
     params = params or ParamNodes(student)
     adv = student.forward_graph(x_adv, params)
-    if teacher is None:
-        return {"bce_new": losses.bce_multilabel(
-            adv, losses.one_hot_in_slice(y, 0, student.out_dim))}
-    w = _check_teacher(student, teacher)
-    terms = {"bce_new": losses.bce_multilabel(
-        ad.take_cols(adv, slice(w, student.out_dim)),
-        losses.one_hot_in_slice(y, w, student.out_dim))}
-    if alpha != 0.0:
+    terms = {"bce_new": _new_slice_bce(student, teacher, adv, y)}
+    if teacher is not None and alpha != 0.0:
         terms["bce_distill"] = alpha * losses.bce_multilabel(
-            ad.take_cols(adv, slice(0, w)), losses.sigmoid(teacher.forward(x_adv)))
+            ad.take_cols(adv, slice(0, teacher.out_dim)),
+            losses.sigmoid(teacher.forward(x_adv)))
     return terms
 
 
@@ -552,35 +467,55 @@ def flair_loss(student, teacher, x, x_adv, y, alpha, beta, metric="kl",
                               metric, params))
 
 
+def _flair(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
+           reg, params):
+    x, y = batch
+    return flair_terms(student, teacher, x, x_adv, y, cfg.alpha, cfg.beta,
+                       cfg.fpd_metric, params)
+
+
 # ---------------------------------------------------------------------------
-# dispatch used by the training loop
+# the method table and the loss used by the training loop
+
+_NONE_OR_HERDING = ("none", "herding")
+
+# name, term builder, default alpha, default beta, then the other facts
+REGISTRY: dict[str, MethodInfo] = {m.name: m for m in [
+    MethodInfo("pgd-at", _pgd_at, allowed_buffers=_NONE_OR_HERDING),
+    MethodInfo("trades", _trades, 6.0, allowed_buffers=_NONE_OR_HERDING,
+               inner_objective="kl-vs-clean"),
+    MethodInfo("mart", _mart, 6.0, allowed_buffers=_NONE_OR_HERDING),
+    MethodInfo("i-ard", _i_ard, 1.0, 1.0, allowed_buffers=_NONE_OR_HERDING),
+    MethodInfo("i-rslad", _i_rslad, 1.0, 1.0, allowed_buffers=_NONE_OR_HERDING),
+    MethodInfo("i-adaad", partial(_i_rslad, adversarial_reference=True), 1.0, 1.0,
+               allowed_buffers=_NONE_OR_HERDING),
+    MethodInfo("r-lwf", _r_lwf, 1.0),
+    MethodInfo("r-lwf-mc", _multilabel_distill),
+    MethodInfo("r-ewc-on", _penalized, 1.0, reg="ewc"),
+    MethodInfo("r-si", partial(_penalized, importance="omega"), 1.0, reg="si"),
+    MethodInfo("r-er", _r_er, default_buffer="reservoir",
+               allowed_buffers=("reservoir",)),
+    MethodInfo("r-er-ace", partial(_r_er, asymmetric=True), default_buffer="reservoir",
+               allowed_buffers=("reservoir",)),
+    MethodInfo("r-der", _r_der, 0.3,
+               default_buffer="reservoir-with-logits",
+               allowed_buffers=("reservoir-with-logits",)),
+    MethodInfo("r-der++", partial(_r_der, replay_ce=True), 0.1, 0.5,
+               default_buffer="reservoir-with-logits",
+               allowed_buffers=("reservoir-with-logits",)),
+    MethodInfo("r-icarl", _multilabel_distill, default_buffer="herding",
+               allowed_buffers=("herding",)),
+    MethodInfo("flair", _flair, 0.5, 2.0, allowed_buffers=_NONE_OR_HERDING),
+    MethodInfo("flair+", _flair, 0.5, 2.0, allowed_buffers=_NONE_OR_HERDING,
+               augment_default=True),
+]}
 
 
 def build_training_loss(cfg: MethodConfig, student: Network,
                         teacher: Network | None, batch, buffer_batch,
                         x_adv, x_adv_buffer, reg: RegState | None,
                         params: ParamNodes) -> tuple[Node, dict[str, float]]:
-    """Assemble the configured method's loss; returns (node, term values)."""
-    info = cfg.info
-    x, y = batch
-    if info.family == "at":
-        terms = at_terms(cfg.name, student, batch, x_adv, cfg, params)
-    elif info.family == "iad":
-        if teacher is None:
-            terms = {"ce_adv": losses.ce(student.forward_graph(
-                _require_adv(x_adv), params), y)}
-        else:
-            terms = incremental_distill_terms(cfg.name, student, teacher, batch,
-                                              x_adv, cfg, params)
-    elif info.family == "nonrehearsal":
-        terms = nonrehearsal_terms(cfg.name, student, teacher, reg, batch,
-                                   x_adv, cfg, params)
-    elif info.family == "rehearsal":
-        terms = rehearsal_terms(cfg.name, student, teacher, batch, buffer_batch,
-                                x_adv, x_adv_buffer, cfg, params)
-    elif info.family == "flatness":
-        terms = flair_terms(student, teacher, x, x_adv, y, cfg.alpha, cfg.beta,
-                            cfg.fpd_metric, params)
-    else:
-        raise ArgumentError(f"unknown method family {info.family!r}")
+    """Sum the configured method's terms; returns (node, term values)."""
+    terms = cfg.info.terms(cfg, student, teacher, batch, buffer_batch,
+                           _require_adv(x_adv), x_adv_buffer, reg, params)
     return _total(terms), {k: float(v.value) for k, v in terms.items()}

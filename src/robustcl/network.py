@@ -21,21 +21,14 @@ from .errors import (ArgumentError, CapacityError, ContractError,
 
 Array = np.ndarray
 
-ACTIVATIONS = ("relu", "tanh", "softplus", "identity")
-
-_ACT_OPS: dict[str, Callable[[Node], Node]] = {
-    "relu": ad.relu,
-    "tanh": ad.tanh,
-    "softplus": ad.softplus,
-    "identity": lambda n: n,
+# name -> (array function for `forward`, graph op for `forward_graph`)
+_ACTIVATIONS: dict[str, tuple[Callable[[Array], Array], Callable[[Node], Node]]] = {
+    "relu": (lambda x: np.maximum(x, 0.0), ad.relu),
+    "tanh": (np.tanh, ad.tanh),
+    "softplus": (lambda x: np.logaddexp(0.0, x), ad.softplus),
+    "identity": (lambda x: x, lambda n: n),
 }
-
-_ACT_FNS: dict[str, Callable[[Array], Array]] = {
-    "relu": lambda x: np.maximum(x, 0.0),
-    "tanh": np.tanh,
-    "softplus": lambda x: np.logaddexp(0.0, x),
-    "identity": lambda x: x,
-}
+ACTIVATIONS = tuple(_ACTIVATIONS)
 
 HESSIAN_DIM_CAP = 128
 
@@ -124,7 +117,7 @@ class Network:
         """Logits for a (batch, input_dim) array. Pure and deterministic."""
         h = self._check_input(x)
         for layer in self.layers:
-            h = _ACT_FNS[layer.activation](h @ layer.weight + layer.bias)
+            h = _ACTIVATIONS[layer.activation][0](h @ layer.weight + layer.bias)
         _check_finite(h, "logits")
         return h
 
@@ -132,7 +125,7 @@ class Network:
         """Penultimate-layer activations (input to the final linear head)."""
         h = self._check_input(x)
         for layer in self.layers[:-1]:
-            h = _ACT_FNS[layer.activation](h @ layer.weight + layer.bias)
+            h = _ACTIVATIONS[layer.activation][0](h @ layer.weight + layer.bias)
         return h
 
     def forward_graph(self, x, params: "ParamNodes | None" = None) -> Node:
@@ -144,7 +137,7 @@ class Network:
         pairs = params.pairs if params is not None else \
             [(ad.lift(l.weight), ad.lift(l.bias)) for l in self.layers]
         for layer, (w, b) in zip(self.layers, pairs):
-            h = _ACT_OPS[layer.activation](ad.add(ad.matmul(h, w), b))
+            h = _ACTIVATIONS[layer.activation][1](ad.add(ad.matmul(h, w), b))
         return h
 
     # ------------------------------------------------------------------

@@ -21,14 +21,14 @@ import numpy as np
 
 from . import __version__
 from .attacks import AttackConfig, parse_rational
-from .continual import (HerdingBuffer, ReservoirBuffer, Schedule, TaskStream,
+from .continual import (HerdingBuffer, ReservoirBuffer, Schedule,
                         buffer_update_herding, run_task, split_dataset)
-from .data import gen_gaussian_tasks, load_csv_dataset
+from .data import Dataset, gen_gaussian_tasks, load_csv_dataset
 from .errors import ConfigurationError, IntegrityError
 from .methods import REGISTRY, MethodConfig, RegState, make_method_config
 from .metrics import (FLATNESS_SCALARS, AccuracyMatrix, FlatnessReport, accuracy,
                       flatness_forgetting, r_bwt, robust_accuracy)
-from .network import Layer, Network, expand_head, snapshot
+from .network import ACTIVATIONS, Layer, Network, expand_head, snapshot
 from .seeding import derive_seed
 
 Array = np.ndarray
@@ -83,6 +83,47 @@ def _need(d: dict, key: str, where: str):
 _TOP_KEYS = {"seed", "output_dir", "dataset", "tasks", "model", "method",
              "attack", "eval_attack", "training", "buffer", "augment",
              "flatness", "grid"}
+_DATASET_KEYS = {"gaussian": {"kind", "n_classes", "dim", "separation",
+                              "train_per_class", "test_per_class"},
+                 "csv": {"kind", "train", "test"}}
+_ATTACK_KEYS = {"epsilon", "step_size", "n_steps", "random_start", "objective",
+                "n_restarts"}
+
+
+def _section(raw: dict, name: str, keys: set[str], required: bool = False) -> dict:
+    """A nested config object whose keys all lie in `keys` ({} when absent)."""
+    sec = _need(raw, name, "config") if required else raw.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigurationError(f"{name} must be a JSON object")
+    unknown = set(sec) - keys
+    if unknown:
+        raise ConfigurationError(f"unknown keys in {name}: {sorted(unknown)}")
+    return sec
+
+
+def _int(value, what: str, minimum: int | None = 0) -> int:
+    """An exact JSON integer (not a bool or a float) of at least `minimum`."""
+    if (isinstance(value, bool) or not isinstance(value, int)
+            or (minimum is not None and value < minimum)):
+        raise ConfigurationError(f"{what} must be an integer >= {minimum}, "
+                                 f"got {value!r}")
+    return value
+
+
+def _bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigurationError(f"{what} must be true or false, got {value!r}")
+    return value
+
+
+def _attack(atk_raw: dict, where: str, epsilon, default_steps: int) -> AttackConfig:
+    return AttackConfig(
+        epsilon=epsilon,
+        step_size=parse_rational(atk_raw.get("step_size", epsilon / 4.0)),
+        n_steps=_int(atk_raw.get("n_steps", default_steps), f"{where} n_steps"),
+        random_start=_bool(atk_raw.get("random_start", True), f"{where} random_start"),
+        objective=atk_raw.get("objective", "ce"),
+        n_restarts=_int(atk_raw.get("n_restarts", 1), f"{where} n_restarts", 1))
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -96,72 +137,71 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
 
-    ds_raw = _need(raw, "dataset", "config")
-    kind = _need(ds_raw, "kind", "dataset")
+    kind = _need(_need(raw, "dataset", "config"), "kind", "dataset")
+    if kind not in _DATASET_KEYS:
+        raise ConfigurationError(f"unknown dataset kind {kind!r}")
+    ds_raw = _section(raw, "dataset", _DATASET_KEYS[kind])
     if kind == "gaussian":
-        dataset = DatasetSpec(kind="gaussian",
-                              n_classes=int(_need(ds_raw, "n_classes", "dataset")),
-                              dim=int(_need(ds_raw, "dim", "dataset")),
-                              separation=float(ds_raw.get("separation", 6.0)),
-                              train_per_class=int(ds_raw.get("train_per_class", 200)),
-                              test_per_class=int(ds_raw.get("test_per_class", 100)))
-    elif kind == "csv":
+        dataset = DatasetSpec(
+            kind="gaussian",
+            n_classes=_int(_need(ds_raw, "n_classes", "dataset"), "dataset n_classes"),
+            dim=_int(_need(ds_raw, "dim", "dataset"), "dataset dim"),
+            separation=float(ds_raw.get("separation", 6.0)),
+            train_per_class=_int(ds_raw.get("train_per_class", 200),
+                                 "dataset train_per_class"),
+            test_per_class=_int(ds_raw.get("test_per_class", 100),
+                                "dataset test_per_class"))
+    else:
         train_path = _need(ds_raw, "train", "dataset")
         test_path = _need(ds_raw, "test", "dataset")
         for p in (train_path, test_path):
             if not Path(p).exists():
                 raise ConfigurationError(f"dataset file does not exist: {p}")
         dataset = DatasetSpec(kind="csv", train_path=train_path, test_path=test_path)
-    else:
-        raise ConfigurationError(f"unknown dataset kind {kind!r}")
 
-    tasks = _need(raw, "tasks", "config")
-    n_tasks = int(_need(tasks, "n_tasks", "tasks"))
-    cpt = int(_need(tasks, "classes_per_task", "tasks"))
+    tasks = _section(raw, "tasks", {"n_tasks", "classes_per_task", "class_order"},
+                     required=True)
+    n_tasks = _int(_need(tasks, "n_tasks", "tasks"), "tasks n_tasks", 1)
+    cpt = _int(_need(tasks, "classes_per_task", "tasks"), "tasks classes_per_task", 1)
     order_raw = tasks.get("class_order", "identity")
-    class_order = None if order_raw == "identity" else [int(c) for c in order_raw]
+    class_order = None if order_raw == "identity" else \
+        [_int(c, "tasks class_order entry") for c in order_raw]
 
-    model = raw.get("model", {})
-    hidden = tuple(int(h) for h in model.get("hidden", [64, 64]))
+    model = _section(raw, "model", {"hidden", "activation"})
+    hidden = tuple(_int(h, "model hidden width", 1) for h in model.get("hidden", [64, 64]))
     activation = model.get("activation", "relu")
+    if activation not in ACTIVATIONS:
+        raise ConfigurationError(f"unknown activation {activation!r}; "
+                                 f"known: {ACTIVATIONS}")
 
-    atk_raw = _need(raw, "attack", "config")
+    atk_raw = _section(raw, "attack", _ATTACK_KEYS, required=True)
     epsilon = parse_rational(_need(atk_raw, "epsilon", "attack"))
-    attack = AttackConfig(
-        epsilon=epsilon,
-        step_size=parse_rational(atk_raw.get("step_size", epsilon / 4.0)),
-        n_steps=int(atk_raw.get("n_steps", 10)),
-        random_start=bool(atk_raw.get("random_start", True)),
-        objective=atk_raw.get("objective", "ce"),
-        n_restarts=int(atk_raw.get("n_restarts", 1)))
+    attack = _attack(atk_raw, "attack", epsilon, 10)
+    ev_raw = _section(raw, "eval_attack", _ATTACK_KEYS)
+    eval_attack = _attack(ev_raw, "eval_attack",
+                          parse_rational(ev_raw.get("epsilon", epsilon)), 20)
 
-    ev_raw = raw.get("eval_attack", {})
-    eval_epsilon = parse_rational(ev_raw.get("epsilon", epsilon))
-    eval_attack = AttackConfig(
-        epsilon=eval_epsilon,
-        step_size=parse_rational(ev_raw.get("step_size", eval_epsilon / 4.0)),
-        n_steps=int(ev_raw.get("n_steps", 20)),
-        random_start=bool(ev_raw.get("random_start", True)),
-        objective=ev_raw.get("objective", "ce"),
-        n_restarts=int(ev_raw.get("n_restarts", 1)))
-
-    train_raw = _need(raw, "training", "config")
+    train_raw = _section(raw, "training", {"epochs", "lr", "batch_size",
+                                           "weight_decay", "milestones"}, required=True)
     milestones = train_raw.get("milestones")
-    schedule = Schedule(epochs=int(_need(train_raw, "epochs", "training")),
-                        lr=float(_need(train_raw, "lr", "training")),
-                        batch_size=int(_need(train_raw, "batch_size", "training")),
-                        weight_decay=float(train_raw.get("weight_decay", 1e-5)),
-                        milestones=None if milestones is None else
-                        tuple(int(m) for m in milestones))
+    schedule = Schedule(
+        epochs=_int(_need(train_raw, "epochs", "training"), "training epochs"),
+        lr=float(_need(train_raw, "lr", "training")),
+        batch_size=_int(_need(train_raw, "batch_size", "training"),
+                        "training batch_size", 1),
+        weight_decay=float(train_raw.get("weight_decay", 1e-5)),
+        milestones=None if milestones is None else
+        tuple(_int(m, "training milestone") for m in milestones))
 
-    buffer_capacity = int(raw.get("buffer", {}).get("capacity", 0))
-    if buffer_capacity < 0:
-        raise ConfigurationError("buffer capacity must be nonnegative")
+    buffer_capacity = _int(_section(raw, "buffer", {"capacity"}).get("capacity", 0),
+                           "buffer capacity")
 
-    m_raw = _need(raw, "method", "config")
+    m_raw = _section(raw, "method", {"name", "alpha", "beta", "buffer_kind",
+                                     "fpd_metric"}, required=True)
     name = _need(m_raw, "name", "method")
-    aug_raw = raw.get("augment", {})
-    augment_enabled = aug_raw.get("enabled")
+    augment_enabled = _section(raw, "augment", {"enabled"}).get("enabled")
+    if augment_enabled is not None:
+        _bool(augment_enabled, "augment enabled")
     buffer_kind = m_raw.get("buffer_kind")
     if buffer_kind is None and buffer_capacity == 0:
         info = REGISTRY.get(name)
@@ -178,20 +218,17 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"method {name!r} with buffer kind {method.buffer_kind!r} "
             "needs a positive buffer capacity")
 
-    flat_raw = raw.get("flatness", {})
-    flatness_subsample = flat_raw.get("subsample", 64)
-    if (isinstance(flatness_subsample, bool) or not isinstance(flatness_subsample, int)
-            or flatness_subsample < 1):
-        raise ConfigurationError(f"flatness subsample must be a positive integer, "
-                                 f"got {flatness_subsample!r}")
+    flat_raw = _section(raw, "flatness", {"subsample", "scalar"})
+    flatness_subsample = _int(flat_raw.get("subsample", 64), "flatness subsample", 1)
     flatness_scalar = flat_raw.get("scalar", "ce")
     if flatness_scalar not in FLATNESS_SCALARS:
         raise ConfigurationError(f"flatness scalar must be one of {FLATNESS_SCALARS}, "
                                  f"got {flatness_scalar!r}")
 
+    _section(raw, "grid", {"alpha", "beta"})
     text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return ExperimentConfig(
-        seed=int(_need(raw, "seed", "config")),
+        seed=_int(_need(raw, "seed", "config"), "seed", None),
         output_dir=str(_need(raw, "output_dir", "config")),
         dataset=dataset, n_tasks=n_tasks, classes_per_task=cpt,
         class_order=class_order, hidden=hidden, activation=activation,
@@ -400,7 +437,7 @@ def emit_report(report: RunReport, out_dir: str) -> None:
 # the experiment loop
 
 
-def _build_streams(cfg: ExperimentConfig) -> tuple[TaskStream, TaskStream]:
+def _build_streams(cfg: ExperimentConfig) -> tuple[list[Dataset], list[Dataset]]:
     if cfg.dataset.kind == "gaussian":
         per_class = cfg.dataset.train_per_class + cfg.dataset.test_per_class
         pool = gen_gaussian_tasks(cfg.dataset.n_classes, cfg.dataset.dim,
@@ -442,7 +479,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     out_dir = Path(cfg.output_dir)
     ckpt_dir = out_dir / "checkpoints"
     ckpt_dir.mkdir(parents=True, exist_ok=True)
-    train_stream, test_stream = _build_streams(cfg)
+    train_tasks, test_tasks = _build_streams(cfg)
     t_count = cfg.n_tasks
     buffer = _make_buffer(cfg)
     info = cfg.method.info
@@ -458,7 +495,18 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     bwt: float | None = None
     flat: FlatnessReport | None = None
 
-    input_dim = train_stream.tasks[0].input_dim
+    def report(complete: bool) -> RunReport:
+        return RunReport(
+            version=__version__, config_sha256=cfg.sha256, method=cfg.method.name,
+            seed=cfg.seed, clean_matrix=clean_m, robust_matrix=robust_m,
+            r_bwt=bwt, flatness=flat,
+            final_clean=clean_m.final_row_mean() if complete else None,
+            final_robust=robust_m.final_row_mean() if complete else None,
+            buffer_capacity=cfg.buffer_capacity,
+            buffer_stored_per_task=stored_per_task, task_logs=logs,
+            config_text=cfg.raw_text, wall_clock_sec=time.time() - start)
+
+    input_dim = train_tasks[0].input_dim
     try:
         for t in range(t_count):
             if net is None:
@@ -472,50 +520,33 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             if info.reg is not None:
                 reg = RegState.zeros(net) if reg is None else reg.expand_to(net)
                 reg.anchor = net.flatten().vector.copy()
-            net, task_log = run_task(net, teacher, train_stream.tasks[t], buffer,
+            net, task_log = run_task(net, teacher, train_tasks[t], buffer,
                                      cfg.method, cfg.schedule, reg=reg,
                                      root_seed=cfg.seed, task_index=t + 1)
             logs.extend(task_log)
             if cfg.method.buffer_kind == "herding" and buffer is not None:
-                buffer_update_herding(buffer, net, train_stream.tasks[t])
+                buffer_update_herding(buffer, net, train_tasks[t])
             stored_per_task.append(len(buffer) if buffer is not None else 0)
             snap = snapshot(net)
             snapshots.append(snap)
             save_checkpoint(snap, str(ckpt_dir / f"task_{t + 1:03d}"))
             for j in range(t + 1):
-                clean_m.set(t, j, accuracy(snap, test_stream.tasks[j]))
+                clean_m.set(t, j, accuracy(snap, test_tasks[j]))
                 atk = replace(cfg.eval_attack,
-                              clamp_range=test_stream.tasks[j].value_range,
+                              clamp_range=test_tasks[j].value_range,
                               seed=derive_seed(cfg.seed, t + 1, 0, "eval-attack",
                                                extra=j))
-                robust_m.set(t, j, robust_accuracy(snap, test_stream.tasks[j], atk))
+                robust_m.set(t, j, robust_accuracy(snap, test_tasks[j], atk))
         if t_count >= 2:
             bwt = r_bwt(robust_m)
-            flat = flatness_forgetting(snapshots, test_stream.tasks[:t_count - 1],
+            flat = flatness_forgetting(snapshots, test_tasks[:t_count - 1],
                                        scalar_def=cfg.flatness_scalar,
                                        subsample=cfg.flatness_subsample,
                                        seed=cfg.seed)
     except Exception:
         # flush whatever is complete so a crashed run still leaves evidence
-        partial = RunReport(
-            version=__version__, config_sha256=cfg.sha256,
-            method=cfg.method.name, seed=cfg.seed, clean_matrix=clean_m,
-            robust_matrix=robust_m, r_bwt=bwt, flatness=None,
-            final_clean=None, final_robust=None,
-            buffer_capacity=cfg.buffer_capacity,
-            buffer_stored_per_task=stored_per_task, task_logs=logs,
-            config_text=cfg.raw_text, wall_clock_sec=time.time() - start)
-        emit_report(partial, cfg.output_dir)
+        emit_report(report(complete=False), cfg.output_dir)
         raise
-
-    report = RunReport(
-        version=__version__, config_sha256=cfg.sha256, method=cfg.method.name,
-        seed=cfg.seed, clean_matrix=clean_m, robust_matrix=robust_m,
-        r_bwt=bwt, flatness=flat,
-        final_clean=clean_m.final_row_mean(),
-        final_robust=robust_m.final_row_mean(),
-        buffer_capacity=cfg.buffer_capacity,
-        buffer_stored_per_task=stored_per_task, task_logs=logs,
-        config_text=cfg.raw_text, wall_clock_sec=time.time() - start)
-    emit_report(report, cfg.output_dir)
-    return report
+    final = report(complete=True)
+    emit_report(final, cfg.output_dir)
+    return final

@@ -22,22 +22,22 @@ def make_dataset(n_classes=10, per_class=6, d=4, seed=0):
 
 
 def test_split_identity_order_pairs_up_classes():
-    stream = rc.split_dataset(make_dataset(), 5, 2)
-    for t, task in enumerate(stream.tasks):
+    tasks = rc.split_dataset(make_dataset(), 5, 2)
+    assert len(tasks) == 5
+    for t, task in enumerate(tasks):
         assert set(np.unique(task.labels)) == {2 * t, 2 * t + 1}
-    assert stream.boundaries == [2, 4, 6, 8, 10]
 
 
 def test_split_single_task_is_whole_dataset():
     ds = make_dataset(n_classes=3, per_class=4)
-    stream = rc.split_dataset(ds, 1, 3)
-    assert len(stream.tasks[0]) == len(ds)
+    tasks = rc.split_dataset(ds, 1, 3)
+    assert len(tasks[0]) == len(ds)
 
 
 def test_split_partition_property():
     ds = make_dataset()
-    stream = rc.split_dataset(ds, 5, 2, seed=3)
-    rows = np.concatenate([t.inputs for t in stream.tasks])
+    tasks = rc.split_dataset(ds, 5, 2, seed=3)
+    rows = np.concatenate([t.inputs for t in tasks])
     assert rows.shape == ds.inputs.shape
     orig = {tuple(r) for r in ds.inputs}
     got = [tuple(r) for r in rows]
@@ -46,25 +46,17 @@ def test_split_partition_property():
 
 def test_split_relabels_under_permutation():
     ds = make_dataset(n_classes=4, per_class=3)
-    stream = rc.split_dataset(ds, 2, 2, class_order=[3, 1, 0, 2])
+    tasks = rc.split_dataset(ds, 2, 2, class_order=[3, 1, 0, 2])
     # task 0 holds original classes 3 and 1 under new labels 0 and 1
-    task0_rows = {tuple(r) for r in stream.tasks[0].inputs}
+    task0_rows = {tuple(r) for r in tasks[0].inputs}
     expect = {tuple(r) for r in ds.inputs[np.isin(ds.labels, [3, 1])]}
     assert task0_rows == expect
-    assert set(np.unique(stream.tasks[0].labels)) == {0, 1}
+    assert set(np.unique(tasks[0].labels)) == {0, 1}
 
 
 def test_split_rejects_indivisible_class_count():
     with pytest.raises(ArgumentError):
         rc.split_dataset(make_dataset(), 3, 3)
-
-
-def test_slice_logits_examples():
-    logits = np.array([[1.0, 2.0, 3.0, 4.0]])
-    assert np.array_equal(rc.slice_logits(logits, [2, 4], 0, 1).logits, [[1.0, 2.0]])
-    assert np.array_equal(rc.slice_logits(logits, [2, 4], 1, 2).logits, [[3.0, 4.0]])
-    assert np.array_equal(rc.slice_logits(logits, [2, 4], 0, 2).logits, logits)
-    assert rc.slice_logits(logits, [2, 4], 1, 2).class_offset == 2
 
 
 # ---------------------------------------------------------------------------

@@ -191,7 +191,3 @@ def test_one_hot_in_slice_zero_rows_for_outside_labels():
     t = losses.one_hot_in_slice(np.array([0, 2, 3]), 2, 4)
     assert np.array_equal(t, [[0, 0], [1, 0], [0, 1]])
 
-
-def test_logit_slice_validation():
-    with pytest.raises(ArgumentError):
-        rc.LogitSlice(np.zeros((2, 2)), -1)

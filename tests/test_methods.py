@@ -18,6 +18,13 @@ def make_cfg(name, **kw):
     return methods.make_method_config(name, ATTACK, **kw)
 
 
+def build(cfg, student, teacher, batch, x_adv, buffer_batch=None, x_adv_buffer=None,
+          reg=None):
+    """(loss node, {term: value}) from the training-loop entry point."""
+    return methods.build_training_loss(cfg, student, teacher, batch, buffer_batch,
+                                       x_adv, x_adv_buffer, reg, rc.ParamNodes(student))
+
+
 @pytest.fixture
 def two_task_pair():
     """(student with 2+2 head, frozen 2-class teacher) sharing a trunk."""
@@ -44,7 +51,7 @@ def test_registry_covers_all_listed_methods():
     expected = {"pgd-at", "trades", "mart", "i-ard", "i-rslad", "i-adaad",
                 "r-lwf", "r-lwf-mc", "r-ewc-on", "r-si", "r-er", "r-er-ace",
                 "r-der", "r-der++", "r-icarl", "flair", "flair+"}
-    assert set(methods.METHOD_NAMES) == expected
+    assert set(methods.REGISTRY) == expected
 
 
 def test_defaults_follow_published_settings():
@@ -74,24 +81,21 @@ def test_buffer_kind_validation():
 def test_pgd_at_equals_direct_ce(two_task_pair, batch):
     student, _ = two_task_pair
     x, y, x_adv = batch
-    loss = methods.at_loss("pgd-at", student, (x[:1], y[:1]), x_adv[:1],
-                           make_cfg("pgd-at"))
+    loss, _ = build(make_cfg("pgd-at"), student, None, (x[:1], y[:1]), x_adv[:1])
     assert val(loss) == val(rc.ce(student.forward(x_adv[:1]), y[:1]))
 
 
 def test_trades_alpha_zero_is_clean_ce(two_task_pair, batch):
     student, _ = two_task_pair
     x, y, x_adv = batch
-    loss = methods.at_loss("trades", student, (x, y), x_adv,
-                           make_cfg("trades", alpha=0.0))
+    loss, _ = build(make_cfg("trades", alpha=0.0), student, None, (x, y), x_adv)
     assert val(loss) == val(rc.ce(student.forward(x), y))
 
 
 def test_trades_kl_term_vanishes_when_adv_equals_clean(two_task_pair, batch):
     student, _ = two_task_pair
     x, y, _ = batch
-    loss = methods.at_loss("trades", student, (x, y), x,
-                           make_cfg("trades", alpha=3.0))
+    loss, _ = build(make_cfg("trades", alpha=3.0), student, None, (x, y), x)
     assert val(loss) == pytest.approx(val(rc.ce(student.forward(x), y)), abs=1e-15)
 
 
@@ -99,17 +103,16 @@ def test_mart_terms(two_task_pair, batch):
     student, _ = two_task_pair
     x, y, x_adv = batch
     cfg = make_cfg("mart", alpha=2.0)
-    terms = methods.at_terms("mart", student, (x, y), x_adv, cfg)
+    _, terms = build(cfg, student, None, (x, y), x_adv)
     assert set(terms) == {"bce_adv", "weighted_kl"}
     onehot = losses.one_hot(y, student.out_dim)
-    assert val(terms["bce_adv"]) == val(rc.bce_multilabel(student.forward(x_adv),
-                                                          onehot))
+    assert terms["bce_adv"] == val(rc.bce_multilabel(student.forward(x_adv), onehot))
     # hand-rolled weighted KL oracle
     clean = student.forward(x)
     p_true = np.exp(clean - np.log(np.exp(clean).sum(axis=1, keepdims=True)))[
         np.arange(len(y)), y]
     kl_rows = losses.kl_rows(student.forward(x_adv), clean).value
-    assert val(terms["weighted_kl"]) == pytest.approx(
+    assert terms["weighted_kl"] == pytest.approx(
         2.0 * np.mean((1 - p_true) * kl_rows), rel=1e-12)
 
 
@@ -117,7 +120,7 @@ def test_missing_adversarial_batch_is_contract_error(two_task_pair, batch):
     student, _ = two_task_pair
     x, y, _ = batch
     with pytest.raises(ContractError):
-        methods.at_loss("pgd-at", student, (x, y), None, make_cfg("pgd-at"))
+        build(make_cfg("pgd-at"), student, None, (x, y), None)
 
 
 # ---------------------------------------------------------------------------
@@ -128,8 +131,7 @@ def test_iad_beta_zero_reduces_to_adv_ce(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
     for kind in ("i-ard", "i-rslad", "i-adaad"):
-        loss = methods.incremental_distill_loss(kind, student, teacher, (x, y),
-                                                x_adv, make_cfg(kind, beta=0.0))
+        loss, _ = build(make_cfg(kind, beta=0.0), student, teacher, (x, y), x_adv)
         assert val(loss) == val(rc.ce(student.forward(x_adv), y))
 
 
@@ -141,38 +143,33 @@ def test_iad_zero_distillation_when_student_matches_teacher(batch):
     # old slice equals the teacher right after expansion; with x_adv = x every
     # compared pair of distributions coincides, so each KL term vanishes
     for kind in ("i-ard", "i-rslad", "i-adaad"):
-        terms = methods.incremental_distill_terms(kind, student, teacher, (x, y),
-                                                  x, make_cfg(kind))
-        assert val(terms["distill"]) == pytest.approx(0.0, abs=1e-12)
+        _, terms = build(make_cfg(kind), student, teacher, (x, y), x)
+        assert terms["distill"] == pytest.approx(0.0, abs=1e-12)
     # i-adaad compares adversarial outputs against the adversarial teacher,
     # so it stays at zero even for a genuinely perturbed input
     x_adv = np.clip(x + 0.03, 0.0, 1.0)
-    terms = methods.incremental_distill_terms("i-adaad", student, teacher,
-                                              (x, y), x_adv,
-                                              make_cfg("i-adaad", alpha=1.0))
-    assert val(terms["distill"]) == pytest.approx(0.0, abs=1e-12)
+    _, terms = build(make_cfg("i-adaad", alpha=1.0), student, teacher, (x, y), x_adv)
+    assert terms["distill"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_i_rslad_alpha_one_keeps_only_adversarial_branch(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
     cfg = make_cfg("i-rslad", alpha=1.0, beta=2.0)
-    terms = methods.incremental_distill_terms("i-rslad", student, teacher,
-                                              (x, y), x_adv, cfg)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv)
     w = teacher.out_dim
     manual = 2.0 * val(rc.kl_div(student.forward(x_adv)[:, :w], teacher.forward(x)))
-    assert val(terms["distill"]) == pytest.approx(manual, rel=1e-12)
+    assert terms["distill"] == pytest.approx(manual, rel=1e-12)
 
 
 def test_i_adaad_uses_adversarial_teacher_reference(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
     cfg = make_cfg("i-adaad", alpha=1.0, beta=1.0)
-    terms = methods.incremental_distill_terms("i-adaad", student, teacher,
-                                              (x, y), x_adv, cfg)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv)
     w = teacher.out_dim
     manual = val(rc.kl_div(student.forward(x_adv)[:, :w], teacher.forward(x_adv)))
-    assert val(terms["distill"]) == pytest.approx(manual, rel=1e-12)
+    assert terms["distill"] == pytest.approx(manual, rel=1e-12)
 
 
 def test_teacher_width_mismatch_is_contract_error(batch):
@@ -180,8 +177,7 @@ def test_teacher_width_mismatch_is_contract_error(batch):
     wrong_teacher = rc.snapshot(rc.Network.init_mlp(4, [8, 6], 3, seed=3))
     x, y, x_adv = batch
     with pytest.raises(ContractError):
-        methods.incremental_distill_loss("i-ard", student, wrong_teacher,
-                                         (x, y), x_adv, make_cfg("i-ard"))
+        build(make_cfg("i-ard"), student, wrong_teacher, (x, y), x_adv)
 
 
 # ---------------------------------------------------------------------------
@@ -191,25 +187,21 @@ def test_teacher_width_mismatch_is_contract_error(batch):
 def test_r_lwf_alpha_zero(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
-    loss = methods.nonrehearsal_loss("r-lwf", student, teacher, None, (x, y),
-                                     x_adv, make_cfg("r-lwf", alpha=0.0))
+    loss, _ = build(make_cfg("r-lwf", alpha=0.0), student, teacher, (x, y), x_adv)
     assert val(loss) == val(rc.ce(student.forward(x_adv), y))
 
 
 def test_r_lwf_mc_term_isolation(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
-    terms = methods.nonrehearsal_terms("r-lwf-mc", student, teacher, None,
-                                       (x, y), x_adv, make_cfg("r-lwf-mc"))
+    total, terms = build(make_cfg("r-lwf-mc"), student, teacher, (x, y), x_adv)
     w = teacher.out_dim
     new_bce = rc.bce_multilabel(student.forward(x_adv)[:, w:],
                                 losses.one_hot_in_slice(y, w, student.out_dim))
     distill = rc.bce_multilabel(student.forward(x)[:, :w],
                                 rc.sigmoid(teacher.forward(x)))
-    assert val(terms["bce_new"]) == pytest.approx(val(new_bce), rel=1e-12)
-    assert val(terms["bce_distill"]) == pytest.approx(val(distill), rel=1e-12)
-    total = methods.nonrehearsal_loss("r-lwf-mc", student, teacher, None,
-                                      (x, y), x_adv, make_cfg("r-lwf-mc"))
+    assert terms["bce_new"] == pytest.approx(val(new_bce), rel=1e-12)
+    assert terms["bce_distill"] == pytest.approx(val(distill), rel=1e-12)
     assert val(total) == pytest.approx(val(new_bce) + val(distill), rel=1e-12)
 
 
@@ -220,9 +212,8 @@ def test_ewc_penalty_zero_at_anchor(two_task_pair, batch):
     reg.fisher = np.ones(student.n_params)
     reg.anchor = student.flatten().vector.copy()
     cfg = make_cfg("r-ewc-on", alpha=1.0)
-    terms = methods.nonrehearsal_terms("r-ewc-on", student, teacher, reg,
-                                       (x, y), x_adv, cfg)
-    assert val(terms["penalty"]) == 0.0
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, reg=reg)
+    assert terms["penalty"] == 0.0
 
 
 def test_ewc_penalty_quadratic_value(two_task_pair, batch):
@@ -233,19 +224,17 @@ def test_ewc_penalty_quadratic_value(two_task_pair, batch):
     reg.fisher = rng.uniform(size=student.n_params)
     reg.anchor = student.flatten().vector + rng.normal(size=student.n_params)
     cfg = make_cfg("r-ewc-on", alpha=0.7)
-    terms = methods.nonrehearsal_terms("r-ewc-on", student, teacher, reg,
-                                       (x, y), x_adv, cfg)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, reg=reg)
     theta = student.flatten().vector
     expected = 0.7 * np.sum(reg.fisher * (theta - reg.anchor) ** 2)
-    assert val(terms["penalty"]) == pytest.approx(expected, rel=1e-12)
+    assert terms["penalty"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_reg_state_required(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
     with pytest.raises(ContractError):
-        methods.nonrehearsal_loss("r-si", student, teacher, None, (x, y),
-                                  x_adv, make_cfg("r-si"))
+        build(make_cfg("r-si"), student, teacher, (x, y), x_adv)
 
 
 def test_update_reg_state_ewc():
@@ -256,7 +245,7 @@ def test_update_reg_state_ewc():
     x_adv = rng.uniform(size=(4, 3))
     y = rng.integers(0, 2, size=4)
     # gamma=0 keeps only the fresh batch statistic
-    methods.update_reg_state("ewc-on", reg, net, adv_batches=[(x_adv, y)], gamma=0.0)
+    methods.refresh_fisher(reg, net, [(x_adv, y)], gamma=0.0)
     g = rc.grad_params(net, lambda z, aux: rc.ce(z, aux), (x_adv, y)).vector
     assert np.allclose(reg.fisher, g ** 2)
     # decay-only when gradients vanish: zero inputs kill the weight grads and
@@ -267,8 +256,7 @@ def test_update_reg_state_ewc():
     reg2 = methods.RegState.zeros(zero_net)
     reg2.fisher = np.full(zero_net.n_params, 2.0)
     balanced = (np.zeros((2, 3)), np.array([0, 1]))
-    methods.update_reg_state("ewc-on", reg2, zero_net,
-                             adv_batches=[balanced], gamma=0.9)
+    methods.refresh_fisher(reg2, zero_net, [balanced], gamma=0.9)
     assert np.allclose(reg2.fisher, 0.9 * 2.0)
 
 
@@ -276,8 +264,8 @@ def test_update_reg_state_si_frozen_params_leave_omega_unchanged():
     net = rc.Network.init_mlp(3, [4], 2, seed=2)
     reg = methods.RegState.zeros(net)
     g = np.ones(net.n_params)
-    methods.update_reg_state("si", reg, step=(g, np.zeros(net.n_params)))
-    methods.update_reg_state("si", reg, net, consolidate=True)
+    methods.si_step(reg, g, np.zeros(net.n_params))
+    methods.si_consolidate(reg, net)
     assert np.array_equal(reg.omega, np.zeros(net.n_params))
 
 
@@ -286,10 +274,10 @@ def test_update_reg_state_si_accumulates_path():
     reg = methods.RegState.zeros(net)
     delta = np.full(net.n_params, -0.1)
     grads = np.ones(net.n_params)
-    methods.update_reg_state("si", reg, step=(grads, delta))
+    methods.si_step(reg, grads, delta)
     assert np.allclose(reg.si_path, 0.1)
     net.load_params(net.flatten().vector + delta)
-    methods.update_reg_state("si", reg, net, consolidate=True, xi=1e-3)
+    methods.si_consolidate(reg, net, xi=1e-3)
     assert np.all(reg.omega > 0)
     assert np.allclose(reg.omega, 0.1 / (0.01 + 1e-3))
 
@@ -317,8 +305,7 @@ def test_r_er_empty_buffer_equals_pgd_at(two_task_pair, batch):
     x, y, x_adv = batch
     cfg = methods.make_method_config("r-er", ATTACK)
     empty = (np.zeros((0, 4)), np.zeros(0, dtype=int), [])
-    loss = methods.rehearsal_loss("r-er", student, teacher, (x, y), empty,
-                                  x_adv, None, cfg)
+    loss, _ = build(cfg, student, teacher, (x, y), x_adv, empty)
     assert val(loss) == val(rc.ce(student.forward(x_adv), y))
 
 
@@ -327,8 +314,7 @@ def test_r_der_alpha_zero_equals_pgd_at(two_task_pair, batch):
     x, y, x_adv = batch
     cfg = methods.make_method_config("r-der", ATTACK, alpha=0.0)
     buf = (x[:2], y[:2], [student.forward(x[:2])[i] for i in range(2)])
-    loss = methods.rehearsal_loss("r-der", student, teacher, (x, y), buf,
-                                  x_adv, x[:2], cfg)
+    loss, _ = build(cfg, student, teacher, (x, y), x_adv, buf, x[:2])
     assert val(loss) == val(rc.ce(student.forward(x_adv), y))
 
 
@@ -338,9 +324,8 @@ def test_r_der_mse_zero_when_stored_logits_match(two_task_pair, batch):
     cfg = methods.make_method_config("r-der", ATTACK, alpha=1.0)
     xb = x[:3]
     stored = [student.forward(xb)[i] for i in range(3)]
-    terms = methods.rehearsal_terms("r-der", student, teacher, (x, y),
-                                    (xb, y[:3], stored), x_adv, xb, cfg)
-    assert val(terms["mse_buffer"]) == pytest.approx(0.0, abs=1e-15)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, (xb, y[:3], stored), xb)
+    assert terms["mse_buffer"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_r_der_handles_mixed_stored_widths(two_task_pair, batch):
@@ -350,9 +335,8 @@ def test_r_der_handles_mixed_stored_widths(two_task_pair, batch):
     xb = x[:3]
     full = student.forward(xb)
     stored = [full[0, :2], full[1], full[2, :2]]      # two old-width entries
-    terms = methods.rehearsal_terms("r-der", student, teacher, (x, y),
-                                    (xb, y[:3], stored), x_adv, xb, cfg)
-    assert val(terms["mse_buffer"]) == pytest.approx(0.0, abs=1e-15)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, (xb, y[:3], stored), xb)
+    assert terms["mse_buffer"] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_r_er_ace_masks_to_batch_classes(two_task_pair, batch):
@@ -360,10 +344,9 @@ def test_r_er_ace_masks_to_batch_classes(two_task_pair, batch):
     x, y, x_adv = batch
     cfg = methods.make_method_config("r-er-ace", ATTACK)
     empty = (np.zeros((0, 4)), np.zeros(0, dtype=int), [])
-    terms = methods.rehearsal_terms("r-er-ace", student, teacher, (x, y), empty,
-                                    x_adv, None, cfg)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, empty)
     expected = rc.ace(student.forward(x_adv), y, np.unique(y))
-    assert val(terms["ace_adv"]) == pytest.approx(val(expected), rel=1e-12)
+    assert terms["ace_adv"] == pytest.approx(val(expected), rel=1e-12)
 
 
 def test_r_icarl_first_task_uses_full_head(batch):
@@ -371,11 +354,10 @@ def test_r_icarl_first_task_uses_full_head(batch):
     x, y, x_adv = batch
     y0 = y - 2          # labels 0/1 on the first task head
     cfg = methods.make_method_config("r-icarl", ATTACK)
-    terms = methods.rehearsal_terms("r-icarl", student, None, (x, y0), None,
-                                    x_adv, None, cfg)
+    _, terms = build(cfg, student, None, (x, y0), x_adv)
     assert set(terms) == {"bce_new"}
     expected = rc.bce_multilabel(student.forward(x_adv), losses.one_hot(y0, 2))
-    assert val(terms["bce_new"]) == pytest.approx(val(expected), rel=1e-12)
+    assert terms["bce_new"] == pytest.approx(val(expected), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -566,3 +548,53 @@ def test_build_training_loss_terms_are_finite_and_deterministic(two_task_pair,
     assert val(loss1) == val(loss2)
     assert terms1 == terms2
     assert set(terms1) == {"bce_new", "bce_distill", "fpd"}
+
+
+# term names per method: (with the previous-task teacher, first task without one);
+# methods that replay from a reservoir get a 3-row buffer batch in both cases
+EXPECTED_TERMS = {
+    "pgd-at": ({"ce_adv"}, {"ce_adv"}),
+    "trades": ({"ce_clean", "kl_adv_clean"}, {"ce_clean", "kl_adv_clean"}),
+    "mart": ({"bce_adv", "weighted_kl"}, {"bce_adv", "weighted_kl"}),
+    "i-ard": ({"ce_adv", "distill"}, {"ce_adv"}),
+    "i-rslad": ({"ce_adv", "distill"}, {"ce_adv"}),
+    "i-adaad": ({"ce_adv", "distill"}, {"ce_adv"}),
+    "r-lwf": ({"ce_adv", "distill"}, {"ce_adv"}),
+    "r-lwf-mc": ({"bce_new", "bce_distill"}, {"bce_new"}),
+    "r-ewc-on": ({"ce_adv", "penalty"}, {"ce_adv", "penalty"}),
+    "r-si": ({"ce_adv", "penalty"}, {"ce_adv", "penalty"}),
+    "r-er": ({"ce_adv", "ce_buffer"}, {"ce_adv", "ce_buffer"}),
+    "r-er-ace": ({"ace_adv", "ce_buffer"}, {"ace_adv", "ce_buffer"}),
+    "r-der": ({"ce_adv", "mse_buffer"}, {"ce_adv", "mse_buffer"}),
+    "r-der++": ({"ce_adv", "mse_buffer", "ce_buffer"},
+                {"ce_adv", "mse_buffer", "ce_buffer"}),
+    "r-icarl": ({"bce_new", "bce_distill"}, {"bce_new"}),
+    "flair": ({"bce_new", "bce_distill", "fpd"}, {"bce_new"}),
+    "flair+": ({"bce_new", "bce_distill", "fpd"}, {"bce_new"}),
+}
+
+
+@pytest.mark.parametrize("with_teacher", [True, False], ids=["teacher", "first-task"])
+@pytest.mark.parametrize("name,buffer_kind", [
+    (name, kind) for name, info in methods.REGISTRY.items()
+    for kind in info.allowed_buffers])
+def test_build_training_loss_dispatches_every_method(two_task_pair, batch, name,
+                                                     buffer_kind, with_teacher):
+    student, teacher = two_task_pair
+    x, y, x_adv = batch
+    cfg = make_cfg(name, buffer_kind=buffer_kind)
+    buffer_batch = x_adv_buffer = None
+    if buffer_kind.startswith("reservoir"):
+        xb = x[:3] + 0.01
+        stored = [student.forward(xb)[i] for i in range(3)] \
+            if buffer_kind == "reservoir-with-logits" else [None] * 3
+        buffer_batch = (xb, y[:3], stored)
+        x_adv_buffer = np.clip(xb - 0.02, 0.0, 1.0)
+    reg = methods.RegState.zeros(student)
+    reg.fisher = reg.omega = np.full(student.n_params, 0.5)
+    reg.anchor = student.flatten().vector + 0.1
+    loss, terms = methods.build_training_loss(
+        cfg, student, teacher if with_teacher else None, (x, y), buffer_batch,
+        x_adv, x_adv_buffer, reg, rc.ParamNodes(student))
+    assert np.isfinite(val(loss))
+    assert set(terms) == EXPECTED_TERMS[name][0 if with_teacher else 1]

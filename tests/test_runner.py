@@ -78,6 +78,37 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
         rc.config_from_dict(tiny_config(tmp_path, flatness=flatness))
 
 
+@pytest.mark.parametrize("section,values", [
+    ("training", {"epochs": 2, "lr": 0.2, "batch_size": 16, "weight_decy": 0.5}),
+    ("attack", {"epsilon": "1/20", "n_steps": 3, "random_start": "false"}),
+    ("attack", {"epsilon": "1/20", "n_steps": 3.0}),
+    ("eval_attack", {"n_steps": True}),
+    ("tasks", {"n_tasks": 2, "classes_per_task": 2.7}),
+    ("tasks", {"n_tasks": 2, "classes_per_task": 2, "order": [1, 0, 3, 2]}),
+    ("model", {"hidden": [0]}),
+    ("model", {"hidden": [12], "activation": "relux"}),
+    ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6, "seperation": 3.0}),
+    ("buffer", {"capacity": 2.5}),
+    ("augment", {"enabled": "yes"}),
+    ("method", {"name": "flair", "alpah": 0.5}),
+    ("grid", {"alpha": [0.5], "gamma": [1]}),
+], ids=["nested-typo", "string-bool", "float-int", "bool-int", "fractional-int",
+        "tasks-typo", "zero-width", "activation", "dataset-typo", "float-capacity",
+        "string-augment", "method-typo", "grid-typo"])
+def test_parse_rejects_bad_nested_values(tmp_path, section, values):
+    with pytest.raises(ConfigurationError):
+        rc.config_from_dict(tiny_config(tmp_path, **{section: values}))
+
+
+def test_cli_bad_activation_exits_2_before_creating_output(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(
+        tmp_path / "out", model={"hidden": [12], "activation": "relux"})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "activation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_flatness_scalar_exits_2_before_training(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out",
