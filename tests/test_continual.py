@@ -59,6 +59,21 @@ def test_split_rejects_indivisible_class_count():
         rc.split_dataset(make_dataset(), 3, 3)
 
 
+def test_slice_logits_examples():
+    # The head columns of tasks i..j-1 are logits[:, start:end], and start is
+    # the class offset of the slice.
+    logits = np.array([[1.0, 2.0, 3.0, 4.0]])
+
+    def cols(i, j):
+        start, end = rc.slice_bounds([2, 4], i, j)
+        return logits[:, start:end]
+
+    assert np.array_equal(cols(0, 1), [[1.0, 2.0]])
+    assert np.array_equal(cols(1, 2), [[3.0, 4.0]])
+    assert np.array_equal(cols(0, 2), logits)
+    assert rc.slice_bounds([2, 4], 1, 2)[0] == 2
+
+
 # ---------------------------------------------------------------------------
 # herding
 
