@@ -20,6 +20,7 @@ from .errors import ArgumentError, ConfigurationError, ContractError
 from .network import Network
 
 Array = np.ndarray
+Objective = Callable[[ad.Node], ad.Node]  # input node -> per-example values
 
 OBJECTIVES = ("ce", "kl-vs-clean", "bce-newslice")
 
@@ -63,42 +64,33 @@ class AttackConfig:
 
 
 # ---------------------------------------------------------------------------
-# objectives: per-example value (maximized), gradient w.r.t. the input
+# objectives: per-example values (maximized) as a graph of the input node
 
 
 def _make_objective(model: Network, x_clean: Array, y: Array,
-                    cfg: AttackConfig) -> Callable[[Array], tuple[Array, Array]]:
+                    cfg: AttackConfig) -> Objective:
     if cfg.objective == "ce":
-        def fn(x_cur: Array) -> tuple[Array, Array]:
-            xn = ad.Node(x_cur)
-            rows = losses.ce_rows(model.forward_graph(xn), y)
-            ad.backward(ad.mean_all(rows))
-            return rows.value.copy(), xn.grad
-        return fn
+        return lambda xn: losses.ce_rows(model.forward_graph(xn), y)
 
     if cfg.objective == "kl-vs-clean":
         clean_logits = model.forward(x_clean)
-
-        def fn(x_cur: Array) -> tuple[Array, Array]:
-            xn = ad.Node(x_cur)
-            rows = losses.kl_rows(model.forward_graph(xn), clean_logits)
-            ad.backward(ad.mean_all(rows))
-            return rows.value.copy(), xn.grad
-        return fn
+        return lambda xn: losses.kl_rows(model.forward_graph(xn), clean_logits)
 
     # bce-newslice: multilabel BCE on the most recent task's columns
     if model.n_tasks < 2:
         raise ConfigurationError("bce-newslice objective needs at least two task heads")
     start, end = losses.slice_bounds(model.head_boundaries, model.n_tasks - 1, model.n_tasks)
     targets = losses.one_hot_in_slice(y, start, end)
+    return lambda xn: losses.bce_rows(
+        ad.take_cols(model.forward_graph(xn), slice(start, end)), targets)
 
-    def fn(x_cur: Array) -> tuple[Array, Array]:
-        xn = ad.Node(x_cur)
-        logits = model.forward_graph(xn)
-        rows = losses.bce_rows(ad.take_cols(logits, slice(start, end)), targets)
-        ad.backward(ad.mean_all(rows))
-        return rows.value.copy(), xn.grad
-    return fn
+
+def _values_and_grad(objective: Objective, x_cur: Array) -> tuple[Array, Array]:
+    """Per-example objective values and the input gradient of their mean."""
+    xn = ad.Node(x_cur)
+    rows = objective(xn)
+    ad.backward(ad.mean_all(rows))
+    return rows.value, xn.grad
 
 
 def _project(x_cur: Array, x: Array, cfg: AttackConfig) -> Array:
@@ -109,10 +101,9 @@ def _project(x_cur: Array, x: Array, cfg: AttackConfig) -> Array:
     return x_cur
 
 
-def _restart_attack(model: Network, x: Array, y: Array, cfg: AttackConfig,
+def _restart_attack(objective: Objective, x: Array, cfg: AttackConfig,
                     restart: int) -> tuple[Array, Array]:
     """One restart; returns (best points, best per-example objective values)."""
-    objective_fn = _make_objective(model, x, y, cfg)
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(restart,)))
     if cfg.random_start:
@@ -122,12 +113,13 @@ def _restart_attack(model: Network, x: Array, y: Array, cfg: AttackConfig,
     best_x = x_cur.copy()
     best_v = np.full(x.shape[0], -np.inf)
     for _ in range(cfg.n_steps):
-        values, grad = objective_fn(x_cur)
+        values, grad = _values_and_grad(objective, x_cur)
         improved = values > best_v
         best_v[improved] = values[improved]
         best_x[improved] = x_cur[improved]
         x_cur = _project(x_cur + cfg.step_size * np.sign(grad), x, cfg)
-    values, _ = objective_fn(x_cur)
+    # the last iterate's gradient would go unused: evaluate it as a constant
+    values = objective(ad.lift(x_cur)).value
     improved = values > best_v
     best_v[improved] = values[improved]
     best_x[improved] = x_cur[improved]
@@ -148,16 +140,13 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig) -> Array:
         lo, hi = cfg.clamp_range
         if x.size and (x.min() < lo or x.max() > hi):
             raise ArgumentError("inputs must lie inside the clamp range")
-    best_x: Array | None = None
-    best_v: Array | None = None
-    for restart in range(cfg.n_restarts):
-        cand_x, cand_v = _restart_attack(model, x, y, cfg, restart)
-        if best_x is None:
-            best_x, best_v = cand_x, cand_v
-        else:
-            improved = cand_v > best_v
-            best_v[improved] = cand_v[improved]
-            best_x[improved] = cand_x[improved]
+    objective = _make_objective(model, x, y, cfg)
+    best_x, best_v = _restart_attack(objective, x, cfg, 0)
+    for restart in range(1, cfg.n_restarts):
+        cand_x, cand_v = _restart_attack(objective, x, cfg, restart)
+        improved = cand_v > best_v
+        best_v[improved] = cand_v[improved]
+        best_x[improved] = cand_x[improved]
     return best_x
 
 
@@ -175,8 +164,7 @@ def attack_objective_values(model: Network, x_points: Array, x_clean: Array, y,
     """Per-example objective values at given points (for tests and tracking)."""
     if not model.frozen:
         raise ContractError("attacks require a frozen model; use snapshot() first")
-    objective_fn = _make_objective(model, np.asarray(x_clean, dtype=np.float64),
-                                   np.asarray(y, dtype=np.int64), cfg)
-    values, _ = objective_fn(np.asarray(x_points, dtype=np.float64))
-    return values
+    objective = _make_objective(model, np.asarray(x_clean, dtype=np.float64),
+                                np.asarray(y, dtype=np.int64), cfg)
+    return objective(ad.lift(np.asarray(x_points, dtype=np.float64))).value
 

@@ -3,8 +3,12 @@
 The op set covers exactly what dense feed-forward stacks and logit-space
 losses need: matmul, broadcasting add/mul, pointwise activations, a
 stabilized log-softmax, column and per-row gathers, and reductions.
-Graphs are built per evaluation and discarded afterwards; leaf nodes keep
-the gradient accumulated by the last `backward` call.
+Graphs are built per evaluation and discarded afterwards. A leaf built
+with ``Node(value)`` is a variable and keeps the gradient of the last
+`backward` call; a raw value wrapped by `lift` (as ops do with array
+operands) is a constant. A derived node requires a gradient when a parent
+does. `backward` works only along paths to variables: constants (frozen
+weights, data, teacher logits) cost it nothing and keep ``.grad is None``.
 
 Gradients are exact (no numerical approximation) and accumulate correctly
 when a node is consumed by several downstream ops, including when the
@@ -29,11 +33,12 @@ def _as_f64(x) -> Array:
 class Node:
     """One value in the computation graph plus its local backward rules."""
 
-    __slots__ = ("value", "grad", "_parents", "_vjps")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjps")
 
     def __init__(self, value, parents: tuple = (), vjps: tuple = ()):
         self.value: Array = _as_f64(value)
         self.grad: Array | None = None
+        self.requires_grad: bool = not parents or any(p.requires_grad for p in parents)
         self._parents: tuple[Node, ...] = parents
         self._vjps: tuple[Callable[[Array], Array], ...] = vjps
 
@@ -62,7 +67,11 @@ class Node:
 
 def lift(x: NodeLike) -> Node:
     """Wrap a raw value as a constant leaf; Nodes pass through."""
-    return x if isinstance(x, Node) else Node(x)
+    if isinstance(x, Node):
+        return x
+    const = Node(x)
+    const.requires_grad = False
+    return const
 
 
 def _unbroadcast(g: Array, shape: tuple[int, ...]) -> Array:
@@ -239,14 +248,16 @@ def mean_all(a: NodeLike) -> Node:
 
 
 def backward(root: Node) -> None:
-    """Accumulate d(root)/d(node) into `.grad` of every reachable node.
+    """Accumulate d(root)/d(node) into `.grad` of every node that requires it.
 
-    `root` must be a scalar. Grads of all reachable nodes are reset first,
-    so leaves reused across several forward passes within one graph sum
-    their contributions, while stale state from earlier graphs is cleared.
+    `root` must be a scalar. Grads of those nodes are reset first, so leaves
+    reused across several forward passes within one graph sum their
+    contributions, while stale state from earlier graphs is cleared.
     """
     if root.value.size != 1:
         raise ArgumentError("backward expects a scalar root")
+    if not root.requires_grad:
+        return
     topo: list[Node] = []
     seen: set[int] = set()
     stack: list[tuple[Node, bool]] = [(root, False)]
@@ -258,14 +269,15 @@ def backward(root: Node) -> None:
         if id(node) in seen:
             continue
         seen.add(id(node))
+        node.grad = None
         stack.append((node, True))
         for parent in node._parents:
-            if id(parent) not in seen:
+            if parent.requires_grad and id(parent) not in seen:
                 stack.append((parent, False))
-    for node in topo:
-        node.grad = np.zeros_like(node.value)
     root.grad = np.ones_like(root.value)
     for node in reversed(topo):
         g = node.grad
         for parent, vjp in zip(node._parents, node._vjps):
-            parent.grad += vjp(g)
+            if parent.requires_grad:  # VJPs may return `g` itself: add out of place
+                c = vjp(g)
+                parent.grad = c if parent.grad is None else parent.grad + c

@@ -32,6 +32,21 @@ Array = np.ndarray
 # task streams
 
 
+def split_order(n_classes: int, n_tasks: int, classes_per_task: int,
+                class_order: Sequence[int] | None = None) -> list[int]:
+    """The class order of a valid split; raises ArgumentError otherwise."""
+    if n_tasks < 1 or classes_per_task < 1:
+        raise ArgumentError("n_tasks and classes_per_task must be positive")
+    if n_tasks * classes_per_task != n_classes:
+        raise ArgumentError(
+            f"{n_classes} classes do not divide into {n_tasks} tasks "
+            f"of {classes_per_task}")
+    order = list(range(n_classes)) if class_order is None else [int(c) for c in class_order]
+    if sorted(order) != list(range(n_classes)):
+        raise ArgumentError("class_order must be a permutation of all classes")
+    return order
+
+
 def split_dataset(dataset: Dataset, n_tasks: int, classes_per_task: int,
                   class_order: Sequence[int] | None = None,
                   seed: int = 0) -> list[Dataset]:
@@ -41,16 +56,8 @@ def split_dataset(dataset: Dataset, n_tasks: int, classes_per_task: int,
     their position in that order so heads grow contiguously. The class
     count must split exactly into n_tasks * classes_per_task.
     """
-    if n_tasks < 1 or classes_per_task < 1:
-        raise ArgumentError("n_tasks and classes_per_task must be positive")
     n_classes = dataset.n_classes
-    if n_tasks * classes_per_task != n_classes:
-        raise ArgumentError(
-            f"{n_classes} classes do not divide into {n_tasks} tasks "
-            f"of {classes_per_task}")
-    order = list(range(n_classes)) if class_order is None else [int(c) for c in class_order]
-    if sorted(order) != list(range(n_classes)):
-        raise ArgumentError("class_order must be a permutation of all classes")
+    order = split_order(n_classes, n_tasks, classes_per_task, class_order)
     position = {orig: pos for pos, orig in enumerate(order)}
     new_labels = np.asarray([position[int(c)] for c in dataset.labels], dtype=np.int64)
     tasks = []

@@ -22,9 +22,9 @@ import numpy as np
 from . import __version__
 from .attacks import AttackConfig, parse_rational
 from .continual import (HerdingBuffer, ReservoirBuffer, Schedule,
-                        buffer_update_herding, run_task, split_dataset)
+                        buffer_update_herding, run_task, split_dataset, split_order)
 from .data import Dataset, gen_gaussian_tasks, load_csv_dataset
-from .errors import ConfigurationError, IntegrityError
+from .errors import ArgumentError, ConfigurationError, IntegrityError
 from .methods import REGISTRY, MethodConfig, RegState, make_method_config
 from .metrics import (FLATNESS_SCALARS, AccuracyMatrix, FlatnessReport, accuracy,
                       flatness_forgetting, r_bwt, robust_accuracy)
@@ -110,6 +110,13 @@ def _int(value, what: str, minimum: int | None = 0) -> int:
     return value
 
 
+def _float(value, what: str) -> float:
+    """A JSON number (not a bool or a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _bool(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigurationError(f"{what} must be true or false, got {value!r}")
@@ -146,7 +153,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             kind="gaussian",
             n_classes=_int(_need(ds_raw, "n_classes", "dataset"), "dataset n_classes"),
             dim=_int(_need(ds_raw, "dim", "dataset"), "dataset dim"),
-            separation=float(ds_raw.get("separation", 6.0)),
+            separation=_float(ds_raw.get("separation", 6.0), "dataset separation"),
             train_per_class=_int(ds_raw.get("train_per_class", 200),
                                  "dataset train_per_class"),
             test_per_class=_int(ds_raw.get("test_per_class", 100),
@@ -164,8 +171,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
     n_tasks = _int(_need(tasks, "n_tasks", "tasks"), "tasks n_tasks", 1)
     cpt = _int(_need(tasks, "classes_per_task", "tasks"), "tasks classes_per_task", 1)
     order_raw = tasks.get("class_order", "identity")
+    if order_raw != "identity" and not isinstance(order_raw, list):
+        raise ConfigurationError('tasks class_order must be "identity" or a list')
     class_order = None if order_raw == "identity" else \
         [_int(c, "tasks class_order entry") for c in order_raw]
+    if kind == "gaussian":  # CSV class counts are known only once the files are read
+        try:
+            split_order(dataset.n_classes, n_tasks, cpt, class_order)
+        except ArgumentError as exc:
+            raise ConfigurationError(str(exc)) from exc
 
     model = _section(raw, "model", {"hidden", "activation"})
     hidden = tuple(_int(h, "model hidden width", 1) for h in model.get("hidden", [64, 64]))
@@ -186,10 +200,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     milestones = train_raw.get("milestones")
     schedule = Schedule(
         epochs=_int(_need(train_raw, "epochs", "training"), "training epochs"),
-        lr=float(_need(train_raw, "lr", "training")),
+        lr=_float(_need(train_raw, "lr", "training"), "training lr"),
         batch_size=_int(_need(train_raw, "batch_size", "training"),
                         "training batch_size", 1),
-        weight_decay=float(train_raw.get("weight_decay", 1e-5)),
+        weight_decay=_float(train_raw.get("weight_decay", 1e-5),
+                            "training weight_decay"),
         milestones=None if milestones is None else
         tuple(_int(m, "training milestone") for m in milestones))
 
@@ -207,9 +222,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
         info = REGISTRY.get(name)
         if info is not None and "none" in info.allowed_buffers:
             buffer_kind = "none"
+    alpha, beta = (None if m_raw.get(k) is None else _float(m_raw[k], f"method {k}")
+                   for k in ("alpha", "beta"))
     method = make_method_config(
-        name, attack,
-        alpha=m_raw.get("alpha"), beta=m_raw.get("beta"),
+        name, attack, alpha=alpha, beta=beta,
         buffer_kind=buffer_kind,
         augment=augment_enabled,
         fpd_metric=m_raw.get("fpd_metric", "kl"))
@@ -225,7 +241,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigurationError(f"flatness scalar must be one of {FLATNESS_SCALARS}, "
                                  f"got {flatness_scalar!r}")
 
-    _section(raw, "grid", {"alpha", "beta"})
+    grid = _section(raw, "grid", {"alpha", "beta"})
+    for key, values in grid.items():
+        if not isinstance(values, list):
+            raise ConfigurationError(f"grid {key} must be a list")
+        grid[key] = [_float(v, f"grid {key} value") for v in values]
     text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return ExperimentConfig(
         seed=_int(_need(raw, "seed", "config"), "seed", None),
@@ -235,7 +255,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         method=method, eval_attack=eval_attack, schedule=schedule,
         buffer_capacity=buffer_capacity,
         flatness_subsample=flatness_subsample, flatness_scalar=flatness_scalar,
-        raw_text=text, sha256=text_hash, grid=raw.get("grid"))
+        raw_text=text, sha256=text_hash, grid=grid or None)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -254,11 +274,9 @@ def expand_grid(cfg: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
     """Enumerate (tag, config) pairs over the configured alpha/beta grid."""
     if not cfg.grid:
         return [("single", cfg)]
-    alphas = [float(a) for a in cfg.grid.get("alpha", [cfg.method.alpha])]
-    betas = [float(b) for b in cfg.grid.get("beta", [cfg.method.beta])]
     out = []
-    for a in alphas:
-        for b in betas:
+    for a in cfg.grid.get("alpha", [cfg.method.alpha]):
+        for b in cfg.grid.get("beta", [cfg.method.beta]):
             raw = json.loads(cfg.raw_text)
             raw.setdefault("method", {})
             raw["method"]["alpha"] = a
@@ -276,7 +294,11 @@ def expand_grid(cfg: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
 
 
 def save_checkpoint(net: Network, path: str) -> None:
-    """Write `<path>.manifest` (text) and `<path>.blob` (LE float64)."""
+    """Write `<path>.manifest` (text) and `<path>.blob` (LE float64).
+
+    The manifest records the blob's SHA-256, so `load_checkpoint` detects
+    corruption that keeps the blob length.
+    """
     path = str(path)
     lines = [f"format_version={CHECKPOINT_VERSION}",
              f"input_dim={net.input_dim}",
@@ -293,6 +315,7 @@ def save_checkpoint(net: Network, path: str) -> None:
         blob += np.ascontiguousarray(layer.bias, dtype="<f8").tobytes()
         count += layer.weight.size + layer.bias.size
     lines.append(f"blob_len={count}")
+    lines.append(f"blob_sha256={hashlib.sha256(blob).hexdigest()}")
     _atomic_write_bytes(path + ".manifest", ("\n".join(lines) + "\n").encode())
     _atomic_write_bytes(path + ".blob", bytes(blob))
 
@@ -330,6 +353,11 @@ def load_checkpoint(path: str) -> Network:
         raise IntegrityError(
             f"checkpoint blob length mismatch: manifest {blob_len}, "
             f"expected {expected}, blob holds {len(blob) // 8}")
+    # manifests written before the digest existed have no blob_sha256 line
+    digest = fields.get("blob_sha256")
+    if digest is not None and digest != hashlib.sha256(blob).hexdigest():
+        raise IntegrityError(f"checkpoint blob {path}.blob does not match its "
+                             "manifest's SHA-256")
     if shapes[-1][0][1] != boundaries[-1]:
         raise IntegrityError("manifest head_boundaries disagree with layer shapes")
     flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
@@ -476,10 +504,10 @@ def _make_buffer(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full task loop; writes checkpoints and the report into output_dir."""
     start = time.time()
-    out_dir = Path(cfg.output_dir)
-    ckpt_dir = out_dir / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
     train_tasks, test_tasks = _build_streams(cfg)
+    # only after the split succeeded: a bad split leaves no output behind
+    ckpt_dir = Path(cfg.output_dir) / "checkpoints"
+    ckpt_dir.mkdir(parents=True, exist_ok=True)
     t_count = cfg.n_tasks
     buffer = _make_buffer(cfg)
     info = cfg.method.info

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustcl as rc
-from robustcl.attacks import attack_objective_values, parse_rational
+from robustcl.attacks import (_make_objective, _values_and_grad,
+                              attack_objective_values, parse_rational)
 from robustcl.errors import ArgumentError, ConfigurationError, ContractError
 
 
@@ -169,6 +170,23 @@ def test_bce_newslice_objective_on_two_task_head():
     y = np.array([2, 3, 2, 3])
     out = rc.pgd(model, x, y, cfg(objective="bce-newslice", n_steps=4))
     assert np.max(np.abs(out - x)) <= 0.1 + 1e-12
+
+
+@pytest.mark.parametrize("objective", ["ce", "kl-vs-clean", "bce-newslice"])
+def test_objective_values_equal_the_gradient_path_bit_for_bit(objective):
+    # PGD takes gradients at all but its last iterate, which it evaluates on
+    # a constant input like attack_objective_values: both must agree exactly
+    net = rc.expand_head(rc.Network.init_mlp(4, [8, 8], 2, activation="tanh",
+                                             seed=3), 2, seed=4)
+    model = rc.snapshot(net)
+    rng = np.random.default_rng(9)
+    x = rng.uniform(size=(6, 4))
+    y = rng.integers(0, 4, size=6)
+    points = x + rng.uniform(-0.1, 0.1, size=x.shape)
+    c = cfg(objective=objective)
+    values, grad = _values_and_grad(_make_objective(model, x, y, c), points)
+    assert np.array_equal(attack_objective_values(model, points, x, y, c), values)
+    assert grad.shape == points.shape and np.any(grad != 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl.errors import ArgumentError
 
@@ -142,3 +143,81 @@ def test_shared_leaf_across_two_passes_accumulates():
     out = ad.add(ad.sum_all(ad.matmul(x1, w)), ad.sum_all(ad.matmul(x2, w)))
     ad.backward(out)
     assert np.allclose(w.grad, [[8.0]])
+
+
+# ---------------------------------------------------------------------------
+# pruning: constants get no gradient work
+
+
+def _leaves(root):
+    seen, stack, leaves = {id(root)}, [root], []
+    while stack:
+        node = stack.pop()
+        if not node._parents:
+            leaves.append(node)
+        for parent in node._parents:
+            if id(parent) not in seen:
+                seen.add(id(parent))
+                stack.append(parent)
+    return leaves
+
+
+def test_constants_and_frozen_weights_keep_no_grad(small_tanh_net):
+    frozen = rc.snapshot(small_tanh_net)
+    x = ad.Node(np.random.default_rng(2).uniform(size=(3, 4)))
+    const = ad.lift(np.full((3, 3), 0.5))
+    out = ad.sum_all(ad.mul(frozen.forward_graph(x), const))
+    ad.backward(out)
+    assert x.requires_grad and x.grad is not None
+    assert const.grad is None and not const.requires_grad
+    weights = [leaf for leaf in _leaves(out) if leaf is not x and leaf is not const]
+    assert len(weights) == 2 * len(frozen.layers)
+    assert all(w.grad is None and not w.requires_grad for w in weights)
+
+
+def test_vjps_into_constants_are_never_called():
+    def boom(g):
+        raise AssertionError("VJP into a constant was called")
+
+    # a derived node whose parents are all constants ...
+    dead = ad.Node(np.array([2.0]), (ad.lift(np.array([1.0])),), (boom,))
+    assert not dead.requires_grad
+    # ... and a live node's edge into a constant parent
+    x = ad.Node(np.array([3.0]))
+    mixed = ad.Node(2.0 * x.value, (x, ad.lift(np.array([5.0]))),
+                    (lambda g: 2.0 * g, boom))
+    ad.backward(ad.sum_all(ad.mul(mixed, dead)))
+    assert np.array_equal(x.grad, [4.0])
+    ad.backward(ad.sum_all(dead))  # a constant root does no work at all
+    assert dead.grad is None
+
+
+def test_shared_parent_grads_are_exact_and_unaliased():
+    a = ad.Node(np.array([[1.0, -2.0]]))
+    s = ad.add(a, a)
+    ad.backward(ad.sum_all(s))
+    assert np.array_equal(a.grad, [[2.0, 2.0]])
+    assert np.array_equal(s.grad, [[1.0, 1.0]])
+    d = ad.sub(a, a)
+    ad.backward(ad.sum_all(ad.mul(d, 3.0)))
+    assert np.array_equal(a.grad, [[0.0, 0.0]])
+    assert np.array_equal(d.grad, [[3.0, 3.0]])
+
+    # one leaf feeding both an add (whose VJP returns g itself) and a matmul
+    x = ad.Node(np.array([[1.0, 2.0]]))
+    w = np.array([[3.0, 0.5], [4.0, -1.0]])
+    h = ad.add(x, np.array([0.5, -0.5]))
+    m = ad.matmul(x, w)
+    ad.backward(ad.sum_all(ad.mul(h, m)))
+    assert np.array_equal(h.grad, m.value)
+    assert np.array_equal(x.grad, m.value + h.value @ w.T)
+
+
+def test_grad_read_after_backward_is_not_mutated_later():
+    x = ad.Node(np.array([[1.0, 2.0]]))
+    ad.backward(ad.sum_all(ad.add(x, x)))
+    first = x.grad
+    kept = first.copy()
+    ad.backward(ad.sum_all(ad.mul(ad.add(x, x), 3.0)))
+    assert np.array_equal(first, kept)
+    assert np.array_equal(x.grad, [[6.0, 6.0]])

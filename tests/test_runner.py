@@ -92,9 +92,25 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
     ("augment", {"enabled": "yes"}),
     ("method", {"name": "flair", "alpah": 0.5}),
     ("grid", {"alpha": [0.5], "gamma": [1]}),
+    ("training", {"epochs": 2, "lr": "0.2", "batch_size": 16}),
+    ("training", {"epochs": 2, "lr": True, "batch_size": 16}),
+    ("training", {"epochs": 2, "lr": 0.2, "batch_size": 16, "weight_decay": "0"}),
+    ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6, "separation": True}),
+    ("method", {"name": "flair", "alpha": "0.5"}),
+    ("method", {"name": "flair", "beta": False}),
+    ("grid", {"alpha": ["0.5"]}),
+    ("grid", {"beta": [True]}),
+    ("grid", {"alpha": 0.5}),
+    ("tasks", {"n_tasks": 3, "classes_per_task": 2}),
+    ("tasks", {"n_tasks": 2, "classes_per_task": 2, "class_order": [0, 1, 2, 2]}),
+    ("tasks", {"n_tasks": 2, "classes_per_task": 2, "class_order": [0, 1, 2, 4]}),
+    ("tasks", {"n_tasks": 2, "classes_per_task": 2, "class_order": 5}),
 ], ids=["nested-typo", "string-bool", "float-int", "bool-int", "fractional-int",
         "tasks-typo", "zero-width", "activation", "dataset-typo", "float-capacity",
-        "string-augment", "method-typo", "grid-typo"])
+        "string-augment", "method-typo", "grid-typo", "string-lr", "bool-lr",
+        "string-weight-decay", "bool-separation", "string-alpha", "bool-beta",
+        "string-grid-value", "bool-grid-value", "scalar-grid", "classes-dont-divide",
+        "order-repeats", "order-out-of-range", "order-not-a-list"])
 def test_parse_rejects_bad_nested_values(tmp_path, section, values):
     with pytest.raises(ConfigurationError):
         rc.config_from_dict(tiny_config(tmp_path, **{section: values}))
@@ -106,6 +122,22 @@ def test_cli_bad_activation_exits_2_before_creating_output(tmp_path, capsys):
         tmp_path / "out", model={"hidden": [12], "activation": "relux"})))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert "activation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "csv"])
+def test_cli_bad_split_exits_2_before_creating_output(tmp_path, capsys, kind):
+    overrides = {"tasks": {"n_tasks": 3, "classes_per_task": 2}}
+    if kind == "csv":
+        # the CSV class count is known only once the files are read
+        ds = rc.gen_gaussian_tasks(4, 6, 10.0, 8, seed=6)
+        rc.save_csv_dataset(ds, str(tmp_path / "data.csv"))
+        overrides["dataset"] = {"kind": "csv", "train": str(tmp_path / "data.csv"),
+                                "test": str(tmp_path / "data.csv")}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", **overrides)))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "do not divide" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -174,6 +206,27 @@ def test_checkpoint_version_mismatch(tmp_path):
         manifest.replace("format_version=1", "format_version=9"))
     with pytest.raises(IntegrityError):
         rc.load_checkpoint(str(stem))
+
+
+def test_checkpoint_blob_digest_detects_same_length_corruption(tmp_path):
+    net = rc.Network.init_mlp(4, [6], 2, seed=1)
+    stem = tmp_path / "ckpt"
+    rc.save_checkpoint(net, str(stem))
+    manifest = (tmp_path / "ckpt.manifest").read_text()
+    blob = (tmp_path / "ckpt.blob").read_bytes()
+    assert "blob_sha256=" in manifest
+    flipped = bytearray(blob)
+    flipped[3] ^= 0x01
+    (tmp_path / "ckpt.blob").write_bytes(bytes(flipped))
+    with pytest.raises(IntegrityError):
+        rc.load_checkpoint(str(stem))
+    # a manifest written before the digest line existed still loads
+    (tmp_path / "ckpt.blob").write_bytes(blob)
+    legacy = re.sub(r"blob_sha256=\w+\n", "", manifest)
+    assert "blob_sha256" not in legacy
+    (tmp_path / "ckpt.manifest").write_text(legacy)
+    xs = np.random.default_rng(0).uniform(size=(5, 4))
+    assert np.array_equal(rc.load_checkpoint(str(stem)).forward(xs), net.forward(xs))
 
 
 # ---------------------------------------------------------------------------
