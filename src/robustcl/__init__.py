@@ -6,13 +6,13 @@ from .attacks import AttackConfig, fgsm, parse_rational, pgd
 from .continual import (HerdingBuffer, ReservoirBuffer, Schedule,
                         buffer_update_herding, herding_select, reservoir_update,
                         run_task, split_dataset)
-from .data import (AugmentPolicy, Dataset, augment, gen_gaussian_tasks,
-                   load_csv_dataset, save_csv_dataset)
+from .data import (Dataset, augment, gen_gaussian_tasks, load_csv_dataset,
+                   save_csv_dataset)
 from .losses import (ace, bce_multilabel, ce, kl_div, mse, one_hot,
                      one_hot_in_slice, sigmoid, slice_bounds)
-from .methods import (MethodConfig, RegState, build_training_loss, flair_loss,
+from .methods import (MethodConfig, RegState, build_training_loss,
                       flatness_distill_loss, make_method_config, refresh_fisher,
-                      separated_logit_loss, si_consolidate, si_step)
+                      si_consolidate, si_step)
 from .metrics import (AccuracyMatrix, FlatnessReport, accuracy,
                       flatness_forgetting, landscape_grid, r_bwt,
                       robust_accuracy)

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import methods
 from .attacks import AttackConfig, pgd
-from .data import AugmentPolicy, Dataset, augment
+from .data import Dataset, augment
 from .errors import (ArgumentError, ConfigurationError, ContractError,
                      NumericError)
 from .methods import MethodConfig, RegState
@@ -67,8 +67,7 @@ def split_dataset(dataset: Dataset, n_tasks: int, classes_per_task: int,
         rng = derive_rng(seed, task=t, purpose="shuffle")
         idx = idx[rng.permutation(idx.size)]
         tasks.append(Dataset(dataset.inputs[idx], new_labels[idx], n_classes,
-                             value_range=dataset.value_range,
-                             image_shape=dataset.image_shape))
+                             value_range=dataset.value_range))
     return tasks
 
 
@@ -282,10 +281,6 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
     if attack_base.clamp_range is None and clamp is not None:
         attack_base = replace(attack_base, clamp_range=clamp)
 
-    policy = None
-    if method_cfg.augment:
-        policy = AugmentPolicy(seed=derive_seed(root_seed, task_index, 0, "augment"))
-
     log: list[dict] = []
     for epoch in range(schedule.epochs):
         lr = schedule.lr_at(epoch)
@@ -296,11 +291,9 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
             idx = order[start:start + schedule.batch_size]
             x, y = pool_x[idx], pool_y[idx]
             try:
-                if policy is not None:
-                    x = augment(x, policy, value_range=clamp,
-                                image_shape=task_data.image_shape,
-                                rng=derive_rng(root_seed, task_index, epoch,
-                                               "augment", extra=b))
+                if method_cfg.augment:
+                    x = augment(x, clamp, derive_rng(root_seed, task_index, epoch,
+                                                     "augment", extra=b))
                 frozen = snapshot(student)
                 atk = replace(attack_base, seed=derive_seed(root_seed, task_index,
                                                             epoch, "attack", b))
@@ -366,7 +359,8 @@ def _epoch_eval(student: Network, task_data: Dataset, attack: AttackConfig,
     x, y = task_data.inputs[idx], task_data.labels[idx]
     frozen = snapshot(student)
     clean = float(np.mean(np.argmax(frozen.forward(x), axis=1) == y) * 100.0)
-    atk = replace(attack, seed=derive_seed(root_seed, task_index, epoch, "eval-attack"))
+    atk = replace(attack, objective="ce",
+                  seed=derive_seed(root_seed, task_index, epoch, "eval-attack"))
     x_adv = pgd(frozen, x, y, atk)
     robust = float(np.mean(np.argmax(frozen.forward(x_adv), axis=1) == y) * 100.0)
     return {"clean_acc": clean, "robust_acc": robust}

@@ -1,10 +1,10 @@
-"""Datasets and the simplified random-augmentation pool.
+"""Datasets and the random augmentation of flat feature vectors.
 
 Synthetic class-incremental streams come from seeded Gaussian blobs whose
 means sit on a sphere; real data loads from a small CSV format
-(`label,f0,f1,...`, optionally gzipped). Augmentation draws a few ops
-from a small pool at a single magnitude knob; magnitude zero is the
-identity and outputs always stay inside the declared value range.
+(`label,f0,f1,...`, optionally gzipped). Augmentation applies one op per
+example, drawn from `AUGMENT_OPS` at the fixed magnitude
+`AUGMENT_MAGNITUDE`, and clamps its output into the declared value range.
 """
 from __future__ import annotations
 
@@ -15,14 +15,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ArgumentError, ConfigurationError, ParseError
+from .errors import ArgumentError, ParseError
 from .seeding import derive_rng
 
 Array = np.ndarray
 
-IMAGE_OPS = ("shift", "flip-h", "cutout")
-VECTOR_OPS = ("gaussian-noise", "scale")
-OP_POOL = IMAGE_OPS + VECTOR_OPS
+AUGMENT_OPS = ("gaussian-noise", "scale")
+AUGMENT_MAGNITUDE = 0.5
 
 
 @dataclass
@@ -31,7 +30,6 @@ class Dataset:
     labels: Array                       # (n,) int64
     n_classes: int
     value_range: tuple[float, float] | None = None
-    image_shape: tuple[int, int, int] | None = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -46,10 +44,6 @@ class Dataset:
             lo, hi = self.value_range
             if self.inputs.min() < lo - 1e-12 or self.inputs.max() > hi + 1e-12:
                 raise ArgumentError("inputs outside the declared value range")
-        if self.image_shape is not None:
-            h, w, c = self.image_shape
-            if h * w * c != self.inputs.shape[1]:
-                raise ArgumentError("image_shape does not match the feature width")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -159,87 +153,29 @@ def save_csv_dataset(ds: Dataset, path: str) -> None:
 # augmentation
 
 
-@dataclass(frozen=True)
-class AugmentPolicy:
-    n_ops: int = 1
-    magnitude: float = 0.5
-    op_pool: tuple[str, ...] = VECTOR_OPS
-    seed: int = 0
+def augment(x: Array, value_range: tuple[float, float] | None,
+            rng: np.random.Generator) -> Array:
+    """Apply one uniformly drawn op to each row of the (n, d) batch `x`;
+    clamp to the range.
 
-    def __post_init__(self):
-        if self.n_ops < 1:
-            raise ConfigurationError("n_ops must be positive")
-        if not 0.0 <= self.magnitude <= 1.0:
-            raise ConfigurationError("magnitude must lie in [0, 1]")
-        unknown = set(self.op_pool) - set(OP_POOL)
-        if unknown or not self.op_pool:
-            raise ConfigurationError(f"bad op pool {self.op_pool!r}")
-
-
-def apply_op(x: Array, op: str, magnitude: float, rng: np.random.Generator,
-             value_range: tuple[float, float] | None = None,
-             image_shape: tuple[int, int, int] | None = None) -> Array:
-    """Apply one augmentation op to a single flat example."""
-    lo, hi = value_range if value_range is not None else (0.0, 1.0)
-    span = hi - lo
-    if op in IMAGE_OPS:
-        if image_shape is None:
-            raise ConfigurationError(f"op {op!r} needs image-shaped data")
-        h, w, c = image_shape
-        img = x.reshape(h, w, c)
-        if op == "flip-h":
-            return img[:, ::-1, :].reshape(-1).copy()
-        if op == "shift":
-            k = int(np.floor(magnitude * min(h, w) / 4))
-            dy = int(rng.integers(-k, k + 1)) if k else 0
-            dx = int(rng.integers(-k, k + 1)) if k else 0
-            out = np.full_like(img, lo)
-            ys = slice(max(dy, 0), h + min(dy, 0))
-            xs = slice(max(dx, 0), w + min(dx, 0))
-            out[ys, xs] = img[slice(max(-dy, 0), h + min(-dy, 0)),
-                              slice(max(-dx, 0), w + min(-dx, 0))]
-            return out.reshape(-1)
-        # cutout
-        side = max(1, int(round(magnitude * min(h, w) / 2)))
-        top = int(rng.integers(0, max(h - side, 0) + 1))
-        left = int(rng.integers(0, max(w - side, 0) + 1))
-        out = img.copy()
-        out[top:top + side, left:left + side] = lo
-        return out.reshape(-1)
-    if op == "gaussian-noise":
-        return x + rng.normal(0.0, 0.1 * magnitude * span, size=x.shape)
-    # scale: stretch around the range midpoint
-    mid = (lo + hi) / 2.0
-    factor = 1.0 + rng.uniform(-1.0, 1.0) * 0.5 * magnitude
-    return mid + (x - mid) * factor
-
-
-def augment(x: Array, policy: AugmentPolicy,
-            value_range: tuple[float, float] | None = None,
-            image_shape: tuple[int, int, int] | None = None,
-            rng: np.random.Generator | None = None) -> Array:
-    """Apply `n_ops` uniformly drawn ops per example; clamp to the range.
-
-    Magnitude zero returns the input unchanged regardless of the pool.
+    Per row, `rng` draws the op index, then that op's own randomness:
+    gaussian-noise adds N(0, (0.1 * m * span)^2) noise, scale stretches
+    the row around the range midpoint by 1 + U(-1, 1) * 0.5 * m, where m
+    is `AUGMENT_MAGNITUDE` and span is the width of the value range
+    ([0, 1] when none is declared).
     """
     x = np.asarray(x, dtype=np.float64)
-    squeeze = x.ndim == 1
-    batch = x[None, :] if squeeze else x
-    if policy.magnitude == 0.0:
-        return x.copy()
-    needs_image = set(policy.op_pool) & set(IMAGE_OPS)
-    if needs_image and image_shape is None:
-        raise ConfigurationError("policy contains image ops but data has no image_shape")
-    if rng is None:
-        rng = derive_rng(policy.seed, purpose="augment")
-    out = np.empty_like(batch)
-    pool = list(policy.op_pool)
-    for i in range(batch.shape[0]):
-        row = batch[i]
-        for _ in range(policy.n_ops):
-            op = pool[int(rng.integers(0, len(pool)))]
-            row = apply_op(row, op, policy.magnitude, rng, value_range, image_shape)
-        out[i] = row
+    lo, hi = value_range if value_range is not None else (0.0, 1.0)
+    mid = (lo + hi) / 2.0
+    out = np.empty_like(x)
+    for i, row in enumerate(x):
+        op = AUGMENT_OPS[int(rng.integers(0, len(AUGMENT_OPS)))]
+        if op == "gaussian-noise":
+            out[i] = row + rng.normal(0.0, 0.1 * AUGMENT_MAGNITUDE * (hi - lo),
+                                      size=row.shape)
+        else:
+            factor = 1.0 + rng.uniform(-1.0, 1.0) * 0.5 * AUGMENT_MAGNITUDE
+            out[i] = mid + (row - mid) * factor
     if value_range is not None:
         out = np.clip(out, value_range[0], value_range[1])
-    return out[0] if squeeze else out
+    return out

@@ -4,12 +4,16 @@
 loss: its term builder combines a cross-entropy or multilabel term on
 adversarial inputs, optional distillation against the frozen
 previous-task model, optional replay terms, and optional quadratic
-parameter penalties. Replay is merged for a herding buffer (the stored
-exemplars join the task's training pool) and separate for a reservoir
-(a replay batch is drawn, attacked and passed to the builder). Builders
-return graph nodes so one backward pass yields exact parameter
-gradients; zero-weighted terms are skipped entirely, which makes
-endpoint reductions bit-exact.
+parameter penalties. FLAIR and FLAIR+ share one builder: a multilabel
+fit of the newest head slice, sigmoid distillation of the old slice,
+and flatness-preserving distillation (`flatness_distill_loss`); FLAIR+
+differs only in switching augmentation on by default. Replay is merged
+for a herding buffer (the stored exemplars join the task's training
+pool) and separate for a reservoir (a replay batch is drawn, attacked
+and passed to the builder). Builders return graph nodes so one backward
+pass yields exact parameter gradients; zero-weighted terms are skipped
+entirely, which makes endpoint reductions bit-exact. `build_training_loss`
+is the one entry point that sums a method's terms.
 """
 from __future__ import annotations
 
@@ -110,31 +114,23 @@ class RegState:
                    net.flatten().vector.copy(), net.layout())
 
     def expand_to(self, net: Network) -> "RegState":
-        """Re-shape state after a head expansion; new slots get zero weight."""
+        """Re-shape state after a head expansion; new slots are zero (the
+        caller re-anchors at each task start)."""
         new_layout = net.layout()
         if new_layout == self.layout:
             return self
+        target = ParamView(net.flatten().vector, new_layout).split()
 
-        def grow(vec: Array, fill_from: Array | None = None) -> Array:
-            blocks = ParamView(vec, self.layout).split()
-            target = ParamView(net.flatten().vector, new_layout).split()
+        def grow(vec: Array) -> Array:
             out = []
-            for old, new in zip(blocks, target):
-                if old.shape == new.shape:
-                    out.append(old.ravel())
-                    continue
+            for old, new in zip(ParamView(vec, self.layout).split(), target):
                 padded = np.zeros(new.shape)
-                if fill_from is not None:
-                    padded[...] = new
-                if old.ndim == 2:
-                    padded[:old.shape[0], :old.shape[1]] = old
-                else:
-                    padded[:old.shape[0]] = old
+                padded[tuple(slice(0, n) for n in old.shape)] = old
                 out.append(padded.ravel())
             return np.concatenate(out)
 
         return RegState(grow(self.fisher), grow(self.omega), grow(self.si_path),
-                        grow(self.anchor, fill_from=net.flatten().vector), new_layout)
+                        grow(self.anchor), new_layout)
 
 
 def _quadratic_penalty(params: ParamNodes, weights: Array, anchor: Array,
@@ -398,30 +394,7 @@ def _r_der(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
 
 
 # ---------------------------------------------------------------------------
-# separated-logit distillation and flatness-preserving distillation
-
-
-def separated_logit_terms(student: Network, teacher: Network | None, x_adv, y,
-                          alpha: float, params: ParamNodes | None = None
-                          ) -> dict[str, Node]:
-    x_adv = _require_adv(x_adv)
-    params = params or ParamNodes(student)
-    adv = student.forward_graph(x_adv, params)
-    terms = {"bce_new": _new_slice_bce(student, teacher, adv, y)}
-    if teacher is not None and alpha != 0.0:
-        terms["bce_distill"] = alpha * losses.bce_multilabel(
-            ad.take_cols(adv, slice(0, teacher.out_dim)),
-            losses.sigmoid(teacher.forward(x_adv)))
-    return terms
-
-
-def separated_logit_loss(student, teacher, x_adv, y, alpha, params=None) -> Node:
-    """New-task multilabel fit plus old-slice distillation from the teacher.
-
-    The new-task term reads only the newest head columns, so its gradient
-    w.r.t. old-class output weights is exactly zero.
-    """
-    return _total(separated_logit_terms(student, teacher, x_adv, y, alpha, params))
+# FLAIR: separated-logit distillation and flatness-preserving distillation
 
 
 def flatness_distill_loss(student: Network, teacher: Network, x, x_adv,
@@ -449,29 +422,25 @@ def flatness_distill_loss(student: Network, teacher: Network, x, x_adv,
     raise ArgumentError(f"unknown difference metric {metric!r}")
 
 
-def flair_terms(student: Network, teacher: Network | None, x, x_adv, y,
-                alpha: float, beta: float, metric: str = "kl",
-                params: ParamNodes | None = None) -> dict[str, Node]:
-    params = params or ParamNodes(student)
-    terms = separated_logit_terms(student, teacher, x_adv, y, alpha, params)
-    if teacher is not None and beta != 0.0:
-        terms["fpd"] = beta * flatness_distill_loss(student, teacher, x, x_adv,
-                                                    metric, params)
-    return terms
-
-
-def flair_loss(student, teacher, x, x_adv, y, alpha, beta, metric="kl",
-               params=None) -> Node:
-    """Separated-logit terms plus beta-weighted flatness distillation."""
-    return _total(flair_terms(student, teacher, x, x_adv, y, alpha, beta,
-                              metric, params))
-
-
 def _flair(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
            reg, params):
+    """Multilabel fit of the new slice at x_adv, alpha * sigmoid distillation
+    of the old slice at x_adv to the teacher, and beta * flatness distillation.
+
+    The new-slice term reads only the newest head columns, so its gradient
+    w.r.t. old-class output weights is exactly zero.
+    """
     x, y = batch
-    return flair_terms(student, teacher, x, x_adv, y, cfg.alpha, cfg.beta,
-                       cfg.fpd_metric, params)
+    adv = student.forward_graph(x_adv, params)
+    terms = {"bce_new": _new_slice_bce(student, teacher, adv, y)}
+    if teacher is not None and cfg.alpha != 0.0:
+        terms["bce_distill"] = cfg.alpha * losses.bce_multilabel(
+            ad.take_cols(adv, slice(0, teacher.out_dim)),
+            losses.sigmoid(teacher.forward(x_adv)))
+    if teacher is not None and cfg.beta != 0.0:
+        terms["fpd"] = cfg.beta * flatness_distill_loss(student, teacher, x, x_adv,
+                                                        cfg.fpd_metric, params)
+    return terms
 
 
 # ---------------------------------------------------------------------------

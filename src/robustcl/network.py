@@ -316,22 +316,18 @@ def sgd_step(params: ParamView, grads: ParamView, lr: float,
 # head growth and snapshots
 
 
-def expand_head(net: Network, n_new_classes: int, init_scale: float | None = None,
-                seed: int = 0) -> Network:
+def expand_head(net: Network, n_new_classes: int, seed: int = 0) -> Network:
     """Widen the output layer by `n_new_classes` columns.
 
     Existing logits are preserved bit-for-bit; new weight columns and bias
-    entries are seeded uniform(-init_scale, init_scale), defaulting to
-    1/sqrt(fan_in).
+    entries are seeded uniform(-1/sqrt(fan_in), 1/sqrt(fan_in)).
     """
     if n_new_classes <= 0:
         raise ArgumentError("n_new_classes must be positive")
     out = net.copy(frozen=False)
     last = out.layers[-1]
     fan_in = last.weight.shape[0]
-    scale = init_scale if init_scale is not None else 1.0 / np.sqrt(fan_in)
-    if scale < 0:
-        raise ArgumentError("init_scale must be nonnegative")
+    scale = 1.0 / np.sqrt(fan_in)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     new_w = rng.uniform(-scale, scale, size=(fan_in, n_new_classes))
     new_b = rng.uniform(-scale, scale, size=n_new_classes)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -111,10 +112,14 @@ def _int(value, what: str, minimum: int | None = 0) -> int:
 
 
 def _float(value, what: str) -> float:
-    """A JSON number (not a bool or a string)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{what} must be a number, got {value!r}")
-    return float(value)
+    """A finite JSON number (not a bool, a string, NaN or an infinity)."""
+    number = float("nan")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        # an integer too large for a float counts as infinite
+        number = float(value) if abs(value) <= sys.float_info.max else float("inf")
+    if not np.isfinite(number):
+        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+    return number
 
 
 def _bool(value, what: str) -> bool:
@@ -207,6 +212,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
                             "training weight_decay"),
         milestones=None if milestones is None else
         tuple(_int(m, "training milestone") for m in milestones))
+    if schedule.lr < 0 or schedule.weight_decay < 0:
+        raise ConfigurationError("training lr and weight_decay must be nonnegative")
 
     buffer_capacity = _int(_section(raw, "buffer", {"capacity"}).get("capacity", 0),
                            "buffer capacity")
@@ -243,8 +250,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     grid = _section(raw, "grid", {"alpha", "beta"})
     for key, values in grid.items():
-        if not isinstance(values, list):
-            raise ConfigurationError(f"grid {key} must be a list")
+        if not isinstance(values, list) or not values:
+            raise ConfigurationError(f"grid {key} must be a nonempty list")
         grid[key] = [_float(v, f"grid {key} value") for v in values]
     text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return ExperimentConfig(

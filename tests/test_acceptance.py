@@ -173,6 +173,9 @@ def test_criterion_3_taylor_residual_scaling():
 
 
 def test_criterion_4_separated_logit_invariance():
+    # alpha = beta = 0 leaves FLAIR's new-slice term alone
+    flair = rc.make_method_config("flair", rc.AttackConfig(0.1, 0.025, 1),
+                                  alpha=0.0, beta=0.0)
     all_zero = True
     for trial in range(100):
         rng = np.random.default_rng(400 + trial)
@@ -187,7 +190,8 @@ def test_criterion_4_separated_logit_invariance():
         x_adv = rng.uniform(size=(5, d_in))
         y = rng.integers(old_k, old_k + new_k, size=5)
         params = rc.ParamNodes(student)
-        loss = rc.separated_logit_loss(student, teacher, x_adv, y, 0.0, params)
+        loss, _ = rc.build_training_loss(flair, student, teacher, (x_adv, y), None,
+                                         x_adv, None, None, params)
         ad.backward(loss)
         w_out, b_out = params.pairs[-1]
         if not (np.array_equal(w_out.grad[:, :old_k],

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import robustcl as rc
-from robustcl import methods
+from robustcl import continual, methods
 from robustcl.continual import HerdingBuffer, ReservoirBuffer, Schedule
 from robustcl.errors import ArgumentError, ContractError
 
@@ -247,10 +247,30 @@ def test_run_task_zero_epochs_leaves_model_unchanged():
 
 
 def test_run_task_first_task_flair_uses_new_slice_bce_only():
-    terms = methods.flair_terms(rc.Network.init_mlp(4, [8], 2, seed=5), None,
-                                np.zeros((2, 4)), np.zeros((2, 4)),
-                                np.array([0, 1]), 0.5, 2.0)
+    net = rc.Network.init_mlp(4, [8], 2, seed=5)
+    _, terms = methods.build_training_loss(
+        methods.make_method_config("flair", ATTACK), net, None,
+        (np.zeros((2, 4)), np.array([0, 1])), None, np.zeros((2, 4)), None, None,
+        rc.ParamNodes(net))
     assert set(terms) == {"bce_new"}
+
+
+def test_run_task_logs_robust_acc_under_ce_for_trades(monkeypatch):
+    # trades trains against its KL-vs-clean objective; its per-epoch
+    # robust_acc is still measured under CE like every other method's
+    objectives = []
+
+    def recording_pgd(model, x, y, cfg):
+        objectives.append(cfg.objective)
+        return x
+
+    monkeypatch.setattr(continual, "pgd", recording_pgd)
+    cfg = methods.make_method_config("trades", ATTACK)
+    sched = Schedule(epochs=2, lr=0.1, batch_size=32)
+    rc.run_task(rc.Network.init_mlp(4, [8], 2, seed=5), None, small_task(), None,
+                cfg, sched, root_seed=1)
+    per_epoch = ["kl-vs-clean", "kl-vs-clean", "ce"]   # 60 examples: 2 batches
+    assert objectives == per_epoch * 2
 
 
 def test_run_task_deterministic_under_fixed_seed():

@@ -364,25 +364,32 @@ def test_r_icarl_first_task_uses_full_head(batch):
 # separated-logit distillation
 
 
+def flair_term_nodes(student, teacher, batch, params, alpha, beta):
+    """FLAIR's term nodes from its REGISTRY builder."""
+    x, y, x_adv = batch
+    cfg = make_cfg("flair", alpha=alpha, beta=beta)
+    return cfg.info.terms(cfg, student, teacher, (x, y), None, x_adv, None, None,
+                          params)
+
+
 def test_separated_logit_alpha_zero_is_new_slice_only(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
-    loss = rc.separated_logit_loss(student, teacher, x_adv, y, 0.0)
+    _, terms = build(make_cfg("flair", alpha=0.0), student, teacher, (x, y), x_adv)
+    assert list(terms) == ["bce_new", "fpd"]
     w = teacher.out_dim
     expected = rc.bce_multilabel(student.forward(x_adv)[:, w:],
                                  losses.one_hot_in_slice(y, w, student.out_dim))
-    assert val(loss) == val(expected)
+    assert terms["bce_new"] == val(expected)
 
 
 def test_separated_logit_distill_grad_zero_when_matching(two_task_pair, batch):
     student, teacher = two_task_pair
-    x, y, x_adv = batch
     # right after expansion the old slice equals the teacher, so the
     # distillation term sits at its stationary point for the logits
     params = rc.ParamNodes(student)
-    terms = methods.separated_logit_terms(student, teacher, x_adv, y, 1.0, params)
-    from robustcl import autodiff as ad2
-    ad2.backward(terms["bce_distill"])
+    terms = flair_term_nodes(student, teacher, batch, params, 1.0, 0.0)
+    ad.backward(terms["bce_distill"])
     # the gradient through sigma(z) - sigma(z_teacher) = 0 vanishes everywhere
     assert all(np.max(np.abs(w.grad)) < 1e-12 and np.max(np.abs(b.grad)) < 1e-12
                for w, b in params.pairs)
@@ -393,7 +400,9 @@ def test_new_slice_term_has_exactly_zero_grad_on_old_output_rows(two_task_pair,
     student, teacher = two_task_pair
     x, y, x_adv = batch
     params = rc.ParamNodes(student)
-    loss = rc.separated_logit_loss(student, teacher, x_adv, y, 0.0, params)
+    loss, _ = methods.build_training_loss(make_cfg("flair", alpha=0.0, beta=0.0),
+                                          student, teacher, (x, y), None, x_adv,
+                                          None, None, params)
     ad.backward(loss)
     w_out, b_out = params.pairs[-1]
     old = teacher.out_dim
@@ -504,7 +513,9 @@ def test_fpd_loss_path_residual_scales_like_cube(two_task_pair):
 def test_flair_alpha_beta_zero_is_new_slice_bce(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
-    loss = rc.flair_loss(student, teacher, x, x_adv, y, 0.0, 0.0)
+    loss, terms = build(make_cfg("flair", alpha=0.0, beta=0.0), student, teacher,
+                        (x, y), x_adv)
+    assert set(terms) == {"bce_new"}
     w = teacher.out_dim
     expected = rc.bce_multilabel(student.forward(x_adv)[:, w:],
                                  losses.one_hot_in_slice(y, w, student.out_dim))
@@ -514,16 +525,35 @@ def test_flair_alpha_beta_zero_is_new_slice_bce(two_task_pair, batch):
 def test_flair_beta_zero_equals_separated_logit_loss(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
-    a = rc.flair_loss(student, teacher, x, x_adv, y, 0.5, 0.0)
-    b = rc.separated_logit_loss(student, teacher, x_adv, y, 0.5)
-    assert val(a) == val(b)
+    loss, _ = build(make_cfg("flair", alpha=0.5, beta=0.0), student, teacher,
+                    (x, y), x_adv)
+    w = teacher.out_dim
+    logits = student.forward(x_adv)
+    new = rc.bce_multilabel(logits[:, w:],
+                            losses.one_hot_in_slice(y, w, student.out_dim))
+    distill = rc.bce_multilabel(logits[:, :w], rc.sigmoid(teacher.forward(x_adv)))
+    assert val(loss) == pytest.approx(val(new) + 0.5 * val(distill), rel=1e-12)
+
+
+def test_flair_beta_adds_only_the_fpd_term(two_task_pair, batch):
+    student, teacher = two_task_pair
+    x, y, x_adv = batch
+    _, without = build(make_cfg("flair", alpha=0.5, beta=0.0), student, teacher,
+                       (x, y), x_adv)
+    _, terms = build(make_cfg("flair", alpha=0.5, beta=2.0, fpd_metric="mse"),
+                     student, teacher, (x, y), x_adv)
+    assert list(without) == ["bce_new", "bce_distill"]
+    assert list(terms) == ["bce_new", "bce_distill", "fpd"]
+    assert {k: terms[k] for k in without} == without
+    fpd = rc.flatness_distill_loss(student, teacher, x, x_adv, metric="mse")
+    assert terms["fpd"] == 2.0 * val(fpd)
 
 
 def test_flair_first_task_reduces_to_full_head_bce(batch):
     student = rc.Network.init_mlp(4, [8, 6], 2, activation="tanh", seed=2)
     x, y, x_adv = batch
     y0 = y - 2
-    loss = rc.flair_loss(student, None, x, x_adv, y0, 0.5, 2.0)
+    loss, _ = build(make_cfg("flair"), student, None, (x, y0), x_adv)
     expected = rc.bce_multilabel(student.forward(x_adv), losses.one_hot(y0, 2))
     assert val(loss) == val(expected)
 

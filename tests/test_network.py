@@ -205,13 +205,6 @@ def test_expand_head_preserves_old_logits():
     assert wide.head_boundaries == [2, 4]
 
 
-def test_expand_head_zero_scale_gives_zero_new_logits():
-    net = rc.Network.init_mlp(4, [8], 2, seed=3)
-    wide = rc.expand_head(net, 3, init_scale=0.0, seed=1)
-    xs = np.random.default_rng(8).uniform(size=(10, 4))
-    assert np.array_equal(wide.forward(xs)[:, 2:], np.zeros((10, 3)))
-
-
 def test_expand_head_rejects_zero_classes():
     net = rc.Network.init_mlp(4, [8], 2, seed=3)
     with pytest.raises(ArgumentError):

@@ -105,12 +105,25 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
     ("tasks", {"n_tasks": 2, "classes_per_task": 2, "class_order": [0, 1, 2, 2]}),
     ("tasks", {"n_tasks": 2, "classes_per_task": 2, "class_order": [0, 1, 2, 4]}),
     ("tasks", {"n_tasks": 2, "classes_per_task": 2, "class_order": 5}),
+    ("training", {"epochs": 2, "lr": float("nan"), "batch_size": 16}),
+    ("training", {"epochs": 2, "lr": 0.2, "batch_size": 16,
+                  "weight_decay": float("inf")}),
+    ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6,
+                 "separation": float("inf")}),
+    ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6,
+                 "separation": float("-inf")}),
+    ("grid", {"beta": [float("nan")]}),
+    ("training", {"epochs": 2, "lr": -0.2, "batch_size": 16}),
+    ("training", {"epochs": 2, "lr": 0.2, "batch_size": 16, "weight_decay": -1e-5}),
+    ("grid", {"alpha": []}),
 ], ids=["nested-typo", "string-bool", "float-int", "bool-int", "fractional-int",
         "tasks-typo", "zero-width", "activation", "dataset-typo", "float-capacity",
         "string-augment", "method-typo", "grid-typo", "string-lr", "bool-lr",
         "string-weight-decay", "bool-separation", "string-alpha", "bool-beta",
         "string-grid-value", "bool-grid-value", "scalar-grid", "classes-dont-divide",
-        "order-repeats", "order-out-of-range", "order-not-a-list"])
+        "order-repeats", "order-out-of-range", "order-not-a-list", "nan-lr",
+        "infinite-weight-decay", "infinite-separation", "negative-infinite-separation",
+        "nan-grid-value", "negative-lr", "negative-weight-decay", "empty-grid"])
 def test_parse_rejects_bad_nested_values(tmp_path, section, values):
     with pytest.raises(ConfigurationError):
         rc.config_from_dict(tiny_config(tmp_path, **{section: values}))
@@ -122,6 +135,18 @@ def test_cli_bad_activation_exits_2_before_creating_output(tmp_path, capsys):
         tmp_path / "out", model={"hidden": [12], "activation": "relux"})))
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert "activation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,values", [
+    ("training", {"epochs": 2, "lr": float("nan"), "batch_size": 16}),
+    ("training", {"epochs": 2, "lr": -0.2, "batch_size": 16}),
+    ("grid", {"alpha": []}),
+], ids=["nan-lr", "negative-lr", "empty-grid"])
+def test_cli_bad_number_exits_2_before_creating_output(tmp_path, section, values):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", **{section: values})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert not (tmp_path / "out").exists()
 
 

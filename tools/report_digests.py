@@ -1,0 +1,89 @@
+"""Print one digest line per method x buffer run of a tiny experiment.
+
+Every registered method runs once with each buffer kind it allows, on a
+tiny Gaussian config (6 classes in 3 tasks, d = 8, hidden [16, 16],
+2 epochs, 3 PGD steps, flatness subsample 4). A few non-flair methods
+also run with augmentation switched on. Each line reads
+`method/buffer[+augment] <sha256 prefix>`, the hash being that of
+`report.json` with `wall_clock_sec` removed.
+
+Run it against two source trees and diff the output to check that a
+refactor leaves reports byte-identical:
+
+    python3 tools/report_digests.py > after.txt
+    python3 tools/report_digests.py --src ../parent/src > before.txt
+    diff before.txt after.txt
+
+All runs write under one temporary directory with the same relative
+`output_dir`, so the echoed config text is the same on both sides.
+"""
+from __future__ import annotations
+
+import argparse
+import hashlib
+import os
+import re
+import sys
+import tempfile
+from pathlib import Path
+
+DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
+
+# (method, buffer kind) pairs that also run with augmentation on
+AUGMENTED = [("pgd-at", "none"), ("trades", "herding"), ("i-rslad", "herding"),
+             ("r-si", "none"), ("r-der++", "reservoir-with-logits"),
+             ("r-icarl", "herding")]
+
+
+def tiny_config(method: str, buffer_kind: str, augment: bool) -> dict:
+    cfg = {
+        "seed": 1,
+        "output_dir": "run",
+        "dataset": {"kind": "gaussian", "n_classes": 6, "dim": 8,
+                    "separation": 8.0, "train_per_class": 30,
+                    "test_per_class": 10},
+        "tasks": {"n_tasks": 3, "classes_per_task": 2},
+        "model": {"hidden": [16, 16], "activation": "relu"},
+        "method": {"name": method, "buffer_kind": buffer_kind},
+        "attack": {"epsilon": "1/20", "n_steps": 3},
+        "eval_attack": {"n_steps": 3},
+        "training": {"epochs": 2, "lr": 0.1, "batch_size": 16},
+        "buffer": {"capacity": 0 if buffer_kind == "none" else 20},
+        "flatness": {"subsample": 4},
+    }
+    if augment:
+        cfg["augment"] = {"enabled": True}
+    return cfg
+
+
+def report_digest(rc, cfg: dict) -> str:
+    rc.runner.run_experiment(rc.config_from_dict(cfg))
+    text = Path(cfg["output_dir"], "report.json").read_text(encoding="utf-8")
+    text = re.sub(r'\n  "wall_clock_sec": [^\n]*', "", text)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", default=str(DEFAULT_SRC),
+                        help="source tree holding the robustcl package")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(Path(args.src).resolve()))
+    import robustcl as rc
+    if Path(rc.__file__).resolve().parent != Path(args.src, "robustcl").resolve():
+        raise SystemExit(f"robustcl imported from {rc.__file__}, not {args.src}")
+
+    runs = [(name, kind, False) for name, info in rc.methods.REGISTRY.items()
+            for kind in info.allowed_buffers]
+    runs += [(name, kind, True) for name, kind in AUGMENTED]
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        for name, kind, augment in runs:
+            digest = report_digest(rc, tiny_config(name, kind, augment))
+            print(f"{name}/{kind}{'+augment' if augment else ''} {digest}",
+                  flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
