@@ -364,14 +364,6 @@ def test_r_icarl_first_task_uses_full_head(batch):
 # separated-logit distillation
 
 
-def flair_term_nodes(student, teacher, batch, params, alpha, beta):
-    """FLAIR's term nodes from its REGISTRY builder."""
-    x, y, x_adv = batch
-    cfg = make_cfg("flair", alpha=alpha, beta=beta)
-    return cfg.info.terms(cfg, student, teacher, (x, y), None, x_adv, None, None,
-                          params)
-
-
 def test_separated_logit_alpha_zero_is_new_slice_only(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
@@ -387,8 +379,11 @@ def test_separated_logit_distill_grad_zero_when_matching(two_task_pair, batch):
     student, teacher = two_task_pair
     # right after expansion the old slice equals the teacher, so the
     # distillation term sits at its stationary point for the logits
+    x, y, x_adv = batch
+    cfg = make_cfg("flair", alpha=1.0, beta=0.0)
     params = rc.ParamNodes(student)
-    terms = flair_term_nodes(student, teacher, batch, params, 1.0, 0.0)
+    terms = cfg.info.terms(cfg, student, teacher, (x, y), None, x_adv, None, None,
+                           params)
     ad.backward(terms["bce_distill"])
     # the gradient through sigma(z) - sigma(z_teacher) = 0 vanishes everywhere
     assert all(np.max(np.abs(w.grad)) < 1e-12 and np.max(np.abs(b.grad)) < 1e-12
