@@ -20,7 +20,8 @@ from .errors import ArgumentError, ConfigurationError, ContractError
 from .network import Network
 
 Array = np.ndarray
-Objective = Callable[[ad.Node], ad.Node]  # input node -> per-example values
+# logits -> (per-example objective values, d mean(values) / d logits)
+Head = Callable[[Array], tuple[Array, Array]]
 
 OBJECTIVES = ("ce", "kl-vs-clean", "bce-newslice")
 
@@ -64,62 +65,78 @@ class AttackConfig:
 
 
 # ---------------------------------------------------------------------------
-# objectives: per-example values (maximized) as a graph of the input node
+# objectives: heads that map logits to per-example values (maximized) and
+# the gradient of their mean w.r.t. the logits. `Network.input_vjp` carries
+# that gradient back to the input, so no attack step builds a graph through
+# the network.
 
 
-def _make_objective(model: Network, x_clean: Array, y: Array,
-                    cfg: AttackConfig) -> Objective:
+def _ce_head(y: Array) -> Head:
+    """Cross-entropy in closed form: the ops of the graph's VJP chain."""
+    def head(logits: Array) -> tuple[Array, Array]:
+        out = ad._log_softmax(logits)
+        n = logits.shape[0]
+        rows = np.arange(n)
+        g = np.zeros(logits.shape)
+        g[rows, y] = -(1.0 / n)
+        return -out[rows, y], g - np.exp(out) * g.sum(axis=1, keepdims=True)
+
+    return head
+
+
+def _graph_head(rows_of: Callable[[ad.Node], ad.Node]) -> Head:
+    """A per-row loss graph, differentiated on a logits leaf only."""
+    def head(logits: Array) -> tuple[Array, Array]:
+        z = ad.Node(logits)
+        rows = rows_of(z)
+        ad.backward(ad.mean_all(rows))
+        return rows.value, z.grad
+
+    return head
+
+
+def _make_head(model: Network, x_clean: Array, y: Array, cfg: AttackConfig) -> Head:
     if cfg.objective == "ce":
-        return lambda xn: losses.ce_rows(model.forward_graph(xn), y)
+        return _ce_head(losses._check_labels(y, model.out_dim))
 
     if cfg.objective == "kl-vs-clean":
         clean_logits = model.forward(x_clean)
-        return lambda xn: losses.kl_rows(model.forward_graph(xn), clean_logits)
+        return _graph_head(lambda z: losses.kl_rows(z, clean_logits))
 
-    # bce-newslice: multilabel BCE on the most recent task's columns
-    if model.n_tasks < 2:
-        raise ConfigurationError("bce-newslice objective needs at least two task heads")
+    # bce-newslice: multilabel BCE on the newest task's columns, which on a
+    # single-task head are the whole head
     start, end = losses.slice_bounds(model.head_boundaries, model.n_tasks - 1, model.n_tasks)
     targets = losses.one_hot_in_slice(y, start, end)
-    return lambda xn: losses.bce_rows(
-        ad.take_cols(model.forward_graph(xn), slice(start, end)), targets)
+    return _graph_head(lambda z: losses.bce_rows(ad.take_cols(z, slice(start, end)),
+                                                 targets))
 
 
-def _values_and_grad(objective: Objective, x_cur: Array) -> tuple[Array, Array]:
+def _values_and_grad(model: Network, head: Head, x_cur: Array) -> tuple[Array, Array]:
     """Per-example objective values and the input gradient of their mean."""
-    xn = ad.Node(x_cur)
-    rows = objective(xn)
-    ad.backward(ad.mean_all(rows))
-    return rows.value, xn.grad
+    logits, vjp = model.input_vjp(x_cur)
+    values, grad = head(logits)
+    return values, vjp(grad)
 
 
-def _project(x_cur: Array, x: Array, cfg: AttackConfig) -> Array:
-    x_cur = np.clip(x_cur, x - cfg.epsilon, x + cfg.epsilon)
-    if cfg.clamp_range is not None:
-        lo, hi = cfg.clamp_range
-        x_cur = np.clip(x_cur, lo, hi)
-    return x_cur
-
-
-def _restart_attack(objective: Objective, x: Array, cfg: AttackConfig,
-                    restart: int) -> tuple[Array, Array]:
+def _restart_attack(model: Network, head: Head, x: Array, lo: Array, hi: Array,
+                    cfg: AttackConfig, restart: int) -> tuple[Array, Array]:
     """One restart; returns (best points, best per-example objective values)."""
     rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
                                                        spawn_key=(restart,)))
     if cfg.random_start:
-        x_cur = _project(x + rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape), x, cfg)
+        x_cur = np.clip(x + rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape), lo, hi)
     else:
         x_cur = x.copy()
     best_x = x_cur.copy()
     best_v = np.full(x.shape[0], -np.inf)
     for _ in range(cfg.n_steps):
-        values, grad = _values_and_grad(objective, x_cur)
+        values, grad = _values_and_grad(model, head, x_cur)
         improved = values > best_v
         best_v[improved] = values[improved]
         best_x[improved] = x_cur[improved]
-        x_cur = _project(x_cur + cfg.step_size * np.sign(grad), x, cfg)
-    # the last iterate's gradient would go unused: evaluate it as a constant
-    values = objective(ad.lift(x_cur)).value
+        x_cur = np.clip(x_cur + cfg.step_size * np.sign(grad), lo, hi)
+    # the last iterate's input gradient would go unused
+    values = head(model.input_vjp(x_cur)[0])[0]
     improved = values > best_v
     best_v[improved] = values[improved]
     best_x[improved] = x_cur[improved]
@@ -134,16 +151,20 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig) -> Array:
     """
     if not model.frozen:
         raise ContractError("attacks require a frozen model; use snapshot() first")
-    x = np.asarray(x, dtype=np.float64)
+    x = model._check_input(x)
     y = np.asarray(y, dtype=np.int64)
+    lo, hi = x - cfg.epsilon, x + cfg.epsilon
     if cfg.clamp_range is not None:
-        lo, hi = cfg.clamp_range
-        if x.size and (x.min() < lo or x.max() > hi):
+        c_lo, c_hi = cfg.clamp_range
+        if x.size and (x.min() < c_lo or x.max() > c_hi):
             raise ArgumentError("inputs must lie inside the clamp range")
-    objective = _make_objective(model, x, y, cfg)
-    best_x, best_v = _restart_attack(objective, x, cfg, 0)
+        # x lies in both boxes, so one clip to their intersection equals
+        # clipping to the ball and then to the range
+        lo, hi = np.maximum(lo, c_lo), np.minimum(hi, c_hi)
+    head = _make_head(model, x, y, cfg)
+    best_x, best_v = _restart_attack(model, head, x, lo, hi, cfg, 0)
     for restart in range(1, cfg.n_restarts):
-        cand_x, cand_v = _restart_attack(objective, x, cfg, restart)
+        cand_x, cand_v = _restart_attack(model, head, x, lo, hi, cfg, restart)
         improved = cand_v > best_v
         best_v[improved] = cand_v[improved]
         best_x[improved] = cand_x[improved]
@@ -164,7 +185,7 @@ def attack_objective_values(model: Network, x_points: Array, x_clean: Array, y,
     """Per-example objective values at given points (for tests and tracking)."""
     if not model.frozen:
         raise ContractError("attacks require a frozen model; use snapshot() first")
-    objective = _make_objective(model, np.asarray(x_clean, dtype=np.float64),
-                                np.asarray(y, dtype=np.int64), cfg)
-    return objective(ad.lift(np.asarray(x_points, dtype=np.float64))).value
+    head = _make_head(model, np.asarray(x_clean, dtype=np.float64),
+                      np.asarray(y, dtype=np.int64), cfg)
+    return head(model.input_vjp(np.asarray(x_points, dtype=np.float64))[0])[0]
 

@@ -9,6 +9,9 @@ with ``Node(value)`` is a variable and keeps the gradient of the last
 operands) is a constant. A derived node requires a gradient when a parent
 does. `backward` works only along paths to variables: constants (frozen
 weights, data, teacher logits) cost it nothing and keep ``.grad is None``.
+The engine serves parameter gradients. Input gradients of a network come
+from `network.Network.input_vjp`, which uses a graph only for the loss on
+a logits leaf.
 
 Gradients are exact (no numerical approximation) and accumulate correctly
 when a node is consumed by several downstream ops, including when the
@@ -162,13 +165,17 @@ def exp(a: NodeLike) -> Node:
     return Node(e, (a,), (lambda g: g * e,))
 
 
+def _log_softmax(v: Array) -> Array:
+    shifted = v - v.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def log_softmax(a: NodeLike) -> Node:
     """Row-wise log-softmax over axis 1, stabilized by the row max."""
     a = lift(a)
     if a.value.ndim != 2:
         raise DimensionError("log_softmax expects a 2-D (batch, classes) array")
-    shifted = a.value - a.value.max(axis=1, keepdims=True)
-    out = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    out = _log_softmax(a.value)
     soft = np.exp(out)
     return Node(out, (a,),
                 (lambda g: g - soft * g.sum(axis=1, keepdims=True),))

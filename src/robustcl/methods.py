@@ -70,9 +70,14 @@ class MethodConfig:
 
 def make_method_config(name: str, attack: AttackConfig, alpha: float | None = None,
                        beta: float | None = None, buffer_kind: str | None = None,
-                       augment: bool | None = None,
-                       fpd_metric: str = "kl") -> MethodConfig:
-    """Fill method defaults and validate buffer compatibility."""
+                       augment: bool | None = None, fpd_metric: str = "kl",
+                       explicit_objective: bool = False) -> MethodConfig:
+    """Fill method defaults and validate buffer compatibility.
+
+    A "ce" attack objective stands for "not chosen" and becomes the
+    method's `inner_objective`, unless `explicit_objective` says the
+    config named it.
+    """
     if name not in REGISTRY:
         raise ConfigurationError(f"unknown method {name!r}; known: {sorted(REGISTRY)}")
     info = REGISTRY[name]
@@ -89,7 +94,7 @@ def make_method_config(name: str, attack: AttackConfig, alpha: float | None = No
             f"got {buffer_kind!r}")
     if fpd_metric not in ("kl", "mse"):
         raise ConfigurationError("fpd_metric must be 'kl' or 'mse'")
-    if attack.objective == "ce" and info.inner_objective != "ce":
+    if not explicit_objective and attack.objective == "ce":
         attack = replace(attack, objective=info.inner_objective)
     augment = info.augment_default if augment is None else bool(augment)
     return MethodConfig(name, alpha, beta, buffer_kind, attack, augment, fpd_metric)

@@ -5,9 +5,9 @@ example only counts as correct when it survives all of them. Gradient and
 Hessian forgetting compare input-space derivatives of the final model
 against each per-task model on that task's test data. Their losses are
 row sums of a per-row scalar, so each row's input gradient is that
-example's own: the gradients of a whole subsample come from one graph,
-and each input Hessian batches its 2d finite-difference probes into one
-graph per point. Landscape grids
+example's own: the gradients of a whole subsample come from one
+`grad_input` call, and each input Hessian batches its 2d
+finite-difference probes into one call per point. Landscape grids
 sweep the loss along an adversarial direction and a random sign
 direction.
 """
@@ -130,7 +130,7 @@ def _logit_row_sum(z, c):
 
 
 # Row sums of a per-row scalar: the input gradient of row k is then exactly
-# the gradient of example k's own scalar, so one graph serves a whole batch.
+# the gradient of example k's own scalar, so one call serves a whole batch.
 # "ce" is the cross-entropy at the true label; "max-logit" pins each row's
 # class to the model's argmax at the center point and sums those logits,
 # which keeps finite differences smooth.
@@ -144,7 +144,7 @@ def _center_aux(model: Network, scalar_def: str, x: Array, y: Array) -> Array:
 
 
 def _probe_hessian(model: Network, loss, x_row: Array, aux, step: float) -> Array:
-    """Input Hessian at one point from a single graph over its 2d probes."""
+    """Input Hessian at one point from a single gradient over its 2d probes."""
     probes = fd_probes(x_row, step)
     return fd_hessian(grad_input(model, loss, probes, np.full(len(probes), aux)),
                       step)
@@ -159,8 +159,8 @@ def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Datas
     For each past task i, draws a seeded subsample of its test set and
     averages ||grad_x s_T(x) - grad_x s_i(x)||_2; the Hessian counterpart
     uses the Frobenius norm. Hessians are skipped (hf=None) above the
-    dimension cap. Per model, the gradients take one graph over the
-    whole subsample and each Hessian one graph over its point's probes.
+    dimension cap. Per model, the gradients take one `grad_input` call
+    over the whole subsample and each Hessian one over its point's probes.
     """
     if scalar_def not in _ROW_SUM_LOSSES:
         raise ArgumentError(f"unknown scalar definition {scalar_def!r}")

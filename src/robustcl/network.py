@@ -3,9 +3,12 @@
 A `Network` is a stack of (weight, bias, activation) layers in float64.
 The final layer emits pre-softmax logits; `head_boundaries` records the
 cumulative class count after each task so losses can slice the head by
-task range. Exact gradients with respect to parameters and inputs come
-from the reverse-mode engine in `autodiff`; input Hessians are central
-finite differences of those exact gradients.
+task range. Exact parameter gradients come from the reverse-mode engine
+in `autodiff`. Input gradients come from `Network.input_vjp`, a forward
+pass that keeps each layer's activations plus a hand-written backward
+walk through them, which makes the same float operations as `backward`
+through `forward_graph`; only the loss on the logits is a graph. Input
+Hessians are central finite differences of those exact gradients.
 """
 from __future__ import annotations
 
@@ -21,12 +24,17 @@ from .errors import (ArgumentError, CapacityError, ContractError,
 
 Array = np.ndarray
 
-# name -> (array function for `forward`, graph op for `forward_graph`)
-_ACTIVATIONS: dict[str, tuple[Callable[[Array], Array], Callable[[Node], Node]]] = {
-    "relu": (lambda x: np.maximum(x, 0.0), ad.relu),
-    "tanh": (np.tanh, ad.tanh),
-    "softplus": (lambda x: np.logaddexp(0.0, x), ad.softplus),
-    "identity": (lambda x: x, lambda n: n),
+# name -> (array function for `forward`, graph op for `forward_graph`,
+# derivative for `input_vjp` as a function of (pre-activation, activation),
+# or None when it is 1). Each derivative is the very expression that the
+# graph op's VJP multiplies by, so both backward paths agree bit for bit.
+_ACTIVATIONS: dict[str, tuple[Callable[[Array], Array], Callable[[Node], Node],
+                              Callable[[Array, Array], Array] | None]] = {
+    "relu": (lambda x: np.maximum(x, 0.0), ad.relu, lambda pre, out: pre > 0),
+    "tanh": (np.tanh, ad.tanh, lambda pre, out: 1.0 - out * out),
+    "softplus": (lambda x: np.logaddexp(0.0, x), ad.softplus,
+                 lambda pre, out: ad._sigmoid(pre)),
+    "identity": (lambda x: x, lambda n: n, None),
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 
@@ -127,6 +135,31 @@ class Network:
         for layer in self.layers[:-1]:
             h = _ACTIVATIONS[layer.activation][0](h @ layer.weight + layer.bias)
         return h
+
+    def input_vjp(self, x: Array) -> tuple[Array, Callable[[Array], Array]]:
+        """Logits of `x` and the map from a logit gradient to the input gradient.
+
+        The forward pass is `forward`'s arithmetic (without its checks) and
+        keeps each layer's pre-activation and activation; the returned map
+        walks the layers backward with `g * act'` and `g @ W.T`. Weights
+        are constants: this is the input gradient of a frozen network.
+        """
+        h = x
+        kept = []
+        for layer in self.layers:
+            fn, _, deriv = _ACTIVATIONS[layer.activation]
+            pre = h @ layer.weight + layer.bias
+            h = fn(pre)
+            kept.append((layer.weight, deriv, pre, h))
+
+        def vjp(g: Array) -> Array:
+            for weight, deriv, pre, out in reversed(kept):
+                if deriv is not None:
+                    g = g * deriv(pre, out)
+                g = g @ weight.T
+            return g
+
+        return h, vjp
 
     def forward_graph(self, x, params: "ParamNodes | None" = None) -> Node:
         """Differentiable forward pass; reuses `params` leaves when given."""
@@ -248,16 +281,21 @@ def grad_params(net: Network, scalar_loss: Callable, batch: tuple) -> ParamView:
 
 
 def grad_input(net: Network, scalar_loss: Callable, x: Array, aux) -> Array:
-    """Exact gradient of the loss w.r.t. each input coordinate."""
-    xn = Node(net._check_input(x))
-    logits = net.forward_graph(xn)
-    _raise_on_bad_rows(logits.value)
-    loss = scalar_loss(logits, aux)
+    """Exact gradient of the loss w.r.t. each input coordinate.
+
+    The loss is a graph on a logits leaf only; `input_vjp` carries its
+    gradient back through the network.
+    """
+    logits, vjp = net.input_vjp(net._check_input(x))
+    _raise_on_bad_rows(logits)
+    z = Node(logits)
+    loss = scalar_loss(z, aux)
     if not np.isfinite(loss.value).all():
         raise NumericError(f"non-finite loss value {float(loss.value)!r}")
     ad.backward(loss)
-    _check_finite(xn.grad, "input gradient")
-    return xn.grad.copy()
+    grad = vjp(z.grad)
+    _check_finite(grad, "input gradient")
+    return grad
 
 
 def _raise_on_bad_rows(logits: Array) -> None:

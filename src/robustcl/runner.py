@@ -128,11 +128,13 @@ def _bool(value, what: str) -> bool:
     return value
 
 
-def _attack(atk_raw: dict, where: str, epsilon, default_steps: int) -> AttackConfig:
+def _attack(atk_raw: dict, where: str, epsilon, default_steps: int,
+            min_steps: int = 0) -> AttackConfig:
     return AttackConfig(
         epsilon=epsilon,
         step_size=parse_rational(atk_raw.get("step_size", epsilon / 4.0)),
-        n_steps=_int(atk_raw.get("n_steps", default_steps), f"{where} n_steps"),
+        n_steps=_int(atk_raw.get("n_steps", default_steps), f"{where} n_steps",
+                     min_steps),
         random_start=_bool(atk_raw.get("random_start", True), f"{where} random_start"),
         objective=atk_raw.get("objective", "ce"),
         n_restarts=_int(atk_raw.get("n_restarts", 1), f"{where} n_restarts", 1))
@@ -197,8 +199,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
     epsilon = parse_rational(_need(atk_raw, "epsilon", "attack"))
     attack = _attack(atk_raw, "attack", epsilon, 10)
     ev_raw = _section(raw, "eval_attack", _ATTACK_KEYS)
+    # robust accuracy needs at least one attack step
     eval_attack = _attack(ev_raw, "eval_attack",
-                          parse_rational(ev_raw.get("epsilon", epsilon)), 20)
+                          parse_rational(ev_raw.get("epsilon", epsilon)), 20, 1)
 
     train_raw = _section(raw, "training", {"epochs", "lr", "batch_size",
                                            "weight_decay", "milestones"}, required=True)
@@ -235,7 +238,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
         name, attack, alpha=alpha, beta=beta,
         buffer_kind=buffer_kind,
         augment=augment_enabled,
-        fpd_metric=m_raw.get("fpd_metric", "kl"))
+        fpd_metric=m_raw.get("fpd_metric", "kl"),
+        explicit_objective="objective" in atk_raw)
     if method.buffer_kind != "none" and buffer_capacity == 0:
         raise ConfigurationError(
             f"method {name!r} with buffer kind {method.buffer_kind!r} "

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustcl as rc
-from robustcl.attacks import (_make_objective, _values_and_grad,
+from robustcl import autodiff as ad
+from robustcl import losses
+from robustcl.attacks import (OBJECTIVES, _make_head, _values_and_grad,
                               attack_objective_values, parse_rational)
 from robustcl.errors import ArgumentError, ConfigurationError, ContractError
+from robustcl.network import ACTIVATIONS
 
 
 def linear_model(w, boundaries=None):
@@ -158,9 +161,16 @@ def test_kl_vs_clean_objective_runs(frozen_tanh):
     assert np.all(attack_objective_values(frozen_tanh, adv, x, y, c) >= 0.0)
 
 
-def test_bce_newslice_needs_two_tasks(frozen_tanh):
-    with pytest.raises(ConfigurationError):
-        rc.pgd(frozen_tanh, np.zeros((1, 4)), [0], cfg(objective="bce-newslice"))
+def test_bce_newslice_on_a_single_head_attacks_the_whole_head(frozen_tanh):
+    # one task: the newest slice is the whole head, as in the first-task loss
+    rng = np.random.default_rng(10)
+    x = rng.uniform(size=(5, 4))
+    y = rng.integers(0, 3, size=5)
+    c = cfg(objective="bce-newslice", n_steps=4)
+    out = rc.pgd(frozen_tanh, x, y, c)
+    assert np.max(np.abs(out - x)) <= 0.1 + 1e-12
+    whole_head = losses.bce_rows(frozen_tanh.forward(out), losses.one_hot(y, 3)).value
+    assert np.array_equal(attack_objective_values(frozen_tanh, out, x, y, c), whole_head)
 
 
 def test_bce_newslice_objective_on_two_task_head():
@@ -184,9 +194,85 @@ def test_objective_values_equal_the_gradient_path_bit_for_bit(objective):
     y = rng.integers(0, 4, size=6)
     points = x + rng.uniform(-0.1, 0.1, size=x.shape)
     c = cfg(objective=objective)
-    values, grad = _values_and_grad(_make_objective(model, x, y, c), points)
+    values, grad = _values_and_grad(model, _make_head(model, x, y, c), points)
     assert np.array_equal(attack_objective_values(model, points, x, y, c), values)
     assert grad.shape == points.shape and np.any(grad != 0.0)
+
+
+# ---------------------------------------------------------------------------
+# the input-gradient kernel against the autodiff graph
+
+
+def expanded_net(activation):
+    """Two hidden layers and a two-task head, frozen."""
+    return rc.snapshot(rc.expand_head(rc.Network.init_mlp(
+        4, [8, 8], 2, activation=activation, seed=3), 2, seed=4))
+
+
+def graph_rows(model, xn, x_clean, y, objective):
+    """Per-row objective as one graph from the input node through the network."""
+    logits = model.forward_graph(xn)
+    if objective == "ce":
+        return losses.ce_rows(logits, y)
+    if objective == "kl-vs-clean":
+        return losses.kl_rows(logits, model.forward(x_clean))
+    start, end = losses.slice_bounds(model.head_boundaries, model.n_tasks - 1,
+                                     model.n_tasks)
+    return losses.bce_rows(ad.take_cols(logits, slice(start, end)),
+                           losses.one_hot_in_slice(y, start, end))
+
+
+def graph_values_and_grad(model, x_cur, x_clean, y, objective):
+    xn = ad.Node(x_cur)
+    rows = graph_rows(model, xn, x_clean, y, objective)
+    ad.backward(ad.mean_all(rows))
+    return rows.value, xn.grad
+
+
+def reference_pgd(model, x, y, c):
+    """PGD differentiated through the graph, projecting onto each box in turn."""
+    def project(v):
+        v = np.clip(v, x - c.epsilon, x + c.epsilon)
+        return v if c.clamp_range is None else np.clip(v, *c.clamp_range)
+
+    best_x, best_v = None, None
+    for restart in range(c.n_restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=c.seed,
+                                                           spawn_key=(restart,)))
+        x_cur = project(x + rng.uniform(-c.epsilon, c.epsilon, size=x.shape)) \
+            if c.random_start else x.copy()
+        r_x, r_v = x_cur.copy(), np.full(x.shape[0], -np.inf)
+        for step in range(c.n_steps + 1):
+            values, grad = graph_values_and_grad(model, x_cur, x, y, c.objective)
+            improved = values > r_v
+            r_v[improved] = values[improved]
+            r_x[improved] = x_cur[improved]
+            if step < c.n_steps:
+                x_cur = project(x_cur + c.step_size * np.sign(grad))
+        if best_x is None:
+            best_x, best_v = r_x, r_v
+        else:
+            improved = r_v > best_v
+            best_v[improved] = r_v[improved]
+            best_x[improved] = r_x[improved]
+    return best_x
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_input_kernel_equals_the_graph_bit_for_bit(activation, objective):
+    model = expanded_net(activation)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(size=(7, 4))   # some coordinates sit within epsilon of the range
+    y = rng.integers(0, 4, size=7)
+    points = x + rng.uniform(-0.05, 0.05, size=x.shape)
+    c = cfg(objective=objective, epsilon=0.05, step_size=0.02, n_steps=4,
+            clamp_range=(0.0, 1.0), n_restarts=2, seed=6)
+    values, grad = _values_and_grad(model, _make_head(model, x, y, c), points)
+    ref_values, ref_grad = graph_values_and_grad(model, points, x, y, objective)
+    assert np.array_equal(values, ref_values)
+    assert np.array_equal(grad, ref_grad) and np.any(grad != 0.0)
+    assert np.array_equal(rc.pgd(model, x, y, c), reference_pgd(model, x, y, c))
 
 
 # ---------------------------------------------------------------------------

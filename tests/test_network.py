@@ -6,6 +6,9 @@ from robustcl import autodiff as ad
 from robustcl.errors import (ArgumentError, CapacityError, ContractError,
                              DimensionError, NumericError)
 
+from robustcl.metrics import _ROW_SUM_LOSSES, FLATNESS_SCALARS
+from robustcl.network import ACTIVATIONS
+
 from conftest import finite_difference_input_grad, finite_difference_param_grad
 
 
@@ -111,6 +114,23 @@ def test_grad_input_matches_finite_differences(small_tanh_net):
     fd = finite_difference_input_grad(
         small_tanh_net, lambda net, xv: float(rc.ce(net.forward(xv), y).value), x)
     assert np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-4
+
+
+@pytest.mark.parametrize("scalar", FLATNESS_SCALARS)
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_grad_input_equals_the_graph_bit_for_bit(activation, scalar):
+    # reference: the whole graph from an input node through forward_graph
+    net = rc.expand_head(rc.Network.init_mlp(4, [8, 8], 2, activation=activation,
+                                             seed=3), 2, seed=4)
+    rng = np.random.default_rng(12)
+    x = rng.uniform(size=(6, 4))
+    loss = _ROW_SUM_LOSSES[scalar]
+    aux = rng.integers(0, 4, size=6) if scalar == "ce" else \
+        np.argmax(net.forward(x), axis=1)
+    xn = ad.Node(x)
+    ad.backward(loss(net.forward_graph(xn), aux))
+    g = rc.grad_input(net, loss, x, aux)
+    assert np.array_equal(g, xn.grad) and np.any(g != 0.0)
 
 
 def test_grad_params_reports_offending_batch_index():

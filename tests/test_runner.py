@@ -175,6 +175,38 @@ def test_cli_bad_flatness_scalar_exits_2_before_training(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_cli_zero_step_eval_attack_exits_2_before_creating_output(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out",
+                                               eval_attack={"n_steps": 0})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "eval_attack n_steps" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("objective,expected", [
+    (None, "kl-vs-clean"), ("ce", "ce"), ("bce-newslice", "bce-newslice")])
+def test_trades_fills_its_objective_only_when_the_config_omits_it(tmp_path, objective,
+                                                                  expected):
+    attack = {"epsilon": "1/20", "n_steps": 3}
+    if objective is not None:
+        attack["objective"] = objective
+    cfg = rc.config_from_dict(tiny_config(tmp_path, method={"name": "trades"},
+                                          attack=attack))
+    assert cfg.method.attack.objective == expected
+
+
+def test_bce_newslice_attack_run_completes(tmp_path):
+    # task 1 has a single-task head: its newest slice is the whole head
+    cfg = rc.config_from_dict(tiny_config(
+        tmp_path / "bce", attack={"epsilon": "1/20", "n_steps": 3,
+                                  "objective": "bce-newslice"}))
+    assert cfg.method.attack.objective == "bce-newslice"
+    report = rc.run_experiment(cfg)
+    assert report.final_robust is not None and report.r_bwt is not None
+    assert (tmp_path / "bce" / "report.json").exists()
+
+
 def test_grid_enumerates_25_runs(tmp_path):
     cfg_dict = tiny_config(tmp_path)
     cfg_dict["grid"] = {"alpha": [0, 0.5, 1, 2, 4], "beta": [0, 0.5, 1, 2, 4]}

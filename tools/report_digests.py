@@ -2,10 +2,11 @@
 
 Every registered method runs once with each buffer kind it allows, on a
 tiny Gaussian config (6 classes in 3 tasks, d = 8, hidden [16, 16],
-2 epochs, 3 PGD steps, flatness subsample 4). A few non-flair methods
-also run with augmentation switched on. Each line reads
-`method/buffer[+augment] <sha256 prefix>`, the hash being that of
-`report.json` with `wall_clock_sec` removed.
+2 epochs, 3 PGD steps, flatness subsample 4) with relu hidden layers.
+A few non-flair methods also run with augmentation switched on, and
+pgd-at, trades and flair also run with each other hidden activation.
+Each line reads `method/buffer[+augment][@activation] <sha256 prefix>`,
+the hash being that of `report.json` with `wall_clock_sec` removed.
 
 Run it against two source trees and diff the output to check that a
 refactor leaves reports byte-identical:
@@ -34,8 +35,13 @@ AUGMENTED = [("pgd-at", "none"), ("trades", "herding"), ("i-rslad", "herding"),
              ("r-si", "none"), ("r-der++", "reservoir-with-logits"),
              ("r-icarl", "herding")]
 
+# methods that also run with each non-relu hidden activation
+ACTIVATION_METHODS = ("pgd-at", "trades", "flair")
+OTHER_ACTIVATIONS = ("tanh", "softplus", "identity")
 
-def tiny_config(method: str, buffer_kind: str, augment: bool) -> dict:
+
+def tiny_config(method: str, buffer_kind: str, augment: bool,
+                activation: str = "relu") -> dict:
     cfg = {
         "seed": 1,
         "output_dir": "run",
@@ -43,7 +49,7 @@ def tiny_config(method: str, buffer_kind: str, augment: bool) -> dict:
                     "separation": 8.0, "train_per_class": 30,
                     "test_per_class": 10},
         "tasks": {"n_tasks": 3, "classes_per_task": 2},
-        "model": {"hidden": [16, 16], "activation": "relu"},
+        "model": {"hidden": [16, 16], "activation": activation},
         "method": {"name": method, "buffer_kind": buffer_kind},
         "attack": {"epsilon": "1/20", "n_steps": 3},
         "eval_attack": {"n_steps": 3},
@@ -73,15 +79,17 @@ def main(argv=None) -> int:
     if Path(rc.__file__).resolve().parent != Path(args.src, "robustcl").resolve():
         raise SystemExit(f"robustcl imported from {rc.__file__}, not {args.src}")
 
-    runs = [(name, kind, False) for name, info in rc.methods.REGISTRY.items()
+    runs = [(name, kind, False, "relu") for name, info in rc.methods.REGISTRY.items()
             for kind in info.allowed_buffers]
-    runs += [(name, kind, True) for name, kind in AUGMENTED]
+    runs += [(name, kind, True, "relu") for name, kind in AUGMENTED]
+    runs += [(name, "none", False, act) for act in OTHER_ACTIVATIONS
+             for name in ACTIVATION_METHODS]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, kind, augment in runs:
-            digest = report_digest(rc, tiny_config(name, kind, augment))
-            print(f"{name}/{kind}{'+augment' if augment else ''} {digest}",
-                  flush=True)
+        for name, kind, augment, act in runs:
+            digest = report_digest(rc, tiny_config(name, kind, augment, act))
+            tag = ("+augment" if augment else "") + ("" if act == "relu" else f"@{act}")
+            print(f"{name}/{kind}{tag} {digest}", flush=True)
     return 0
 
 
