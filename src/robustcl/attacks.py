@@ -118,6 +118,13 @@ def _values_and_grad(model: Network, head: Head, x_cur: Array) -> tuple[Array, A
     return values, vjp(grad)
 
 
+def _keep_best(best_x: Array, best_v: Array, x: Array, values: Array) -> None:
+    """Per row, keep (x, values) in place of the best point where higher."""
+    improved = values > best_v
+    best_v[improved] = values[improved]
+    best_x[improved] = x[improved]
+
+
 def _restart_attack(model: Network, head: Head, x: Array, lo: Array, hi: Array,
                     cfg: AttackConfig, restart: int) -> tuple[Array, Array]:
     """One restart; returns (best points, best per-example objective values)."""
@@ -131,15 +138,10 @@ def _restart_attack(model: Network, head: Head, x: Array, lo: Array, hi: Array,
     best_v = np.full(x.shape[0], -np.inf)
     for _ in range(cfg.n_steps):
         values, grad = _values_and_grad(model, head, x_cur)
-        improved = values > best_v
-        best_v[improved] = values[improved]
-        best_x[improved] = x_cur[improved]
+        _keep_best(best_x, best_v, x_cur, values)
         x_cur = np.clip(x_cur + cfg.step_size * np.sign(grad), lo, hi)
     # the last iterate's input gradient would go unused
-    values = head(model.input_vjp(x_cur)[0])[0]
-    improved = values > best_v
-    best_v[improved] = values[improved]
-    best_x[improved] = x_cur[improved]
+    _keep_best(best_x, best_v, x_cur, head(model.input_vjp(x_cur)[0])[0])
     return best_x, best_v
 
 
@@ -161,13 +163,12 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig) -> Array:
         # x lies in both boxes, so one clip to their intersection equals
         # clipping to the ball and then to the range
         lo, hi = np.maximum(lo, c_lo), np.minimum(hi, c_hi)
+    if len(x) == 0:  # the objectives' batch mean is undefined
+        return x.copy()
     head = _make_head(model, x, y, cfg)
     best_x, best_v = _restart_attack(model, head, x, lo, hi, cfg, 0)
     for restart in range(1, cfg.n_restarts):
-        cand_x, cand_v = _restart_attack(model, head, x, lo, hi, cfg, restart)
-        improved = cand_v > best_v
-        best_v[improved] = cand_v[improved]
-        best_x[improved] = cand_x[improved]
+        _keep_best(best_x, best_v, *_restart_attack(model, head, x, lo, hi, cfg, restart))
     return best_x
 
 

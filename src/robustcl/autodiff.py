@@ -1,7 +1,7 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
 The op set covers exactly what dense feed-forward stacks and logit-space
-losses need: matmul, broadcasting add/mul, pointwise activations, a
+losses need: matmul, broadcasting add/mul, `pointwise` activations, a
 stabilized log-softmax, column and per-row gathers, and reductions.
 Graphs are built per evaluation and discarded afterwards. A leaf built
 with ``Node(value)`` is a variable and keeps the gradient of the last
@@ -141,22 +141,13 @@ def matmul(a: NodeLike, b: NodeLike) -> Node:
 # pointwise nonlinearities
 
 
-def relu(a: NodeLike) -> Node:
+def pointwise(a: NodeLike, fn: Callable[[Array], Array],
+              deriv: Callable[[Array, Array], Array]) -> Node:
+    """Elementwise `fn`; the VJP multiplies by `deriv(input, output)`."""
     a = lift(a)
-    mask = a.value > 0
-    return Node(np.where(mask, a.value, 0.0), (a,), (lambda g: g * mask,))
-
-
-def tanh(a: NodeLike) -> Node:
-    a = lift(a)
-    t = np.tanh(a.value)
-    return Node(t, (a,), (lambda g: g * (1.0 - t * t),))
-
-
-def softplus(a: NodeLike) -> Node:
-    a = lift(a)
-    s = _sigmoid(a.value)
-    return Node(np.logaddexp(0.0, a.value), (a,), (lambda g: g * s,))
+    pre = a.value
+    out = fn(pre)
+    return Node(out, (a,), (lambda g: g * deriv(pre, out),))
 
 
 def exp(a: NodeLike) -> Node:

@@ -15,9 +15,11 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Node
 from .errors import ArgumentError, DimensionError, LabelError
+from .network import _ACTIVATIONS
 
 Array = np.ndarray
 Logits = Union[Node, Array]
+_SOFTPLUS = _ACTIVATIONS["softplus"]
 
 
 def slice_bounds(boundaries: Sequence[int], i: int, j: int) -> tuple[int, int]:
@@ -91,7 +93,8 @@ def bce_rows(logits: Logits, targets: Array) -> Node:
         raise DimensionError(f"target shape {t.shape} != logits shape {z.value.shape}")
     if t.size and (t.min() < 0.0 or t.max() > 1.0):
         raise ArgumentError("BCE targets must lie in [0, 1]")
-    elem = ad.add(ad.mul(ad.softplus(ad.neg(z)), t), ad.mul(ad.softplus(z), 1.0 - t))
+    elem = ad.add(ad.mul(ad.pointwise(ad.neg(z), *_SOFTPLUS), t),
+                  ad.mul(ad.pointwise(z, *_SOFTPLUS), 1.0 - t))
     return ad.sum_axis1(elem) / z.value.shape[1]
 
 

@@ -124,12 +124,11 @@ class RegState:
         new_layout = net.layout()
         if new_layout == self.layout:
             return self
-        target = ParamView(net.flatten().vector, new_layout).split()
 
         def grow(vec: Array) -> Array:
             out = []
-            for old, new in zip(ParamView(vec, self.layout).split(), target):
-                padded = np.zeros(new.shape)
+            for old, shape in zip(ParamView(vec, self.layout).split(), new_layout):
+                padded = np.zeros(shape)
                 padded[tuple(slice(0, n) for n in old.shape)] = old
                 out.append(padded.ravel())
             return np.concatenate(out)
@@ -143,13 +142,12 @@ def _quadratic_penalty(params: ParamNodes, weights: Array, anchor: Array,
     """sum_i weights_i * (theta_i - anchor_i)^2 as a graph node."""
     w_blocks = ParamView(weights, layout).split()
     a_blocks = ParamView(anchor, layout).split()
+    nodes = [node for pair in params.pairs for node in pair]
     total: Node | None = None
-    for i, (wn, bn) in enumerate(params.pairs):
-        for node, w, a in ((wn, w_blocks[2 * i], a_blocks[2 * i]),
-                           (bn, w_blocks[2 * i + 1], a_blocks[2 * i + 1])):
-            d = ad.sub(node, a)
-            term = ad.sum_all(ad.mul(ad.mul(d, d), w))
-            total = term if total is None else ad.add(total, term)
+    for node, w, a in zip(nodes, w_blocks, a_blocks):
+        d = ad.sub(node, a)
+        term = ad.sum_all(ad.mul(ad.mul(d, d), w))
+        total = term if total is None else ad.add(total, term)
     return total
 
 

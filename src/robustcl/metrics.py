@@ -6,10 +6,10 @@ Hessian forgetting compare input-space derivatives of the final model
 against each per-task model on that task's test data. Their losses are
 row sums of a per-row scalar, so each row's input gradient is that
 example's own: the gradients of a whole subsample come from one
-`grad_input` call, and each input Hessian batches its 2d
-finite-difference probes into one call per point. Landscape grids
-sweep the loss along an adversarial direction and a random sign
-direction.
+`grad_input` call, and each input Hessian batches its 2d probes, at
+`HESSIAN_STEP` and up to `HESSIAN_DIM_CAP` inputs, into one call per
+point. Landscape grids sweep the loss along an adversarial direction and
+a random sign direction.
 """
 from __future__ import annotations
 
@@ -23,8 +23,8 @@ from . import losses
 from .attacks import AttackConfig, pgd
 from .data import Dataset
 from .errors import ArgumentError, ContractError, UndefinedValueError
-from .network import (HESSIAN_DIM_CAP, Network, fd_hessian, fd_probes, grad_input,
-                      snapshot)
+from .network import (HESSIAN_DIM_CAP, HESSIAN_STEP, Network, fd_hessian, fd_probes,
+                      grad_input, snapshot)
 # kept as a module name: perfbench/tracer.py counts calls made through it
 from .network import hessian_input  # noqa: F401
 from .seeding import derive_rng, derive_seed
@@ -118,7 +118,6 @@ class FlatnessReport:
     hf: float | None
     per_task_gf: tuple[float, ...]
     per_task_hf: tuple[float, ...] | None
-    hf_available: bool
 
 
 def _ce_row_sum(z, y):
@@ -143,23 +142,22 @@ def _center_aux(model: Network, scalar_def: str, x: Array, y: Array) -> Array:
     return y if scalar_def == "ce" else np.argmax(model.forward(x), axis=1)
 
 
-def _probe_hessian(model: Network, loss, x_row: Array, aux, step: float) -> Array:
+def _probe_hessian(model: Network, loss, x_row: Array, aux) -> Array:
     """Input Hessian at one point from a single gradient over its 2d probes."""
-    probes = fd_probes(x_row, step)
+    probes = fd_probes(x_row, HESSIAN_STEP)
     return fd_hessian(grad_input(model, loss, probes, np.full(len(probes), aux)),
-                      step)
+                      HESSIAN_STEP)
 
 
 def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Dataset],
                         scalar_def: str = "ce", subsample: int = 64,
-                        seed: int = 0, hessian_step: float = 1e-4,
-                        hessian_cap: int = HESSIAN_DIM_CAP) -> FlatnessReport:
+                        seed: int = 0) -> FlatnessReport:
     """Mean input-gradient and input-Hessian drift of the final model.
 
     For each past task i, draws a seeded subsample of its test set and
     averages ||grad_x s_T(x) - grad_x s_i(x)||_2; the Hessian counterpart
-    uses the Frobenius norm. Hessians are skipped (hf=None) above the
-    dimension cap. Per model, the gradients take one `grad_input` call
+    uses the Frobenius norm. Hessians are skipped (hf=None) above
+    `HESSIAN_DIM_CAP`. Per model, the gradients take one `grad_input` call
     over the whole subsample and each Hessian one over its point's probes.
     """
     if scalar_def not in _ROW_SUM_LOSSES:
@@ -174,7 +172,7 @@ def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Datas
     input_dim = final.input_dim
     if any(m.input_dim != input_dim for m in models):
         raise ArgumentError("all models must share input_dim")
-    hf_ok = input_dim <= hessian_cap
+    hf_ok = input_dim <= HESSIAN_DIM_CAP
     loss = _ROW_SUM_LOSSES[scalar_def]
     gf_per: list[float] = []
     hf_per: list[float] = []
@@ -191,15 +189,13 @@ def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Datas
                                  - grad_input(past, loss, x, aux_p), axis=1)
         gf_per.append(float(np.mean(g_drift)))
         if hf_ok:
-            h_drift = [np.linalg.norm(_probe_hessian(final, loss, x_row, a_f, hessian_step)
-                                      - _probe_hessian(past, loss, x_row, a_p, hessian_step),
-                                      ord="fro")
+            h_drift = [np.linalg.norm(_probe_hessian(final, loss, x_row, a_f)
+                                      - _probe_hessian(past, loss, x_row, a_p), ord="fro")
                        for x_row, a_f, a_p in zip(x, aux_f, aux_p)]
             hf_per.append(float(np.mean(h_drift)))
     gf = float(np.mean(gf_per))
     hf = float(np.mean(hf_per)) if hf_ok else None
-    return FlatnessReport(gf, hf, tuple(gf_per),
-                          tuple(hf_per) if hf_ok else None, hf_ok)
+    return FlatnessReport(gf, hf, tuple(gf_per), tuple(hf_per) if hf_ok else None)
 
 
 # ---------------------------------------------------------------------------

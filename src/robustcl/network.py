@@ -3,15 +3,18 @@
 A `Network` is a stack of (weight, bias, activation) layers in float64.
 The final layer emits pre-softmax logits; `head_boundaries` records the
 cumulative class count after each task so losses can slice the head by
-task range. Exact parameter gradients come from the reverse-mode engine
-in `autodiff`. Input gradients come from `Network.input_vjp`, a forward
-pass that keeps each layer's activations plus a hand-written backward
-walk through them, which makes the same float operations as `backward`
-through `forward_graph`; only the loss on the logits is a graph. Input
-Hessians are central finite differences of those exact gradients.
+task range. Each activation is one `(fn, deriv)` entry of `_ACTIVATIONS`
+that `forward`, `input_vjp` and `forward_graph` (via `autodiff.pointwise`)
+all apply. `input_vjp` is a forward walk that keeps each layer's
+activations plus a backward walk through them, so it gives the input
+gradients of `backward` through `forward_graph` bit for bit while only
+the loss on the logits is a graph. Exact parameter gradients come from
+the reverse-mode engine in `autodiff`. Input Hessians are central finite
+differences of those exact gradients.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -24,21 +27,19 @@ from .errors import (ArgumentError, CapacityError, ContractError,
 
 Array = np.ndarray
 
-# name -> (array function for `forward`, graph op for `forward_graph`,
-# derivative for `input_vjp` as a function of (pre-activation, activation),
-# or None when it is 1). Each derivative is the very expression that the
-# graph op's VJP multiplies by, so both backward paths agree bit for bit.
-_ACTIVATIONS: dict[str, tuple[Callable[[Array], Array], Callable[[Node], Node],
-                              Callable[[Array, Array], Array] | None]] = {
-    "relu": (lambda x: np.maximum(x, 0.0), ad.relu, lambda pre, out: pre > 0),
-    "tanh": (np.tanh, ad.tanh, lambda pre, out: 1.0 - out * out),
-    "softplus": (lambda x: np.logaddexp(0.0, x), ad.softplus,
-                 lambda pre, out: ad._sigmoid(pre)),
-    "identity": (lambda x: x, lambda n: n, None),
+# name -> (fn, deriv(pre-activation, activation)), or None for identity.
+# `forward`, `input_vjp`, `forward_graph` and `losses.bce_rows` all read
+# this one entry.
+_ACTIVATIONS: dict[str, tuple[Callable, Callable] | None] = {
+    "relu": (lambda x: np.maximum(x, 0.0), lambda pre, out: pre > 0),
+    "tanh": (np.tanh, lambda pre, out: 1.0 - out * out),
+    "softplus": (lambda x: np.logaddexp(0.0, x), lambda pre, out: ad._sigmoid(pre)),
+    "identity": None,
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
 
 HESSIAN_DIM_CAP = 128
+HESSIAN_STEP = 1e-4
 
 
 @dataclass
@@ -52,6 +53,18 @@ def _check_finite(x: Array, what: str) -> None:
     if not np.isfinite(x).all():
         bad = np.argwhere(~np.isfinite(x))
         raise NumericError(f"non-finite values in {what} (first at index {bad[0].tolist()})")
+
+
+def _walk(h: Array, layers: Sequence[Layer]) -> tuple[Array, list]:
+    """Output of `layers` on `h`, plus each layer's (weight, activation
+    entry, pre-activation, activation)."""
+    kept = []
+    for layer in layers:
+        act = _ACTIVATIONS[layer.activation]
+        pre = h @ layer.weight + layer.bias
+        h = pre if act is None else act[0](pre)
+        kept.append((layer.weight, act, pre, h))
+    return h, kept
 
 
 class Network:
@@ -123,39 +136,28 @@ class Network:
 
     def forward(self, x: Array) -> Array:
         """Logits for a (batch, input_dim) array. Pure and deterministic."""
-        h = self._check_input(x)
-        for layer in self.layers:
-            h = _ACTIVATIONS[layer.activation][0](h @ layer.weight + layer.bias)
+        h = _walk(self._check_input(x), self.layers)[0]
         _check_finite(h, "logits")
         return h
 
     def features(self, x: Array) -> Array:
         """Penultimate-layer activations (input to the final linear head)."""
-        h = self._check_input(x)
-        for layer in self.layers[:-1]:
-            h = _ACTIVATIONS[layer.activation][0](h @ layer.weight + layer.bias)
-        return h
+        return _walk(self._check_input(x), self.layers[:-1])[0]
 
     def input_vjp(self, x: Array) -> tuple[Array, Callable[[Array], Array]]:
         """Logits of `x` and the map from a logit gradient to the input gradient.
 
-        The forward pass is `forward`'s arithmetic (without its checks) and
-        keeps each layer's pre-activation and activation; the returned map
-        walks the layers backward with `g * act'` and `g @ W.T`. Weights
-        are constants: this is the input gradient of a frozen network.
+        The forward pass is `forward`'s walk (without its checks); the
+        returned map walks the kept layers backward with `g * deriv(pre,
+        out)` and `g @ W.T`. Weights are constants: this is the input
+        gradient of a frozen network.
         """
-        h = x
-        kept = []
-        for layer in self.layers:
-            fn, _, deriv = _ACTIVATIONS[layer.activation]
-            pre = h @ layer.weight + layer.bias
-            h = fn(pre)
-            kept.append((layer.weight, deriv, pre, h))
+        h, kept = _walk(x, self.layers)
 
         def vjp(g: Array) -> Array:
-            for weight, deriv, pre, out in reversed(kept):
-                if deriv is not None:
-                    g = g * deriv(pre, out)
+            for weight, act, pre, out in reversed(kept):
+                if act is not None:
+                    g = g * act[1](pre, out)
                 g = g @ weight.T
             return g
 
@@ -170,7 +172,9 @@ class Network:
         pairs = params.pairs if params is not None else \
             [(ad.lift(l.weight), ad.lift(l.bias)) for l in self.layers]
         for layer, (w, b) in zip(self.layers, pairs):
-            h = _ACTIVATIONS[layer.activation][1](ad.add(ad.matmul(h, w), b))
+            act = _ACTIVATIONS[layer.activation]
+            h = ad.add(ad.matmul(h, w), b)
+            h = h if act is None else ad.pointwise(h, *act)
         return h
 
     # ------------------------------------------------------------------
@@ -194,14 +198,9 @@ class Network:
         vec = params.vector if isinstance(params, ParamView) else np.asarray(params, float)
         if vec.shape != (self.n_params,):
             raise DimensionError(f"expected {self.n_params} parameters, got {vec.shape}")
-        pos = 0
-        for layer in self.layers:
-            n = layer.weight.size
-            layer.weight = vec[pos:pos + n].reshape(layer.weight.shape).copy()
-            pos += n
-            n = layer.bias.size
-            layer.bias = vec[pos:pos + n].copy()
-            pos += n
+        blocks = ParamView(vec, self.layout()).split()
+        for layer, w, b in zip(self.layers, blocks[::2], blocks[1::2]):
+            layer.weight, layer.bias = w.copy(), b.copy()
 
     @property
     def n_params(self) -> int:
@@ -232,12 +231,12 @@ class ParamView:
         return self.vector.size
 
     def split(self) -> list[Array]:
-        """Per-array blocks in layer order (weight, bias, weight, ...)."""
-        out, pos = [], 0
+        """Per-array blocks in layer order (weight, bias, weight, ...): the
+        one walk over the flat vector's offsets."""
+        out, end = [], 0
         for shape in self.layout:
-            n = int(np.prod(shape))
-            out.append(self.vector[pos:pos + n].reshape(shape))
-            pos += n
+            start, end = end, end + math.prod(shape)
+            out.append(self.vector[start:end].reshape(shape))
         return out
 
 
@@ -305,7 +304,7 @@ def _raise_on_bad_rows(logits: Array) -> None:
 
 
 def hessian_input(net: Network, scalar_loss: Callable, x: Array, aux,
-                  step: float = 1e-4, dim_cap: int = HESSIAN_DIM_CAP) -> Array:
+                  step: float = HESSIAN_STEP) -> Array:
     """Input-space Hessian by central differences of exact gradients.
 
     Returns the symmetrized matrix (H + H^T)/2 for a single example.
@@ -314,8 +313,8 @@ def hessian_input(net: Network, scalar_loss: Callable, x: Array, aux,
     if x.ndim != 1 or x.shape[0] != net.input_dim:
         raise DimensionError(f"expected a ({net.input_dim},) input, got {x.shape}")
     d = x.shape[0]
-    if d > dim_cap:
-        raise CapacityError(f"input dim {d} exceeds Hessian cap {dim_cap}")
+    if d > HESSIAN_DIM_CAP:
+        raise CapacityError(f"input dim {d} exceeds Hessian cap {HESSIAN_DIM_CAP}")
     grads = np.stack([grad_input(net, scalar_loss, p[None, :], aux)[0]
                       for p in fd_probes(x, step)])
     return fd_hessian(grads, step)

@@ -128,6 +128,12 @@ def _bool(value, what: str) -> bool:
     return value
 
 
+def _str(value, what: str) -> str:
+    if not isinstance(value, str) or not value:
+        raise ConfigurationError(f"{what} must be a nonempty string, got {value!r}")
+    return value
+
+
 def _attack(atk_raw: dict, where: str, epsilon, default_steps: int,
             min_steps: int = 0) -> AttackConfig:
     return AttackConfig(
@@ -151,7 +157,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
     if unknown:
         raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
 
-    kind = _need(_need(raw, "dataset", "config"), "kind", "dataset")
+    kind = _str(_need(_need(raw, "dataset", "config"), "kind", "dataset"), "dataset kind")
     if kind not in _DATASET_KEYS:
         raise ConfigurationError(f"unknown dataset kind {kind!r}")
     ds_raw = _section(raw, "dataset", _DATASET_KEYS[kind])
@@ -166,8 +172,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
             test_per_class=_int(ds_raw.get("test_per_class", 100),
                                 "dataset test_per_class"))
     else:
-        train_path = _need(ds_raw, "train", "dataset")
-        test_path = _need(ds_raw, "test", "dataset")
+        train_path = _str(_need(ds_raw, "train", "dataset"), "dataset train")
+        test_path = _str(_need(ds_raw, "test", "dataset"), "dataset test")
         for p in (train_path, test_path):
             if not Path(p).exists():
                 raise ConfigurationError(f"dataset file does not exist: {p}")
@@ -223,7 +229,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
     m_raw = _section(raw, "method", {"name", "alpha", "beta", "buffer_kind",
                                      "fpd_metric"}, required=True)
-    name = _need(m_raw, "name", "method")
+    name = _str(_need(m_raw, "name", "method"), "method name")
     augment_enabled = _section(raw, "augment", {"enabled"}).get("enabled")
     if augment_enabled is not None:
         _bool(augment_enabled, "augment enabled")
@@ -257,10 +263,15 @@ def parse_config_text(text: str) -> ExperimentConfig:
         if not isinstance(values, list) or not values:
             raise ConfigurationError(f"grid {key} must be a nonempty list")
         grid[key] = [_float(v, f"grid {key} value") for v in values]
+        # each value names its run's output directory (see `expand_grid`)
+        tags = [f"{v:g}" for v in grid[key]]
+        if len(set(tags)) != len(tags):
+            raise ConfigurationError(f"grid {key} values {tags} repeat an output "
+                                     "directory tag")
     text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return ExperimentConfig(
         seed=_int(_need(raw, "seed", "config"), "seed", None),
-        output_dir=str(_need(raw, "output_dir", "config")),
+        output_dir=_str(_need(raw, "output_dir", "config"), "output_dir"),
         dataset=dataset, n_tasks=n_tasks, classes_per_task=cpt,
         class_order=class_order, hidden=hidden, activation=activation,
         method=method, eval_attack=eval_attack, schedule=schedule,
@@ -319,16 +330,11 @@ def save_checkpoint(net: Network, path: str) -> None:
     for i, layer in enumerate(net.layers):
         lines.append(f"layer{i}={layer.weight.shape[0]}x{layer.weight.shape[1]},"
                      f"{layer.activation}")
-    blob = bytearray()
-    count = 0
-    for layer in net.layers:
-        blob += np.ascontiguousarray(layer.weight, dtype="<f8").tobytes()
-        blob += np.ascontiguousarray(layer.bias, dtype="<f8").tobytes()
-        count += layer.weight.size + layer.bias.size
-    lines.append(f"blob_len={count}")
+    blob = net.flatten().vector.astype("<f8").tobytes()
+    lines.append(f"blob_len={net.n_params}")
     lines.append(f"blob_sha256={hashlib.sha256(blob).hexdigest()}")
     _atomic_write_bytes(path + ".manifest", ("\n".join(lines) + "\n").encode())
-    _atomic_write_bytes(path + ".blob", bytes(blob))
+    _atomic_write_bytes(path + ".blob", blob)
 
 
 def load_checkpoint(path: str) -> Network:
@@ -371,16 +377,10 @@ def load_checkpoint(path: str) -> Network:
                              "manifest's SHA-256")
     if shapes[-1][0][1] != boundaries[-1]:
         raise IntegrityError("manifest head_boundaries disagree with layer shapes")
-    flat = np.frombuffer(blob, dtype="<f8").astype(np.float64)
-    layers = []
-    pos = 0
-    for (fan_in, fan_out), act in shapes:
-        w = flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out).copy()
-        pos += fan_in * fan_out
-        b = flat[pos:pos + fan_out].copy()
-        pos += fan_out
-        layers.append(Layer(w, b, act))
-    return Network(layers, boundaries, input_dim, seed=seed)
+    layers = [Layer(np.empty(shape), np.empty(shape[1]), act) for shape, act in shapes]
+    net = Network(layers, boundaries, input_dim, seed=seed)
+    net.load_params(np.frombuffer(blob, dtype="<f8"))
+    return net
 
 
 # ---------------------------------------------------------------------------

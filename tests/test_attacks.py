@@ -60,6 +60,14 @@ def test_config_validation():
 # core PGD behaviour
 
 
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_pgd_on_an_empty_batch_returns_an_empty_batch(frozen_tanh, objective):
+    x = np.zeros((0, 4))
+    out = rc.pgd(frozen_tanh, x, np.zeros(0, dtype=np.int64),
+                 cfg(objective=objective, n_restarts=2, clamp_range=(0.0, 1.0)))
+    assert out.shape == (0, 4) and out is not x
+
+
 def test_epsilon_zero_returns_input_exactly(frozen_tanh):
     x = np.random.default_rng(0).uniform(size=(4, 4))
     y = np.array([0, 1, 2, 0])

@@ -4,6 +4,7 @@ import pytest
 import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl.errors import ArgumentError
+from robustcl.network import _ACTIVATIONS
 
 
 def numeric_grad(fn, x, step=1e-6):
@@ -55,7 +56,9 @@ def test_repeated_parent_accumulates():
     assert np.allclose(x.grad, [6.0])
 
 
-@pytest.mark.parametrize("op", [ad.tanh, ad.softplus, ad.exp])
+@pytest.mark.parametrize("op", [lambda n: ad.pointwise(n, *_ACTIVATIONS["tanh"]),
+                                lambda n: ad.pointwise(n, *_ACTIVATIONS["softplus"]),
+                                ad.exp], ids=["tanh", "softplus", "exp"])
 def test_smooth_unary_grads(op):
     rng = np.random.default_rng(3)
     x = rng.normal(size=(4, 3))
@@ -65,7 +68,7 @@ def test_smooth_unary_grads(op):
 def test_relu_grad_away_from_kink():
     x = np.array([[-1.0, 0.5, 2.0, -0.2]])
     node = ad.Node(x)
-    ad.backward(ad.sum_all(ad.relu(node)))
+    ad.backward(ad.sum_all(ad.pointwise(node, *_ACTIVATIONS["relu"])))
     assert np.array_equal(node.grad, [[0.0, 1.0, 1.0, 0.0]])
 
 

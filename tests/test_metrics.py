@@ -6,6 +6,7 @@ from robustcl import autodiff as ad
 from robustcl import losses
 from robustcl.errors import ArgumentError, ContractError, UndefinedValueError
 from robustcl.metrics import AccuracyMatrix
+from robustcl.network import HESSIAN_DIM_CAP
 from robustcl.seeding import derive_rng
 
 ATTACK = rc.AttackConfig(epsilon=0.05, step_size=0.0125, n_steps=5,
@@ -193,12 +194,12 @@ def test_flatness_estimator_stability_under_subsample_doubling():
 
 
 def test_flatness_hf_unavailable_above_cap():
-    net1 = rc.snapshot(rc.Network.init_mlp(4, [6], 2, seed=1))
-    net2 = rc.snapshot(rc.Network.init_mlp(4, [6], 2, seed=2))
-    ds = balanced_dataset(k=2, d=4)
-    report = rc.flatness_forgetting([net1, net2], [ds], subsample=4,
-                                    hessian_cap=3)
-    assert report.hf is None and not report.hf_available
+    d = HESSIAN_DIM_CAP + 1
+    net1 = rc.snapshot(rc.Network.init_mlp(d, [6], 2, seed=1))
+    net2 = rc.snapshot(rc.Network.init_mlp(d, [6], 2, seed=2))
+    ds = balanced_dataset(k=2, d=d)
+    report = rc.flatness_forgetting([net1, net2], [ds], subsample=4)
+    assert report.hf is None and report.per_task_hf is None
     assert report.gf > 0
 
 

@@ -50,6 +50,11 @@ def test_forward_matches_straight_line_reevaluation():
     assert np.allclose(net.forward(x), expected, atol=0, rtol=0)
 
 
+def test_features_of_a_one_layer_net_is_its_input():
+    x = np.random.default_rng(8).uniform(size=(3, 2))
+    assert np.array_equal(identity_net(np.eye(2)).features(x), x)
+
+
 def test_forward_shape_mismatch():
     net = identity_net(np.eye(2))
     with pytest.raises(DimensionError):
@@ -128,9 +133,13 @@ def test_grad_input_equals_the_graph_bit_for_bit(activation, scalar):
     aux = rng.integers(0, 4, size=6) if scalar == "ce" else \
         np.argmax(net.forward(x), axis=1)
     xn = ad.Node(x)
-    ad.backward(loss(net.forward_graph(xn), aux))
+    logits = net.forward_graph(xn)
+    ad.backward(loss(logits, aux))
     g = rc.grad_input(net, loss, x, aux)
     assert np.array_equal(g, xn.grad) and np.any(g != 0.0)
+    # all three forward paths apply the one activation entry
+    assert np.array_equal(net.forward(x), net.input_vjp(x)[0])
+    assert np.array_equal(net.forward(x), logits.value)
 
 
 def test_grad_params_reports_offending_batch_index():

@@ -166,6 +166,33 @@ def test_cli_bad_split_exits_2_before_creating_output(tmp_path, capsys, kind):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"method": {"name": ["flair"]}},
+    {"dataset": {"kind": {"gaussian": 1}}},
+    {"dataset": {"kind": "csv", "train": 5, "test": "data.csv"}},
+    {"dataset": {"kind": "csv", "train": "data.csv", "test": ["data.csv"]}},
+    {"output_dir": None}, {"output_dir": 5}, {"output_dir": ""},
+], ids=["list-method", "dict-kind", "int-train", "list-test", "null-output-dir",
+        "int-output-dir", "empty-output-dir"])
+def test_cli_non_string_field_exits_2_before_creating_output(tmp_path, monkeypatch,
+                                                             capsys, overrides):
+    monkeypatch.chdir(tmp_path)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", **overrides)))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "must be a nonempty string" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+@pytest.mark.parametrize("alphas", [[0.5, 0.5], [0.1, 0.10000001]])
+def test_cli_grid_values_sharing_an_output_tag_exit_2(tmp_path, capsys, alphas):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", grid={"alpha": alphas})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "output directory tag" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_flatness_scalar_exits_2_before_training(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out",
@@ -231,6 +258,9 @@ def test_checkpoint_roundtrip_forward_identical(tmp_path):
     xs = np.random.default_rng(0).uniform(size=(100, 5))
     assert np.array_equal(loaded.forward(xs), net.forward(xs))
     assert loaded.head_boundaries == net.head_boundaries
+    expected = b"".join(np.asarray(a, dtype="<f8").tobytes()
+                        for layer in net.layers for a in (layer.weight, layer.bias))
+    assert (tmp_path / "ckpt.blob").read_bytes() == expected
 
 
 def test_checkpoint_truncated_blob(tmp_path):

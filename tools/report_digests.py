@@ -5,11 +5,13 @@ tiny Gaussian config (6 classes in 3 tasks, d = 8, hidden [16, 16],
 2 epochs, 3 PGD steps, flatness subsample 4) with relu hidden layers.
 A few non-flair methods also run with augmentation switched on, and
 pgd-at, trades and flair also run with each other hidden activation.
-Each line reads `method/buffer[+augment][@activation] <sha256 prefix>`,
-the hash being that of `report.json` with `wall_clock_sec` removed.
+Each line reads `method/buffer[+augment][@activation] <report> <checkpoints>`:
+two sha256 prefixes, one of `report.json` with `wall_clock_sec` removed
+and one of every file under `checkpoints/` (name, manifest and blob
+bytes, in name order).
 
 Run it against two source trees and diff the output to check that a
-refactor leaves reports byte-identical:
+refactor leaves reports and checkpoints byte-identical:
 
     python3 tools/report_digests.py > after.txt
     python3 tools/report_digests.py --src ../parent/src > before.txt
@@ -62,11 +64,17 @@ def tiny_config(method: str, buffer_kind: str, augment: bool,
     return cfg
 
 
-def report_digest(rc, cfg: dict) -> str:
+def run_digests(rc, cfg: dict) -> tuple[str, str]:
+    """(report digest, checkpoint digest) of one run."""
     rc.runner.run_experiment(rc.config_from_dict(cfg))
-    text = Path(cfg["output_dir"], "report.json").read_text(encoding="utf-8")
+    out = Path(cfg["output_dir"])
+    text = (out / "report.json").read_text(encoding="utf-8")
     text = re.sub(r'\n  "wall_clock_sec": [^\n]*', "", text)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+    ckpt = hashlib.sha256()
+    for path in sorted((out / "checkpoints").iterdir()):
+        ckpt.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return (hashlib.sha256(text.encode("utf-8")).hexdigest()[:16],
+            ckpt.hexdigest()[:16])
 
 
 def main(argv=None) -> int:
@@ -87,9 +95,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name, kind, augment, act in runs:
-            digest = report_digest(rc, tiny_config(name, kind, augment, act))
+            report, ckpt = run_digests(rc, tiny_config(name, kind, augment, act))
             tag = ("+augment" if augment else "") + ("" if act == "relu" else f"@{act}")
-            print(f"{name}/{kind}{tag} {digest}", flush=True)
+            print(f"{name}/{kind}{tag} {report} {ckpt}", flush=True)
     return 0
 
 
