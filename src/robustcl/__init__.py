@@ -2,7 +2,7 @@
 
 __version__ = "0.1.0"
 
-from .attacks import AttackConfig, fgsm, parse_rational, pgd
+from .attacks import AttackConfig, parse_rational, pgd
 from .continual import (HerdingBuffer, ReservoirBuffer, Schedule,
                         buffer_update_herding, herding_select, reservoir_update,
                         run_task, split_dataset)
@@ -16,9 +16,8 @@ from .methods import (MethodConfig, RegState, build_training_loss,
 from .metrics import (AccuracyMatrix, FlatnessReport, accuracy,
                       flatness_forgetting, landscape_grid, r_bwt,
                       robust_accuracy)
-from .network import (Layer, Network, ParamNodes, ParamView, expand_head,
-                      grad_input, grad_params, hessian_input, sgd_step,
-                      snapshot)
+from .network import (Layer, Network, ParamNodes, expand_head, grad_input,
+                      grad_params, hessian_input, sgd_step, snapshot)
 from .runner import (ExperimentConfig, RunReport, config_from_dict,
                      emit_report, expand_grid, load_checkpoint, load_config,
                      run_experiment, save_checkpoint)

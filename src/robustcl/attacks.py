@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses
-from .errors import ArgumentError, ConfigurationError, ContractError
+from .errors import ArgumentError, ConfigurationError, ContractError, DimensionError
 from .network import Network
 
 Array = np.ndarray
@@ -27,12 +27,14 @@ OBJECTIVES = ("ce", "kl-vs-clean", "bce-newslice")
 
 
 def parse_rational(value) -> float:
-    """Accept numbers or exact rational strings such as "8/255"."""
-    if isinstance(value, (int, float)):
-        return float(value)
+    """Accept numbers (not booleans) or exact rational strings such as "8/255"."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"a radius must be a number, got {value!r}")
     try:
+        if isinstance(value, (int, float)):
+            return float(value)
         return float(Fraction(str(value)))
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigurationError(f"cannot parse rational literal {value!r}") from exc
 
 
@@ -155,6 +157,8 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig) -> Array:
         raise ContractError("attacks require a frozen model; use snapshot() first")
     x = model._check_input(x)
     y = np.asarray(y, dtype=np.int64)
+    if y.shape != (len(x),):
+        raise DimensionError(f"expected {len(x)} labels, got shape {y.shape}")
     lo, hi = x - cfg.epsilon, x + cfg.epsilon
     if cfg.clamp_range is not None:
         c_lo, c_hi = cfg.clamp_range
@@ -170,23 +174,4 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig) -> Array:
     for restart in range(1, cfg.n_restarts):
         _keep_best(best_x, best_v, *_restart_attack(model, head, x, lo, hi, cfg, restart))
     return best_x
-
-
-def fgsm(model: Network, x: Array, y, epsilon: float, objective: str = "ce",
-         clamp_range: tuple[float, float] | None = None) -> Array:
-    """Single-step signed-gradient attack: PGD with one full-size step."""
-    cfg = AttackConfig(epsilon=epsilon, step_size=epsilon, n_steps=1,
-                       random_start=False, objective=objective,
-                       clamp_range=clamp_range, n_restarts=1, seed=0)
-    return pgd(model, x, y, cfg)
-
-
-def attack_objective_values(model: Network, x_points: Array, x_clean: Array, y,
-                            cfg: AttackConfig) -> Array:
-    """Per-example objective values at given points (for tests and tracking)."""
-    if not model.frozen:
-        raise ContractError("attacks require a frozen model; use snapshot() first")
-    head = _make_head(model, np.asarray(x_clean, dtype=np.float64),
-                      np.asarray(y, dtype=np.int64), cfg)
-    return head(model.input_vjp(np.asarray(x_points, dtype=np.float64))[0])[0]
 

@@ -324,7 +324,7 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
             after = sgd_step(before, grads, lr, schedule.weight_decay)
             student.load_params(after)
             if info.reg == "si" and reg is not None:
-                methods.si_step(reg, grads.vector, after.vector - before.vector)
+                methods.si_step(reg, grads, after - before)
             if (epoch == 0 and isinstance(buffer, ReservoirBuffer)):
                 z_batch = student.forward(x) if buffer.with_logits else None
                 for i in range(x.shape[0]):

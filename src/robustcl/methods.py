@@ -28,7 +28,7 @@ from . import losses
 from .attacks import AttackConfig
 from .autodiff import Node
 from .errors import ArgumentError, ConfigurationError, ContractError
-from .network import Network, ParamNodes, ParamView, grad_params
+from .network import Network, ParamNodes, grad_params, split
 
 Array = np.ndarray
 
@@ -116,7 +116,7 @@ class RegState:
     def zeros(cls, net: Network) -> "RegState":
         n = net.n_params
         return cls(np.zeros(n), np.zeros(n), np.zeros(n),
-                   net.flatten().vector.copy(), net.layout())
+                   net.flatten(), net.layout())
 
     def expand_to(self, net: Network) -> "RegState":
         """Re-shape state after a head expansion; new slots are zero (the
@@ -127,7 +127,7 @@ class RegState:
 
         def grow(vec: Array) -> Array:
             out = []
-            for old, shape in zip(ParamView(vec, self.layout).split(), new_layout):
+            for old, shape in zip(split(vec, self.layout), new_layout):
                 padded = np.zeros(shape)
                 padded[tuple(slice(0, n) for n in old.shape)] = old
                 out.append(padded.ravel())
@@ -140,11 +140,9 @@ class RegState:
 def _quadratic_penalty(params: ParamNodes, weights: Array, anchor: Array,
                        layout) -> Node:
     """sum_i weights_i * (theta_i - anchor_i)^2 as a graph node."""
-    w_blocks = ParamView(weights, layout).split()
-    a_blocks = ParamView(anchor, layout).split()
     nodes = [node for pair in params.pairs for node in pair]
     total: Node | None = None
-    for node, w, a in zip(nodes, w_blocks, a_blocks):
+    for node, w, a in zip(nodes, split(weights, layout), split(anchor, layout)):
         d = ad.sub(node, a)
         term = ad.sum_all(ad.mul(ad.mul(d, d), w))
         total = term if total is None else ad.add(total, term)
@@ -152,15 +150,14 @@ def _quadratic_penalty(params: ParamNodes, weights: Array, anchor: Array,
 
 
 def refresh_fisher(reg: RegState, student: Network,
-                   adv_batches: Sequence[tuple[Array, Array]],
-                   gamma: float = EWC_GAMMA) -> None:
-    """Online EWC: the Fisher diagonal becomes gamma * old + the mean over
-    the (x_adv, y) batches of squared CE parameter gradients."""
+                   adv_batches: Sequence[tuple[Array, Array]]) -> None:
+    """Online EWC: the Fisher diagonal becomes EWC_GAMMA * old + the mean
+    over the (x_adv, y) batches of squared CE parameter gradients."""
     acc = np.zeros_like(reg.fisher)
     for x_adv, y in adv_batches:
         g = grad_params(student, lambda z, aux: losses.ce(z, aux), (x_adv, y))
-        acc += g.vector ** 2
-    reg.fisher = gamma * reg.fisher + acc / max(len(adv_batches), 1)
+        acc += g ** 2
+    reg.fisher = EWC_GAMMA * reg.fisher + acc / max(len(adv_batches), 1)
 
 
 def si_step(reg: RegState, grads: Array, delta: Array) -> None:
@@ -168,11 +165,11 @@ def si_step(reg: RegState, grads: Array, delta: Array) -> None:
     reg.si_path += -grads * delta
 
 
-def si_consolidate(reg: RegState, student: Network, xi: float = SI_XI) -> None:
+def si_consolidate(reg: RegState, student: Network) -> None:
     """SI at task end: fold the path into omega (clamped nonnegative)
     against the anchor, then reset the path."""
-    total_delta = student.flatten().vector - reg.anchor
-    reg.omega += np.maximum(reg.si_path / (total_delta ** 2 + xi), 0.0)
+    total_delta = student.flatten() - reg.anchor
+    reg.omega += np.maximum(reg.si_path / (total_delta ** 2 + SI_XI), 0.0)
     reg.si_path = np.zeros_like(reg.si_path)
 
 

@@ -178,12 +178,13 @@ class Network:
         return h
 
     # ------------------------------------------------------------------
-    def flatten(self) -> "ParamView":
+    def flatten(self) -> Array:
+        """All parameters as one plain float64 vector in `layout()` order."""
         parts = []
         for layer in self.layers:
             parts.append(layer.weight.ravel())
             parts.append(layer.bias)
-        return ParamView(np.concatenate(parts), self.layout())
+        return np.concatenate(parts)
 
     def layout(self) -> tuple[tuple[int, ...], ...]:
         shapes: list[tuple[int, ...]] = []
@@ -192,13 +193,13 @@ class Network:
             shapes.append(layer.bias.shape)
         return tuple(shapes)
 
-    def load_params(self, params: "ParamView | Array") -> None:
+    def load_params(self, vec: Array) -> None:
         if self.frozen:
             raise ContractError("cannot load parameters into a frozen network")
-        vec = params.vector if isinstance(params, ParamView) else np.asarray(params, float)
+        vec = np.asarray(vec, float)
         if vec.shape != (self.n_params,):
             raise DimensionError(f"expected {self.n_params} parameters, got {vec.shape}")
-        blocks = ParamView(vec, self.layout()).split()
+        blocks = split(vec, self.layout())
         for layer, w, b in zip(self.layers, blocks[::2], blocks[1::2]):
             layer.weight, layer.bias = w.copy(), b.copy()
 
@@ -217,27 +218,17 @@ class Network:
 
 
 # ---------------------------------------------------------------------------
-# parameter views and leaves
+# flat parameter vectors and leaves
 
 
-@dataclass(frozen=True)
-class ParamView:
-    """Flat float64 parameter vector plus the per-array layout."""
-
-    vector: Array
-    layout: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return self.vector.size
-
-    def split(self) -> list[Array]:
-        """Per-array blocks in layer order (weight, bias, weight, ...): the
-        one walk over the flat vector's offsets."""
-        out, end = [], 0
-        for shape in self.layout:
-            start, end = end, end + math.prod(shape)
-            out.append(self.vector[start:end].reshape(shape))
-        return out
+def split(vector: Array, layout: Sequence[tuple[int, ...]]) -> list[Array]:
+    """Per-array blocks of a flat vector in layer order (weight, bias,
+    weight, ...): the one walk over the vector's offsets."""
+    out, end = [], 0
+    for shape in layout:
+        start, end = end, end + math.prod(shape)
+        out.append(vector[start:end].reshape(shape))
+    return out
 
 
 class ParamNodes:
@@ -250,22 +241,24 @@ class ParamNodes:
 
     def __init__(self, net: Network):
         self.pairs = [(Node(l.weight), Node(l.bias)) for l in net.layers]
-        self._layout = net.layout()
 
-    def grads(self) -> ParamView:
+    def grads(self) -> Array:
+        """Accumulated gradients as one plain vector in `layout()` order
+        (zeros for a leaf no loss reached)."""
         parts = []
         for w, b in self.pairs:
             parts.append((w.grad if w.grad is not None else np.zeros_like(w.value)).ravel())
             parts.append(b.grad if b.grad is not None else np.zeros_like(b.value))
-        return ParamView(np.concatenate(parts), self._layout)
+        return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------
 # exported differentiation operations
 
 
-def grad_params(net: Network, scalar_loss: Callable, batch: tuple) -> ParamView:
-    """Exact gradient of `scalar_loss(logits, aux)` w.r.t. every parameter."""
+def grad_params(net: Network, scalar_loss: Callable, batch: tuple) -> Array:
+    """Exact gradient of `scalar_loss(logits, aux)` w.r.t. every parameter,
+    as one plain vector in `layout()` order."""
     x, aux = batch
     params = ParamNodes(net)
     logits = net.forward_graph(net._check_input(x), params)
@@ -275,7 +268,7 @@ def grad_params(net: Network, scalar_loss: Callable, batch: tuple) -> ParamView:
         raise NumericError(f"non-finite loss value {float(loss.value)!r}")
     ad.backward(loss)
     grads = params.grads()
-    _check_finite(grads.vector, "parameter gradient")
+    _check_finite(grads, "parameter gradient")
     return grads
 
 
@@ -338,15 +331,15 @@ def fd_hessian(grads: Array, step: float) -> Array:
     return h
 
 
-def sgd_step(params: ParamView, grads: ParamView, lr: float,
-             weight_decay: float = 0.0) -> ParamView:
-    """One plain SGD update: theta <- theta - lr * (g + weight_decay * theta)."""
+def sgd_step(params: Array, grads: Array, lr: float,
+             weight_decay: float = 0.0) -> Array:
+    """One plain SGD update on vectors in `layout()` order:
+    theta <- theta - lr * (g + weight_decay * theta)."""
     if len(params) != len(grads):
         raise DimensionError("parameter and gradient vectors differ in length")
     if lr < 0 or weight_decay < 0:
         raise ArgumentError("lr and weight_decay must be nonnegative")
-    new = params.vector - lr * (grads.vector + weight_decay * params.vector)
-    return ParamView(new, params.layout)
+    return params - lr * (grads + weight_decay * params)
 
 
 # ---------------------------------------------------------------------------

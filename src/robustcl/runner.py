@@ -26,7 +26,7 @@ from .continual import (HerdingBuffer, ReservoirBuffer, Schedule,
                         buffer_update_herding, run_task, split_dataset, split_order)
 from .data import Dataset, gen_gaussian_tasks, load_csv_dataset
 from .errors import ArgumentError, ConfigurationError, IntegrityError
-from .methods import REGISTRY, MethodConfig, RegState, make_method_config
+from .methods import MethodConfig, RegState, make_method_config
 from .metrics import (FLATNESS_SCALARS, AccuracyMatrix, FlatnessReport, accuracy,
                       flatness_forgetting, r_bwt, robust_accuracy)
 from .network import ACTIVATIONS, Layer, Network, expand_head, snapshot
@@ -61,7 +61,7 @@ class ExperimentConfig:
     dataset: DatasetSpec
     n_tasks: int
     classes_per_task: int
-    class_order: list[int] | None
+    class_order: tuple[int, ...] | None
     hidden: tuple[int, ...]
     activation: str
     method: MethodConfig
@@ -76,6 +76,8 @@ class ExperimentConfig:
 
 
 def _need(d: dict, key: str, where: str):
+    if not isinstance(d, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
     if key not in d:
         raise ConfigurationError(f"missing key {key!r} in {where}")
     return d[key]
@@ -102,13 +104,19 @@ def _section(raw: dict, name: str, keys: set[str], required: bool = False) -> di
     return sec
 
 
-def _int(value, what: str, minimum: int | None = 0) -> int:
+def _int(value, what: str, minimum: int = 0) -> int:
     """An exact JSON integer (not a bool or a float) of at least `minimum`."""
-    if (isinstance(value, bool) or not isinstance(value, int)
-            or (minimum is not None and value < minimum)):
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
         raise ConfigurationError(f"{what} must be an integer >= {minimum}, "
                                  f"got {value!r}")
     return value
+
+
+def _ints(value, what: str, minimum: int = 0) -> tuple[int, ...]:
+    """A JSON list of exact integers, each at least `minimum`."""
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(_int(v, f"{what} entry", minimum) for v in value)
 
 
 def _float(value, what: str) -> float:
@@ -184,10 +192,8 @@ def parse_config_text(text: str) -> ExperimentConfig:
     n_tasks = _int(_need(tasks, "n_tasks", "tasks"), "tasks n_tasks", 1)
     cpt = _int(_need(tasks, "classes_per_task", "tasks"), "tasks classes_per_task", 1)
     order_raw = tasks.get("class_order", "identity")
-    if order_raw != "identity" and not isinstance(order_raw, list):
-        raise ConfigurationError('tasks class_order must be "identity" or a list')
     class_order = None if order_raw == "identity" else \
-        [_int(c, "tasks class_order entry") for c in order_raw]
+        _ints(order_raw, "tasks class_order")
     if kind == "gaussian":  # CSV class counts are known only once the files are read
         try:
             split_order(dataset.n_classes, n_tasks, cpt, class_order)
@@ -195,7 +201,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
             raise ConfigurationError(str(exc)) from exc
 
     model = _section(raw, "model", {"hidden", "activation"})
-    hidden = tuple(_int(h, "model hidden width", 1) for h in model.get("hidden", [64, 64]))
+    hidden = _ints(model.get("hidden", [64, 64]), "model hidden", 1)
     activation = model.get("activation", "relu")
     if activation not in ACTIVATIONS:
         raise ConfigurationError(f"unknown activation {activation!r}; "
@@ -220,7 +226,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         weight_decay=_float(train_raw.get("weight_decay", 1e-5),
                             "training weight_decay"),
         milestones=None if milestones is None else
-        tuple(_int(m, "training milestone") for m in milestones))
+        _ints(milestones, "training milestones"))
     if schedule.lr < 0 or schedule.weight_decay < 0:
         raise ConfigurationError("training lr and weight_decay must be nonnegative")
 
@@ -233,16 +239,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
     augment_enabled = _section(raw, "augment", {"enabled"}).get("enabled")
     if augment_enabled is not None:
         _bool(augment_enabled, "augment enabled")
-    buffer_kind = m_raw.get("buffer_kind")
-    if buffer_kind is None and buffer_capacity == 0:
-        info = REGISTRY.get(name)
-        if info is not None and "none" in info.allowed_buffers:
-            buffer_kind = "none"
     alpha, beta = (None if m_raw.get(k) is None else _float(m_raw[k], f"method {k}")
                    for k in ("alpha", "beta"))
     method = make_method_config(
         name, attack, alpha=alpha, beta=beta,
-        buffer_kind=buffer_kind,
+        buffer_kind=m_raw.get("buffer_kind"),
         augment=augment_enabled,
         fpd_metric=m_raw.get("fpd_metric", "kl"),
         explicit_objective="objective" in atk_raw)
@@ -270,7 +271,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
                                      "directory tag")
     text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
     return ExperimentConfig(
-        seed=_int(_need(raw, "seed", "config"), "seed", None),
+        seed=_int(_need(raw, "seed", "config"), "seed"),
         output_dir=_str(_need(raw, "output_dir", "config"), "output_dir"),
         dataset=dataset, n_tasks=n_tasks, classes_per_task=cpt,
         class_order=class_order, hidden=hidden, activation=activation,
@@ -330,7 +331,7 @@ def save_checkpoint(net: Network, path: str) -> None:
     for i, layer in enumerate(net.layers):
         lines.append(f"layer{i}={layer.weight.shape[0]}x{layer.weight.shape[1]},"
                      f"{layer.activation}")
-    blob = net.flatten().vector.astype("<f8").tobytes()
+    blob = net.flatten().astype("<f8").tobytes()
     lines.append(f"blob_len={net.n_params}")
     lines.append(f"blob_sha256={hashlib.sha256(blob).hexdigest()}")
     _atomic_write_bytes(path + ".manifest", ("\n".join(lines) + "\n").encode())
@@ -558,7 +559,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                                   seed=derive_seed(cfg.seed, t, 0, "head-init"))
             if info.reg is not None:
                 reg = RegState.zeros(net) if reg is None else reg.expand_to(net)
-                reg.anchor = net.flatten().vector.copy()
+                reg.anchor = net.flatten()
             net, task_log = run_task(net, teacher, train_tasks[t], buffer,
                                      cfg.method, cfg.schedule, reg=reg,
                                      root_seed=cfg.seed, task_index=t + 1)

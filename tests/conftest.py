@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import robustcl as rc
+from robustcl.attacks import _make_head
 
 
 @pytest.fixture
@@ -26,17 +27,24 @@ def finite_difference_param_grad(net, loss_value_fn, step=1e-4):
     base = net.flatten()
     fd = np.zeros(len(base))
     for k in range(len(base)):
-        vp = base.vector.copy()
+        vp = base.copy()
         vp[k] += step
         net.load_params(vp)
         lp = loss_value_fn(net)
-        vm = base.vector.copy()
+        vm = base.copy()
         vm[k] -= step
         net.load_params(vm)
         lm = loss_value_fn(net)
         fd[k] = (lp - lm) / (2 * step)
     net.load_params(base)
     return fd
+
+
+def attack_values(model, points, x, y, cfg):
+    """Per-example values of `cfg`'s objective at `points`, around clean `x`:
+    the evaluation `pgd` applies to its last iterate."""
+    head = _make_head(model, x, np.asarray(y, dtype=np.int64), cfg)
+    return head(model.input_vjp(points)[0])[0]
 
 
 def finite_difference_input_grad(net, loss_value_fn, x, step=1e-4):

@@ -14,9 +14,10 @@ import pytest
 
 import robustcl as rc
 from robustcl import autodiff as ad
-from robustcl.attacks import attack_objective_values
 from robustcl.errors import IntegrityError
 from robustcl.metrics import AccuracyMatrix
+
+from conftest import attack_values
 
 
 def report_line(cid, desc, ok, extra=""):
@@ -46,15 +47,15 @@ def test_criterion_1_gradient_oracle():
         y = rng.integers(0, k, size=4)
         loss = lambda z, aux: rc.ce(z, aux)
 
-        g = rc.grad_params(net, loss, (x, y)).vector
+        g = rc.grad_params(net, loss, (x, y))
         base = net.flatten()
         fd = np.zeros_like(g)
         for i in range(len(base)):
-            vp = base.vector.copy()
+            vp = base.copy()
             vp[i] += step
             net.load_params(vp)
             up = float(rc.ce(net.forward(x), y).value)
-            vm = base.vector.copy()
+            vm = base.copy()
             vm[i] -= step
             net.load_params(vm)
             dn = float(rc.ce(net.forward(x), y).value)
@@ -120,10 +121,9 @@ def test_criterion_2_attack_invariants():
         eps = 0.25
         c = rc.AttackConfig(epsilon=eps, step_size=eps, n_steps=1,
                             random_start=False, seed=0)
-        achieved = float(attack_objective_values(
-            lin, rc.fgsm(lin, x0, y0, eps), x0, y0, c)[0])
-        best = max(float(attack_objective_values(
-            lin, x0 + eps * np.asarray(signs), x0, y0, c)[0])
+        achieved = float(attack_values(lin, rc.pgd(lin, x0, y0, c), x0, y0, c)[0])
+        best = max(float(attack_values(lin, x0 + eps * np.asarray(signs),
+                                       x0, y0, c)[0])
             for signs in itertools.product((-1.0, 1.0), repeat=d))
         if not np.isclose(achieved, best, rtol=1e-12):
             optimum_ok = False

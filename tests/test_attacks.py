@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl import losses
-from robustcl.attacks import (OBJECTIVES, _make_head, _values_and_grad,
-                              attack_objective_values, parse_rational)
-from robustcl.errors import ArgumentError, ConfigurationError, ContractError
+from robustcl.attacks import OBJECTIVES, _make_head, _values_and_grad, parse_rational
+from robustcl.errors import ArgumentError, ConfigurationError, ContractError, DimensionError
 from robustcl.network import ACTIVATIONS
+
+from conftest import attack_values
 
 
 def linear_model(w, boundaries=None):
@@ -45,6 +46,13 @@ def test_parse_rational_exact():
         parse_rational("eight/255")
 
 
+@pytest.mark.parametrize("value", [True, False, "1e400", 10 ** 400],
+                         ids=["true", "false", "string-1e400", "int-10**400"])
+def test_parse_rational_rejects_booleans_and_overflow(value):
+    with pytest.raises(ConfigurationError):
+        parse_rational(value)
+
+
 def test_config_validation():
     with pytest.raises(ConfigurationError):
         cfg(epsilon=-1.0)
@@ -66,6 +74,14 @@ def test_pgd_on_an_empty_batch_returns_an_empty_batch(frozen_tanh, objective):
     out = rc.pgd(frozen_tanh, x, np.zeros(0, dtype=np.int64),
                  cfg(objective=objective, n_restarts=2, clamp_range=(0.0, 1.0)))
     assert out.shape == (0, 4) and out is not x
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+@pytest.mark.parametrize("n_labels", [3, 7])
+def test_pgd_needs_one_label_per_row(frozen_tanh, objective, n_labels):
+    x = np.random.default_rng(12).uniform(size=(5, 4))
+    with pytest.raises(DimensionError):
+        rc.pgd(frozen_tanh, x, np.zeros(n_labels, dtype=np.int64), cfg(objective=objective))
 
 
 def test_epsilon_zero_returns_input_exactly(frozen_tanh):
@@ -91,8 +107,8 @@ def test_objective_never_decreases_without_random_start(frozen_tanh):
     y = rng.integers(0, 3, size=6)
     c = cfg(random_start=False, n_steps=7)
     out = rc.pgd(frozen_tanh, x, y, c)
-    before = attack_objective_values(frozen_tanh, x, x, y, c)
-    after = attack_objective_values(frozen_tanh, out, x, y, c)
+    before = attack_values(frozen_tanh, x, x, y, c)
+    after = attack_values(frozen_tanh, out, x, y, c)
     assert np.all(after >= before)
 
 
@@ -136,10 +152,8 @@ def test_restarts_return_best_objective(frozen_tanh):
     y = rng.integers(0, 3, size=4)
     single = cfg(seed=5, n_restarts=1)
     multi = cfg(seed=5, n_restarts=4)
-    v1 = attack_objective_values(frozen_tanh, rc.pgd(frozen_tanh, x, y, single),
-                                 x, y, single)
-    v4 = attack_objective_values(frozen_tanh, rc.pgd(frozen_tanh, x, y, multi),
-                                 x, y, multi)
+    v1 = attack_values(frozen_tanh, rc.pgd(frozen_tanh, x, y, single), x, y, single)
+    v4 = attack_values(frozen_tanh, rc.pgd(frozen_tanh, x, y, multi), x, y, multi)
     assert np.all(v4 >= v1)
 
 
@@ -166,7 +180,7 @@ def test_kl_vs_clean_objective_runs(frozen_tanh):
     assert np.max(np.abs(out - x)) <= 0.1 + 1e-12
     c = cfg(objective="kl-vs-clean", n_steps=5, random_start=False)
     adv = rc.pgd(frozen_tanh, x, y, c)
-    assert np.all(attack_objective_values(frozen_tanh, adv, x, y, c) >= 0.0)
+    assert np.all(attack_values(frozen_tanh, adv, x, y, c) >= 0.0)
 
 
 def test_bce_newslice_on_a_single_head_attacks_the_whole_head(frozen_tanh):
@@ -178,7 +192,7 @@ def test_bce_newslice_on_a_single_head_attacks_the_whole_head(frozen_tanh):
     out = rc.pgd(frozen_tanh, x, y, c)
     assert np.max(np.abs(out - x)) <= 0.1 + 1e-12
     whole_head = losses.bce_rows(frozen_tanh.forward(out), losses.one_hot(y, 3)).value
-    assert np.array_equal(attack_objective_values(frozen_tanh, out, x, y, c), whole_head)
+    assert np.array_equal(attack_values(frozen_tanh, out, x, y, c), whole_head)
 
 
 def test_bce_newslice_objective_on_two_task_head():
@@ -193,7 +207,7 @@ def test_bce_newslice_objective_on_two_task_head():
 @pytest.mark.parametrize("objective", ["ce", "kl-vs-clean", "bce-newslice"])
 def test_objective_values_equal_the_gradient_path_bit_for_bit(objective):
     # PGD takes gradients at all but its last iterate, which it evaluates on
-    # a constant input like attack_objective_values: both must agree exactly
+    # a constant input like attack_values: both must agree exactly
     net = rc.expand_head(rc.Network.init_mlp(4, [8, 8], 2, activation="tanh",
                                              seed=3), 2, seed=4)
     model = rc.snapshot(net)
@@ -203,7 +217,7 @@ def test_objective_values_equal_the_gradient_path_bit_for_bit(objective):
     points = x + rng.uniform(-0.1, 0.1, size=x.shape)
     c = cfg(objective=objective)
     values, grad = _values_and_grad(model, _make_head(model, x, y, c), points)
-    assert np.array_equal(attack_objective_values(model, points, x, y, c), values)
+    assert np.array_equal(attack_values(model, points, x, y, c), values)
     assert grad.shape == points.shape and np.any(grad != 0.0)
 
 
@@ -284,21 +298,17 @@ def test_input_kernel_equals_the_graph_bit_for_bit(activation, objective):
 
 
 # ---------------------------------------------------------------------------
-# FGSM
+# FGSM: one full-size signed step, i.e. PGD with step_size = epsilon,
+# n_steps = 1 and no random start
+
+
+def fgsm_cfg(eps):
+    return cfg(epsilon=eps, step_size=eps, n_steps=1, random_start=False)
 
 
 def test_fgsm_epsilon_zero_identity(frozen_tanh):
     x = np.random.default_rng(7).uniform(size=(2, 4))
-    assert np.array_equal(rc.fgsm(frozen_tanh, x, [0, 1], 0.0), x)
-
-
-def test_fgsm_equals_single_step_pgd(frozen_tanh):
-    rng = np.random.default_rng(8)
-    x = rng.uniform(size=(3, 4))
-    y = rng.integers(0, 3, size=3)
-    direct = rc.pgd(frozen_tanh, x, y, cfg(epsilon=0.05, step_size=0.05,
-                                           n_steps=1, random_start=False, seed=0))
-    assert np.array_equal(rc.fgsm(frozen_tanh, x, y, 0.05), direct)
+    assert np.array_equal(rc.pgd(frozen_tanh, x, [0, 1], fgsm_cfg(0.0)), x)
 
 
 def grid_search_corner_optimum(model, x, y, epsilon, c):
@@ -307,7 +317,7 @@ def grid_search_corner_optimum(model, x, y, epsilon, c):
     best = -np.inf
     for signs in itertools.product((-1.0, 1.0), repeat=d):
         cand = x + epsilon * np.asarray(signs)
-        best = max(best, float(attack_objective_values(model, cand, x, y, c)[0]))
+        best = max(best, float(attack_values(model, cand, x, y, c)[0]))
     return best
 
 
@@ -324,8 +334,7 @@ def test_fgsm_attains_linear_model_corner_optimum(seed):
     x = rng.uniform(-1.0, 1.0, size=(1, d))
     y = np.array([int(rng.integers(0, 2))])
     eps = 0.3
-    c = cfg(epsilon=eps, step_size=eps, n_steps=1, random_start=False)
-    adv = rc.fgsm(model, x, y, eps)
-    achieved = float(attack_objective_values(model, adv, x, y, c)[0])
+    c = fgsm_cfg(eps)
+    achieved = float(attack_values(model, rc.pgd(model, x, y, c), x, y, c)[0])
     oracle = grid_search_corner_optimum(model, x, y, eps, c)
     assert achieved == pytest.approx(oracle, rel=1e-12)

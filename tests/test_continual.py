@@ -237,12 +237,12 @@ def small_task(seed=0):
 
 def test_run_task_zero_epochs_leaves_model_unchanged():
     net = rc.Network.init_mlp(4, [8], 2, seed=5)
-    before = net.flatten().vector.copy()
+    before = net.flatten()
     cfg = methods.make_method_config("pgd-at", ATTACK)
     sched = Schedule(epochs=0, lr=0.1, batch_size=16)
     trained, log = rc.run_task(net, None, small_task(), None, cfg, sched,
                                root_seed=1)
-    assert np.array_equal(trained.flatten().vector, before)
+    assert np.array_equal(trained.flatten(), before)
     assert log == []
 
 
@@ -281,7 +281,7 @@ def test_run_task_deterministic_under_fixed_seed():
         net = rc.Network.init_mlp(4, [8], 2, seed=5)
         trained, _ = rc.run_task(net, None, small_task(), None, cfg, sched,
                                  root_seed=9)
-        results.append(trained.flatten().vector.copy())
+        results.append(trained.flatten())
     assert np.array_equal(results[0], results[1])
 
 
@@ -289,14 +289,14 @@ def test_run_task_never_mutates_teacher():
     teacher_net = rc.Network.init_mlp(4, [8], 2, seed=5)
     teacher = rc.snapshot(teacher_net)
     student = rc.expand_head(teacher_net, 2, seed=6)
-    before = teacher.flatten().vector.copy()
+    before = teacher.flatten()
     ds = rc.gen_gaussian_tasks(4, 4, 10.0, 20, seed=1)
     keep = np.isin(ds.labels, [2, 3])
     task = rc.Dataset(ds.inputs[keep], ds.labels[keep], 4, value_range=(0, 1))
     cfg = methods.make_method_config("flair", ATTACK)
     rc.run_task(student, teacher, task, None, cfg,
                 Schedule(epochs=1, lr=0.2, batch_size=16), root_seed=2)
-    assert np.array_equal(teacher.flatten().vector, before)
+    assert np.array_equal(teacher.flatten(), before)
 
 
 def test_run_task_rejects_frozen_student():

@@ -75,7 +75,7 @@ def test_grad_params_constant_loss_is_zero(small_tanh_net):
     x = np.random.default_rng(0).uniform(size=(4, 4))
     g = rc.grad_params(small_tanh_net, lambda z, aux: ad.mul(ad.mean_all(z), 0.0),
                        (x, None))
-    assert np.array_equal(g.vector, np.zeros(len(g)))
+    assert np.array_equal(g, np.zeros(len(g)))
 
 
 def test_grad_params_single_weight_chain_rule():
@@ -83,14 +83,14 @@ def test_grad_params_single_weight_chain_rule():
     net = identity_net(np.array([[3.0]]))
     loss = lambda z, aux: ad.mul(ad.sum_all(ad.mul(z, z)), 0.5)
     g = rc.grad_params(net, loss, (np.array([[2.0]]), None))
-    assert g.vector[0] == pytest.approx(12.0)
+    assert g[0] == pytest.approx(12.0)
 
 
 def test_grad_params_matches_finite_differences(small_tanh_net):
     rng = np.random.default_rng(2)
     x = rng.uniform(size=(6, 4))
     y = rng.integers(0, 3, size=6)
-    g = rc.grad_params(small_tanh_net, ce_adapter, (x, y)).vector
+    g = rc.grad_params(small_tanh_net, ce_adapter, (x, y))
     fd = finite_difference_param_grad(
         small_tanh_net, lambda net: float(rc.ce(net.forward(x), y).value))
     assert np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-4
@@ -196,30 +196,26 @@ def test_hessian_dimension_cap():
 
 
 def test_sgd_step_formulas():
-    layout = ((3,),)
-    p = rc.ParamView(np.array([1.0, 1.0, 1.0]), layout)
-    g = rc.ParamView(np.array([2.0, 0.0, 2.0]), layout)
+    p = np.array([1.0, 1.0, 1.0])
+    g = np.array([2.0, 0.0, 2.0])
     out = rc.sgd_step(p, g, lr=0.1, weight_decay=0.0)
-    assert out.vector[0] == pytest.approx(0.8)
-    out = rc.sgd_step(p, rc.ParamView(np.zeros(3), layout), lr=0.1,
-                      weight_decay=1e-5)
-    assert out.vector[0] == pytest.approx(0.999999)
+    assert out[0] == pytest.approx(0.8)
+    out = rc.sgd_step(p, np.zeros(3), lr=0.1, weight_decay=1e-5)
+    assert out[0] == pytest.approx(0.999999)
     out = rc.sgd_step(p, g, lr=0.0, weight_decay=0.5)
-    assert np.array_equal(out.vector, p.vector)
+    assert np.array_equal(out, p)
 
 
 def test_sgd_step_length_mismatch():
-    layout = ((3,),)
     with pytest.raises(DimensionError):
-        rc.sgd_step(rc.ParamView(np.zeros(3), layout),
-                    rc.ParamView(np.zeros(4), (((4,)),)), 0.1)
+        rc.sgd_step(np.zeros(3), np.zeros(4), 0.1)
 
 
 def test_flatten_roundtrip_identity(small_tanh_net):
     before = small_tanh_net.flatten()
     small_tanh_net.load_params(before)
     after = small_tanh_net.flatten()
-    assert np.array_equal(before.vector, after.vector)
+    assert np.array_equal(before, after)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +241,7 @@ def test_snapshot_isolated_from_mutation():
     frozen = rc.snapshot(net)
     x = np.random.default_rng(9).uniform(size=(5, 4))
     before = frozen.forward(x)
-    vec = net.flatten().vector + 1.0
+    vec = net.flatten() + 1.0
     net.load_params(vec)
     assert np.array_equal(frozen.forward(x), before)
 

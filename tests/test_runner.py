@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustcl as rc
 from robustcl.cli import main as cli_main
@@ -116,6 +118,11 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
     ("training", {"epochs": 2, "lr": -0.2, "batch_size": 16}),
     ("training", {"epochs": 2, "lr": 0.2, "batch_size": 16, "weight_decay": -1e-5}),
     ("grid", {"alpha": []}),
+    ("model", {"hidden": 5}),
+    ("training", {"epochs": 2, "lr": 0.2, "batch_size": 16, "milestones": 5}),
+    ("dataset", 0),
+    ("dataset", True),
+    ("dataset", None),
 ], ids=["nested-typo", "string-bool", "float-int", "bool-int", "fractional-int",
         "tasks-typo", "zero-width", "activation", "dataset-typo", "float-capacity",
         "string-augment", "method-typo", "grid-typo", "string-lr", "bool-lr",
@@ -123,10 +130,59 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
         "string-grid-value", "bool-grid-value", "scalar-grid", "classes-dont-divide",
         "order-repeats", "order-out-of-range", "order-not-a-list", "nan-lr",
         "infinite-weight-decay", "infinite-separation", "negative-infinite-separation",
-        "nan-grid-value", "negative-lr", "negative-weight-decay", "empty-grid"])
+        "nan-grid-value", "negative-lr", "negative-weight-decay", "empty-grid",
+        "scalar-hidden", "scalar-milestones", "int-dataset", "bool-dataset",
+        "null-dataset"])
 def test_parse_rejects_bad_nested_values(tmp_path, section, values):
     with pytest.raises(ConfigurationError):
         rc.config_from_dict(tiny_config(tmp_path, **{section: values}))
+
+
+def full_tiny_config():
+    """`tiny_config` with every optional key filled in."""
+    attack = {"epsilon": "1/20", "step_size": "1/80", "n_steps": 3,
+              "random_start": True, "objective": "ce", "n_restarts": 1}
+    return tiny_config(
+        "unused-output-dir",
+        tasks={"n_tasks": 2, "classes_per_task": 2, "class_order": [1, 0, 3, 2]},
+        method={"name": "flair", "alpha": 0.5, "beta": 0.5, "buffer_kind": "none",
+                "fpd_metric": "kl"},
+        attack=attack, eval_attack={**attack, "n_steps": 5},
+        training={"epochs": 2, "lr": 0.2, "batch_size": 16, "weight_decay": 1e-5,
+                  "milestones": [1]},
+        augment={"enabled": False}, flatness={"subsample": 4, "scalar": "ce"},
+        grid={"alpha": [0.5, 1.0], "beta": [0.5]})
+
+
+def config_paths(node, prefix=()):
+    """Key/index path of every value below the root: sections, lists, leaves."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from config_paths(child, prefix + (key,))
+
+
+EDGE_VALUES = [0, -1, 10 ** 400, 0.5, "x", True, None, [], {}]
+MUTATIONS = [(path, value) for path in config_paths(full_tiny_config())
+             for value in EDGE_VALUES]
+
+
+@settings(max_examples=len(MUTATIONS), deadline=None, derandomize=True,
+          database=None)
+@given(st.sampled_from(MUTATIONS))
+def test_one_mutated_config_value_parses_or_raises_configuration_error(mutation):
+    # parse only: a mutated config may ask for unbounded work or memory
+    path, value = mutation
+    cfg = full_tiny_config()
+    parent = cfg
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        rc.config_from_dict(cfg)
+    except ConfigurationError:
+        pass
 
 
 def test_cli_bad_activation_exits_2_before_creating_output(tmp_path, capsys):
@@ -142,7 +198,8 @@ def test_cli_bad_activation_exits_2_before_creating_output(tmp_path, capsys):
     ("training", {"epochs": 2, "lr": float("nan"), "batch_size": 16}),
     ("training", {"epochs": 2, "lr": -0.2, "batch_size": 16}),
     ("grid", {"alpha": []}),
-], ids=["nan-lr", "negative-lr", "empty-grid"])
+    ("seed", -1),
+], ids=["nan-lr", "negative-lr", "empty-grid", "negative-seed"])
 def test_cli_bad_number_exits_2_before_creating_output(tmp_path, section, values):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", **{section: values})))
