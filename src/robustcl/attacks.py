@@ -4,13 +4,16 @@ The solver ascends the sign of the objective's input gradient, projects
 back into the epsilon ball (and the data range, when declared), and
 tracks the best-objective iterate per example. With several restarts it
 keeps, per example, the restart point with the highest objective value.
-Everything is deterministic given the config seed.
+Everything is deterministic given the config seed. One call can also
+attack several batches stacked in `x` (`pgd`'s `parts`): each keeps its
+own seed and batch mean, so its rows come out as a call of their own
+would return them.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -20,7 +23,8 @@ from .errors import ArgumentError, ConfigurationError, ContractError, DimensionE
 from .network import Network
 
 Array = np.ndarray
-# logits -> (per-example objective values, d mean(values) / d logits)
+# logits -> (per-example objective values, d sum(w * values) / d logits),
+# where w weights each row by 1 / the rows of its part
 Head = Callable[[Array], tuple[Array, Array]]
 
 OBJECTIVES = ("ce", "kl-vs-clean", "bce-newslice")
@@ -68,49 +72,52 @@ class AttackConfig:
 
 # ---------------------------------------------------------------------------
 # objectives: heads that map logits to per-example values (maximized) and
-# the gradient of their mean w.r.t. the logits. `Network.input_vjp` carries
-# that gradient back to the input, so no attack step builds a graph through
-# the network.
+# the gradient of their per-part means w.r.t. the logits. `Network.input_vjp`
+# carries that gradient back to the input, so no attack step builds a graph
+# through the network.
 
 
-def _ce_head(y: Array) -> Head:
+def _ce_head(y: Array, w: Array) -> Head:
     """Cross-entropy in closed form: the ops of the graph's VJP chain."""
     def head(logits: Array) -> tuple[Array, Array]:
         out = ad._log_softmax(logits)
-        n = logits.shape[0]
-        rows = np.arange(n)
+        rows = np.arange(logits.shape[0])
         g = np.zeros(logits.shape)
-        g[rows, y] = -(1.0 / n)
+        g[rows, y] = -w
         return -out[rows, y], g - np.exp(out) * g.sum(axis=1, keepdims=True)
 
     return head
 
 
-def _graph_head(rows_of: Callable[[ad.Node], ad.Node]) -> Head:
+def _graph_head(rows_of: Callable[[ad.Node], ad.Node], w: Array) -> Head:
     """A per-row loss graph, differentiated on a logits leaf only."""
     def head(logits: Array) -> tuple[Array, Array]:
         z = ad.Node(logits)
         rows = rows_of(z)
-        ad.backward(ad.mean_all(rows))
+        ad.backward(ad.sum_all(ad.mul(rows, w)))
         return rows.value, z.grad
 
     return head
 
 
-def _make_head(model: Network, x_clean: Array, y: Array, cfg: AttackConfig) -> Head:
+def _make_head(model: Network, x_clean: Array, y: Array, cfg: AttackConfig,
+               w: Array | None = None) -> Head:
+    """The objective's head; row weights `w` default to one batch mean."""
+    if w is None:
+        w = np.full(len(y), 1.0 / len(y))
     if cfg.objective == "ce":
-        return _ce_head(losses._check_labels(y, model.out_dim))
+        return _ce_head(losses._check_labels(y, model.out_dim), w)
 
     if cfg.objective == "kl-vs-clean":
         clean_logits = model.forward(x_clean)
-        return _graph_head(lambda z: losses.kl_rows(z, clean_logits))
+        return _graph_head(lambda z: losses.kl_rows(z, clean_logits), w)
 
     # bce-newslice: multilabel BCE on the newest task's columns, which on a
     # single-task head are the whole head
     start, end = losses.slice_bounds(model.head_boundaries, model.n_tasks - 1, model.n_tasks)
     targets = losses.one_hot_in_slice(y, start, end)
     return _graph_head(lambda z: losses.bce_rows(ad.take_cols(z, slice(start, end)),
-                                                 targets))
+                                                 targets), w)
 
 
 def _values_and_grad(model: Network, head: Head, x_cur: Array) -> tuple[Array, Array]:
@@ -127,17 +134,23 @@ def _keep_best(best_x: Array, best_v: Array, x: Array, values: Array) -> None:
     best_x[improved] = x[improved]
 
 
-def _restart_attack(model: Network, head: Head, x: Array, lo: Array, hi: Array,
-                    cfg: AttackConfig, restart: int) -> tuple[Array, Array]:
-    """One restart; returns (best points, best per-example objective values)."""
-    rng = np.random.default_rng(np.random.SeedSequence(entropy=cfg.seed,
-                                                       spawn_key=(restart,)))
-    if cfg.random_start:
-        x_cur = np.clip(x + rng.uniform(-cfg.epsilon, cfg.epsilon, size=x.shape), lo, hi)
-    else:
-        x_cur = x.copy()
+def _start(x: Array, lo: Array, hi: Array, cfg: AttackConfig,
+           parts: Sequence[tuple[int, int]], restart: int) -> Array:
+    """A restart's first iterate; each part draws its own random start."""
+    if not cfg.random_start:
+        return x.copy()
+    noise = np.concatenate([
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
+        .uniform(-cfg.epsilon, cfg.epsilon, size=(rows, x.shape[1]))
+        for rows, seed in parts])
+    return np.clip(x + noise, lo, hi)
+
+
+def _restart_attack(model: Network, head: Head, x_cur: Array, lo: Array, hi: Array,
+                    cfg: AttackConfig) -> tuple[Array, Array]:
+    """One restart from `x_cur`; returns (best points, best per-example values)."""
     best_x = x_cur.copy()
-    best_v = np.full(x.shape[0], -np.inf)
+    best_v = np.full(x_cur.shape[0], -np.inf)
     for _ in range(cfg.n_steps):
         values, grad = _values_and_grad(model, head, x_cur)
         _keep_best(best_x, best_v, x_cur, values)
@@ -147,18 +160,32 @@ def _restart_attack(model: Network, head: Head, x: Array, lo: Array, hi: Array,
     return best_x, best_v
 
 
-def pgd(model: Network, x: Array, y, cfg: AttackConfig) -> Array:
+def pgd(model: Network, x: Array, y, cfg: AttackConfig, *,
+        parts: Sequence[tuple[int, int]] | None = None) -> Array:
     """Projected gradient ascent inside the L-inf epsilon ball around `x`.
 
     Returns, per example, the visited point with the highest objective
     value; with several restarts, the best point across restarts.
+
+    `parts` stacks several attacks in one call: `(rows, seed)` pairs that
+    tile `x` in order, each with at least one row. Part p draws its random
+    starts from `seed_p` in place of `cfg.seed`, and its objective is the
+    mean over its own rows, so its rows equal those of a separate call
+    with that seed (up to the rounding of the stacked matrix products,
+    which the sign steps absorb in practice). The default is one part:
+    all of `x` with `cfg.seed`.
     """
     if not model.frozen:
         raise ContractError("attacks require a frozen model; use snapshot() first")
     x = model._check_input(x)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y)
     if y.shape != (len(x),):
         raise DimensionError(f"expected {len(x)} labels, got shape {y.shape}")
+    y = losses._integer_labels(y)
+    if parts is None:
+        parts = ((len(x), cfg.seed),) if len(x) else ()
+    if any(rows < 1 for rows, _ in parts) or sum(rows for rows, _ in parts) != len(x):
+        raise ArgumentError(f"parts {parts} do not tile {len(x)} rows")
     lo, hi = x - cfg.epsilon, x + cfg.epsilon
     if cfg.clamp_range is not None:
         c_lo, c_hi = cfg.clamp_range
@@ -169,9 +196,11 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig) -> Array:
         lo, hi = np.maximum(lo, c_lo), np.minimum(hi, c_hi)
     if len(x) == 0:  # the objectives' batch mean is undefined
         return x.copy()
-    head = _make_head(model, x, y, cfg)
-    best_x, best_v = _restart_attack(model, head, x, lo, hi, cfg, 0)
+    w = np.concatenate([np.full(rows, 1.0 / rows) for rows, _ in parts])
+    head = _make_head(model, x, y, cfg, w)
+    best_x, best_v = _restart_attack(model, head, _start(x, lo, hi, cfg, parts, 0),
+                                     lo, hi, cfg)
     for restart in range(1, cfg.n_restarts):
-        _keep_best(best_x, best_v, *_restart_attack(model, head, x, lo, hi, cfg, restart))
+        _keep_best(best_x, best_v, *_restart_attack(
+            model, head, _start(x, lo, hi, cfg, parts, restart), lo, hi, cfg))
     return best_x
-

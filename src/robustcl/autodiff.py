@@ -2,7 +2,7 @@
 
 The op set covers exactly what dense feed-forward stacks and logit-space
 losses need: matmul, broadcasting add/mul, `pointwise` activations, a
-stabilized log-softmax, column and per-row gathers, and reductions.
+stabilized log-softmax, column, row-slice and per-row gathers, and reductions.
 Graphs are built per evaluation and discarded afterwards. A leaf built
 with ``Node(value)`` is a variable and keeps the gradient of the last
 `backward` call; a raw value wrapped by `lift` (as ops do with array
@@ -193,6 +193,23 @@ def take_cols(a: NodeLike, cols) -> Node:
         return z
 
     return Node(a.value[:, cols], (a,), (vjp,))
+
+
+def take_rows(a: NodeLike, rows: slice) -> Node:
+    """Select a slice of the rows of a 2-D node."""
+    a = lift(a)
+    if a.value.ndim != 2:
+        raise DimensionError("take_rows expects a 2-D array")
+    if not isinstance(rows, slice):
+        raise ArgumentError("take_rows takes a slice")
+    shape = a.value.shape
+
+    def vjp(g: Array) -> Array:
+        z = np.zeros(shape)
+        z[rows] = g
+        return z
+
+    return Node(a.value[rows], (a,), (vjp,))
 
 
 def take_per_row(a: NodeLike, idx) -> Node:

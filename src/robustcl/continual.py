@@ -16,11 +16,11 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from . import methods
+from . import losses, methods
 from .attacks import AttackConfig, pgd
 from .data import Dataset, augment
 from .errors import (ArgumentError, ConfigurationError, ContractError,
-                     NumericError)
+                     DimensionError, NumericError)
 from .methods import MethodConfig, RegState
 from .network import Network, ParamNodes, sgd_step, snapshot
 from .seeding import derive_rng, derive_seed
@@ -193,19 +193,23 @@ def reservoir_update(buffer: ReservoirBuffer, sample: tuple[Array, int],
     """Offer one stream element; retention follows capacity/seen_count."""
     x, y = sample
     x = np.asarray(x, dtype=np.float64).copy()
+    if buffer._xs and x.shape != buffer._xs[0].shape:
+        raise DimensionError(f"row shape {x.shape} != stored shape "
+                             f"{buffer._xs[0].shape}")
+    y = int(losses._integer_labels([y])[0])
     z = None if logits is None else np.asarray(logits, dtype=np.float64).copy()
     if buffer.with_logits and z is None:
         raise ConfigurationError("this reservoir stores logits; none were given")
     buffer.seen_count += 1
     if len(buffer) < buffer.capacity:
         buffer._xs.append(x)
-        buffer._ys.append(int(y))
+        buffer._ys.append(y)
         buffer._zs.append(z)
         return buffer
     j = int(buffer._rng.integers(0, buffer.seen_count))
     if j < buffer.capacity:
         buffer._xs[j] = x
-        buffer._ys[j] = int(y)
+        buffer._ys[j] = y
         buffer._zs[j] = z
     return buffer
 
@@ -262,8 +266,8 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
 
     Per batch: optional augmentation, PGD with the method's attack
     config, the method loss, one SGD step. A herding buffer is merged
-    into the training pool; a reservoir gives each batch a separate,
-    separately attacked replay batch. Returns the trained network
+    into the training pool; a reservoir gives each batch a separate replay
+    batch, attacked in the batch's own PGD call. Returns the trained network
     and per-epoch rows (task, epoch, train_loss, clean_acc, robust_acc).
     The teacher is never touched; this is checked by hashing.
     """
@@ -294,20 +298,24 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
                 if method_cfg.augment:
                     x = augment(x, clamp, derive_rng(root_seed, task_index, epoch,
                                                      "augment", extra=b))
-                frozen = snapshot(student)
-                atk = replace(attack_base, seed=derive_seed(root_seed, task_index,
-                                                            epoch, "attack", b))
-                x_adv = pgd(frozen, x, y, atk)
-
                 buffer_batch = None
-                x_adv_buffer = None
                 if isinstance(buffer, ReservoirBuffer) and len(buffer) > 0:
                     buffer_batch = buffer.sample_batch(schedule.batch_size,
                                                        buffer_rng)
-                    atk_b = replace(attack_base, seed=derive_seed(
-                        root_seed, task_index, epoch, "attack-buffer", b))
-                    x_adv_buffer = pgd(frozen, buffer_batch[0], buffer_batch[1],
-                                       atk_b)
+                frozen = snapshot(student)
+                atk = replace(attack_base, seed=derive_seed(root_seed, task_index,
+                                                            epoch, "attack", b))
+                if buffer_batch is None:
+                    x_adv, x_adv_buffer = pgd(frozen, x, y, atk), None
+                else:
+                    # one call attacks the batch and the replay batch, each
+                    # part with its own seed and batch mean
+                    xb, yb = buffer_batch[0], buffer_batch[1]
+                    parts = ((len(x), atk.seed), (len(xb), derive_seed(
+                        root_seed, task_index, epoch, "attack-buffer", b)))
+                    both = pgd(frozen, np.concatenate([x, xb]),
+                               np.concatenate([y, yb]), atk, parts=parts)
+                    x_adv, x_adv_buffer = both[:len(x)], both[len(x):]
 
                 params = ParamNodes(student)
                 loss, terms = methods.build_training_loss(

@@ -37,14 +37,19 @@ def _width(x: Logits) -> int:
     return v.shape[1]
 
 
-def _check_labels(y, width: int) -> Array:
+def _integer_labels(y) -> Array:
+    """`y` as a 1-D int64 array; LabelError if an entry is not an integer."""
     y = np.asarray(y)
     if y.ndim != 1:
         raise DimensionError("labels must be a 1-D integer array")
     if not np.issubdtype(y.dtype, np.integer):
-        if not np.all(y == y.astype(np.int64)):
+        if not (np.all(np.isfinite(y)) and np.all(y == y.astype(np.int64))):
             raise LabelError("labels must be integers")
-    y = y.astype(np.int64)
+    return y.astype(np.int64)
+
+
+def _check_labels(y, width: int) -> Array:
+    y = _integer_labels(y)
     if y.size and (y.min() < 0 or y.max() >= width):
         raise LabelError(f"label outside [0, {width}) range")
     return y

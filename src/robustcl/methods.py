@@ -9,9 +9,12 @@ fit of the newest head slice, sigmoid distillation of the old slice,
 and flatness-preserving distillation (`flatness_distill_loss`); FLAIR+
 differs only in switching augmentation on by default. Replay is merged
 for a herding buffer (the stored exemplars join the task's training
-pool) and separate for a reservoir (a replay batch is drawn, attacked
-and passed to the builder). Builders return graph nodes so one backward
-pass yields exact parameter gradients; zero-weighted terms are skipped
+pool) and separate for a reservoir (a replay batch is drawn, attacked in
+the batch's own PGD call and passed to the builder). When a replay term
+reads the replay rows, the reservoir builders run the student once over
+the batch and the replay batch stacked and split the logits with
+`autodiff.take_rows`. Builders return graph nodes so one backward pass
+yields exact parameter gradients; zero-weighted terms are skipped
 entirely, which makes endpoint reductions bit-exact. `build_training_loss`
 is the one entry point that sums a method's terms.
 """
@@ -27,7 +30,7 @@ from . import autodiff as ad
 from . import losses
 from .attacks import AttackConfig
 from .autodiff import Node
-from .errors import ArgumentError, ConfigurationError, ContractError
+from .errors import ArgumentError, ConfigurationError, ContractError, DimensionError
 from .network import Network, ParamNodes, grad_params, split
 
 Array = np.ndarray
@@ -337,59 +340,74 @@ def _penalized(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
     return terms
 
 
+def _batch_and_replay_logits(student: Network, params: ParamNodes, x_adv: Array,
+                             x_adv_buffer: Array) -> tuple[Node, Node]:
+    """Student logits of the batch and of the replay rows, from one pass
+    over both stacked."""
+    n = len(x_adv)
+    logits = student.forward_graph(np.concatenate([x_adv, x_adv_buffer]), params)
+    return ad.take_rows(logits, slice(0, n)), ad.take_rows(logits, slice(n, None))
+
+
 def _r_er(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
           reg, params, asymmetric=False):
     """CE on the current batch (r-er-ace: asymmetric CE over the classes
     present in it) plus CE on the replayed samples."""
     y = batch[1]
+    replay = _replay(buffer_batch, x_adv_buffer)
+    if replay is None:
+        adv = student.forward_graph(x_adv, params)
+    else:
+        adv, adv_buffer = _batch_and_replay_logits(student, params, x_adv, replay[0])
     if asymmetric:
         present = np.unique(np.asarray(y, dtype=np.int64))
-        terms = {"ace_adv": losses.ace(student.forward_graph(x_adv, params), y, present)}
+        terms = {"ace_adv": losses.ace(adv, y, present)}
     else:
-        terms = _ce_adv(student, x_adv, y, params)
-    replay = _replay(buffer_batch, x_adv_buffer)
+        terms = {"ce_adv": losses.ce(adv, y)}
     if replay is not None:
-        terms["ce_buffer"] = losses.ce(student.forward_graph(replay[0], params),
-                                       replay[1])
+        terms["ce_buffer"] = losses.ce(adv_buffer, replay[1])
     return terms
 
 
-def _der_mse(student: Network, params: ParamNodes, x_adv_buf: Array,
-             stored_logits: Sequence[Array]) -> Node:
-    """Mean per-sample MSE between current logits and stored logits.
+def _der_mse(logits: Node, stored_logits: Sequence[Array]) -> Node:
+    """Mean per-sample MSE between replay logits and stored logits.
 
     Stored vectors may be narrower than the current head (they were
     captured before later expansions); each sample is compared on its own
-    stored width.
+    stored width. The stored rows are zero-padded to the head width, and
+    each squared error is weighted by a 0/1 width mask over the row's width.
     """
+    n, k = logits.value.shape
     widths = np.asarray([z.shape[0] for z in stored_logits])
-    total: Node | None = None
-    n = len(stored_logits)
-    for w in np.unique(widths):
-        idx = np.nonzero(widths == w)[0]
-        logits = student.forward_graph(x_adv_buf[idx], params)
-        z = np.stack([stored_logits[i] for i in idx])
-        rows = losses.mse_rows(ad.take_cols(logits, slice(0, int(w))), z)
-        part = ad.sum_all(rows)
-        total = part if total is None else ad.add(total, part)
-    return total / n
+    if widths.max() > k:
+        raise DimensionError(f"stored logits of width {widths.max()} exceed "
+                             f"the head width {k}")
+    mask = np.arange(k) < widths[:, None]
+    padded = np.zeros((n, k))
+    padded[mask] = np.concatenate(stored_logits)
+    d = ad.sub(logits, padded)
+    return ad.sum_all(ad.mul(ad.mul(d, d), mask / widths[:, None])) / n
 
 
 def _r_der(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
            reg, params, replay_ce=False):
     """Adversarial CE plus alpha * MSE to the logits stored with each
     replayed sample; r-der++ (replay_ce) adds beta * CE on replayed labels."""
-    terms = _ce_adv(student, x_adv, batch[1], params)
     replay = _replay(buffer_batch, x_adv_buffer)
     if replay is None:
-        return terms
+        return _ce_adv(student, x_adv, batch[1], params)
     xab, yb, zb = replay
     if zb is None or any(z is None for z in zb):
         raise ConfigurationError(f"{cfg.name} needs stored logits in the buffer")
+    use_ce = replay_ce and cfg.beta != 0.0
+    if cfg.alpha == 0.0 and not use_ce:   # no term reads the replay rows
+        return _ce_adv(student, x_adv, batch[1], params)
+    adv, adv_buffer = _batch_and_replay_logits(student, params, x_adv, xab)
+    terms = {"ce_adv": losses.ce(adv, batch[1])}
     if cfg.alpha != 0.0:
-        terms["mse_buffer"] = cfg.alpha * _der_mse(student, params, xab, zb)
-    if replay_ce and cfg.beta != 0.0:
-        terms["ce_buffer"] = cfg.beta * losses.ce(student.forward_graph(xab, params), yb)
+        terms["mse_buffer"] = cfg.alpha * _der_mse(adv_buffer, zb)
+    if use_ce:
+        terms["ce_buffer"] = cfg.beta * losses.ce(adv_buffer, yb)
     return terms
 
 

@@ -1,4 +1,5 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,8 @@ import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl import losses
 from robustcl.attacks import OBJECTIVES, _make_head, _values_and_grad, parse_rational
-from robustcl.errors import ArgumentError, ConfigurationError, ContractError, DimensionError
+from robustcl.errors import (ArgumentError, ConfigurationError, ContractError,
+                             DimensionError, LabelError)
 from robustcl.network import ACTIVATIONS
 
 from conftest import attack_values
@@ -82,6 +84,13 @@ def test_pgd_needs_one_label_per_row(frozen_tanh, objective, n_labels):
     x = np.random.default_rng(12).uniform(size=(5, 4))
     with pytest.raises(DimensionError):
         rc.pgd(frozen_tanh, x, np.zeros(n_labels, dtype=np.int64), cfg(objective=objective))
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_pgd_rejects_non_integer_labels(frozen_tanh, objective):
+    x = np.random.default_rng(12).uniform(size=(3, 4))
+    with pytest.raises(LabelError):
+        rc.pgd(frozen_tanh, x, np.array([0.5, 1.7, 2.2]), cfg(objective=objective))
 
 
 def test_epsilon_zero_returns_input_exactly(frozen_tanh):
@@ -295,6 +304,47 @@ def test_input_kernel_equals_the_graph_bit_for_bit(activation, objective):
     assert np.array_equal(values, ref_values)
     assert np.array_equal(grad, ref_grad) and np.any(grad != 0.0)
     assert np.array_equal(rc.pgd(model, x, y, c), reference_pgd(model, x, y, c))
+
+
+# ---------------------------------------------------------------------------
+# stacked calls: several batches attacked in one call through `parts`
+
+
+def stacked_inputs():
+    """(model, x, y): 8 rows in [0, 1], some within epsilon of the range."""
+    rng = np.random.default_rng(13)
+    return expanded_net("tanh"), rng.uniform(size=(8, 4)), rng.integers(0, 4, size=8)
+
+
+@pytest.mark.parametrize("n_restarts", [1, 2])
+@pytest.mark.parametrize("clamp", [None, (0.0, 1.0)], ids=["free", "clamped"])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_stacked_parts_equal_separate_calls(objective, clamp, n_restarts):
+    model, x, y = stacked_inputs()
+    c = cfg(objective=objective, epsilon=0.05, step_size=0.02, n_steps=4,
+            clamp_range=clamp, n_restarts=n_restarts, seed=0)
+    stacked = rc.pgd(model, x, y, c, parts=((5, 7), (3, 11)))
+    assert np.array_equal(stacked[:5], rc.pgd(model, x[:5], y[:5], replace(c, seed=7)))
+    assert np.array_equal(stacked[5:], rc.pgd(model, x[5:], y[5:], replace(c, seed=11)))
+
+
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_swapping_parts_permutes_the_result(objective):
+    model, x, y = stacked_inputs()
+    c = cfg(objective=objective, epsilon=0.05, step_size=0.02, n_steps=4)
+    out = rc.pgd(model, x, y, c, parts=((5, 7), (3, 11)))
+    swapped = rc.pgd(model, np.concatenate([x[5:], x[:5]]),
+                     np.concatenate([y[5:], y[:5]]), c, parts=((3, 11), (5, 7)))
+    assert np.array_equal(swapped, np.concatenate([out[5:], out[:5]]))
+
+
+@pytest.mark.parametrize("parts", [((5, 7), (2, 11)), ((5, 7), (4, 11)),
+                                   ((8, 7), (0, 11)), ((9, 7), (-1, 11)), ()],
+                         ids=["short", "long", "empty-part", "negative-part", "none"])
+def test_parts_that_do_not_tile_the_rows_are_rejected(parts):
+    model, x, y = stacked_inputs()
+    with pytest.raises(ArgumentError):
+        rc.pgd(model, x, y, cfg(), parts=parts)
 
 
 # ---------------------------------------------------------------------------

@@ -105,6 +105,20 @@ def test_take_cols_slice_and_index_array():
     assert np.array_equal(node2.grad, expected)
 
 
+def test_take_rows_slice_grad():
+    x = np.random.default_rng(3).normal(size=(5, 3))
+    w = np.arange(6.0).reshape(2, 3)
+    check_grad(lambda n: ad.sum_all(ad.mul(ad.take_rows(n, slice(1, 3)), w)), x)
+    # two slices of one node, as in a stacked forward pass, accumulate
+    node = ad.Node(x)
+    head, tail = ad.take_rows(node, slice(0, 2)), ad.take_rows(node, slice(2, None))
+    assert np.array_equal(tail.value, x[2:])
+    ad.backward(ad.add(ad.sum_all(ad.mul(head, 2.0)), ad.sum_all(tail)))
+    assert np.array_equal(node.grad, np.repeat([[2.0], [2.0], [1.0], [1.0], [1.0]], 3, 1))
+    with pytest.raises(ArgumentError):
+        ad.take_rows(node, [0, 1])
+
+
 def test_take_cols_rejects_duplicate_indices():
     with pytest.raises(ArgumentError):
         ad.take_cols(ad.Node(np.ones((2, 3))), [1, 1])

@@ -4,7 +4,7 @@ import pytest
 import robustcl as rc
 from robustcl import continual, methods
 from robustcl.continual import HerdingBuffer, ReservoirBuffer, Schedule
-from robustcl.errors import ArgumentError, ContractError
+from robustcl.errors import ArgumentError, ContractError, DimensionError, LabelError
 
 ATTACK = rc.AttackConfig(epsilon=0.05, step_size=0.0125, n_steps=3,
                          random_start=True, clamp_range=None, seed=0)
@@ -210,6 +210,25 @@ def test_reservoir_requires_logits_when_configured():
     buf = ReservoirBuffer(4, with_logits=True, seed=1)
     with pytest.raises(Exception):
         rc.reservoir_update(buf, (np.zeros(2), 0))
+
+
+@pytest.mark.parametrize("label", [1.5, np.nan], ids=["fraction", "nan"])
+def test_reservoir_rejects_non_integer_labels(label):
+    buf = ReservoirBuffer(4, seed=1)
+    with pytest.raises(LabelError):
+        rc.reservoir_update(buf, (np.zeros(2), label))
+    rc.reservoir_update(buf, (np.zeros(2), 1.0))      # an integral float is a label
+    assert buf._ys == [1] and buf.seen_count == 1
+
+
+def test_reservoir_rejects_rows_of_another_shape():
+    buf = ReservoirBuffer(4, seed=1)
+    rc.reservoir_update(buf, (np.zeros(2), 0))
+    with pytest.raises(DimensionError):
+        rc.reservoir_update(buf, (np.zeros(3), 1))
+    assert len(buf) == 1 and buf.seen_count == 1
+    xs, ys, _ = buf.sample_batch(4, np.random.default_rng(0))
+    assert xs.shape == (1, 2) and list(ys) == [0]
 
 
 # ---------------------------------------------------------------------------

@@ -339,6 +339,21 @@ def test_r_der_handles_mixed_stored_widths(two_task_pair, batch):
     assert terms["mse_buffer"] == pytest.approx(0.0, abs=1e-15)
 
 
+def test_r_der_mixed_width_mse_equals_the_per_row_formula(two_task_pair, batch):
+    student, teacher = two_task_pair
+    x, y, x_adv = batch
+    cfg = methods.make_method_config("r-der", ATTACK, alpha=1.0)
+    xb = x[:3]
+    full = student.forward(xb)
+    stored = [full[0, :2] + 0.3, full[1] - np.array([0.1, 0.2, 0.3, 0.4]),
+              1.5 * full[2, :2]]
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, (xb, y[:3], stored), xb)
+    expected = np.mean([np.mean((full[i, :z.size] - z) ** 2)
+                        for i, z in enumerate(stored)])
+    assert expected > 0.0
+    assert terms["mse_buffer"] == pytest.approx(expected, rel=1e-12)
+
+
 def test_r_er_ace_masks_to_batch_classes(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch

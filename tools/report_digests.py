@@ -17,6 +17,9 @@ refactor leaves reports and checkpoints byte-identical:
     python3 tools/report_digests.py --src ../parent/src > before.txt
     diff before.txt after.txt
 
+`--seed N` sets every run's experiment seed (default 1), so the same
+comparison can run at seeds other than the one the runs were tuned on.
+
 All runs write under one temporary directory with the same relative
 `output_dir`, so the echoed config text is the same on both sides.
 """
@@ -43,9 +46,9 @@ OTHER_ACTIVATIONS = ("tanh", "softplus", "identity")
 
 
 def tiny_config(method: str, buffer_kind: str, augment: bool,
-                activation: str = "relu") -> dict:
+                activation: str = "relu", seed: int = 1) -> dict:
     cfg = {
-        "seed": 1,
+        "seed": seed,
         "output_dir": "run",
         "dataset": {"kind": "gaussian", "n_classes": 6, "dim": 8,
                     "separation": 8.0, "train_per_class": 30,
@@ -81,6 +84,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(DEFAULT_SRC),
                         help="source tree holding the robustcl package")
+    parser.add_argument("--seed", type=int, default=1,
+                        help="experiment seed of every run (default 1)")
     args = parser.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     import robustcl as rc
@@ -95,7 +100,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name, kind, augment, act in runs:
-            report, ckpt = run_digests(rc, tiny_config(name, kind, augment, act))
+            report, ckpt = run_digests(rc, tiny_config(name, kind, augment, act,
+                                                         args.seed))
             tag = ("+augment" if augment else "") + ("" if act == "relu" else f"@{act}")
             print(f"{name}/{kind}{tag} {report} {ckpt}", flush=True)
     return 0
