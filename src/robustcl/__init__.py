@@ -16,7 +16,7 @@ from .methods import (MethodConfig, RegState, build_training_loss,
 from .metrics import (AccuracyMatrix, FlatnessReport, accuracy,
                       flatness_forgetting, landscape_grid, r_bwt,
                       robust_accuracy)
-from .network import (Layer, Network, ParamNodes, expand_head, grad_input,
+from .network import (Layer, Network, Passes, expand_head, grad_input,
                       grad_params, hessian_input, sgd_step, snapshot)
 from .runner import (ExperimentConfig, RunReport, config_from_dict,
                      emit_report, expand_grid, load_checkpoint, load_config,

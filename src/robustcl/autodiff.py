@@ -1,17 +1,17 @@
 """Minimal reverse-mode automatic differentiation over numpy float64 arrays.
 
-The op set covers exactly what dense feed-forward stacks and logit-space
-losses need: matmul, broadcasting add/mul, `pointwise` activations, a
-stabilized log-softmax, column, row-slice and per-row gathers, and reductions.
-Graphs are built per evaluation and discarded afterwards. A leaf built
-with ``Node(value)`` is a variable and keeps the gradient of the last
-`backward` call; a raw value wrapped by `lift` (as ops do with array
-operands) is a constant. A derived node requires a gradient when a parent
-does. `backward` works only along paths to variables: constants (frozen
-weights, data, teacher logits) cost it nothing and keep ``.grad is None``.
-The engine serves parameter gradients. Input gradients of a network come
-from `network.Network.input_vjp`, which uses a graph only for the loss on
-a logits leaf.
+The op set covers what logit-space losses and parameter penalties need
+(broadcasting add/mul, `pointwise`, a stabilized log-softmax, column,
+row-slice and per-row gathers, reductions) plus `matmul` for the reference
+graph of `network.Network.forward_graph`. Graphs are built per evaluation
+and discarded afterwards. A leaf built with ``Node(value)`` is a variable
+and keeps the gradient of the last `backward` call; a raw value wrapped by
+`lift` (as ops do with array operands) is a constant. A derived node
+requires a gradient when a parent does. `backward` works only along paths
+to variables: constants (frozen weights, data, teacher logits) cost it
+nothing and keep ``.grad is None``. Losses are built on logits leaves;
+`network.Network.input_vjp` and `network.Passes` carry a leaf's gradient
+back to the input and the parameters.
 
 Gradients are exact (no numerical approximation) and accumulate correctly
 when a node is consumed by several downstream ops, including when the

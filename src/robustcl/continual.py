@@ -22,7 +22,7 @@ from .data import Dataset, augment
 from .errors import (ArgumentError, ConfigurationError, ContractError,
                      DimensionError, NumericError)
 from .methods import MethodConfig, RegState
-from .network import Network, ParamNodes, sgd_step, snapshot
+from .network import Network, Passes, sgd_step, snapshot
 from .seeding import derive_rng, derive_seed
 
 Array = np.ndarray
@@ -317,17 +317,17 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
                                np.concatenate([y, yb]), atk, parts=parts)
                     x_adv, x_adv_buffer = both[:len(x)], both[len(x):]
 
-                params = ParamNodes(student)
+                passes = Passes(student)
                 loss, terms = methods.build_training_loss(
                     method_cfg, student, teacher, (x, y), buffer_batch,
-                    x_adv, x_adv_buffer, reg, params)
+                    x_adv, x_adv_buffer, reg, passes)
                 if not np.isfinite(float(loss.value)):
                     raise NumericError(f"non-finite loss; terms {terms}")
             except NumericError as exc:
                 raise NumericError(f"task {task_index} epoch {epoch} "
                                    f"batch {b}: {exc}") from exc
             ad.backward(loss)
-            grads = params.grads()
+            grads = passes.grads()
             before = student.flatten()
             after = sgd_step(before, grads, lr, schedule.weight_decay)
             student.load_params(after)

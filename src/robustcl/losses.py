@@ -68,7 +68,7 @@ def one_hot_in_slice(y, start: int, end: int) -> Array:
     Labels outside the slice produce an all-zero target row, which is how
     replayed old-class examples enter a new-task multilabel term.
     """
-    y = np.asarray(y, dtype=np.int64)
+    y = _integer_labels(y)
     t = np.zeros((y.size, end - start))
     inside = (y >= start) & (y < end)
     t[np.nonzero(inside)[0], y[inside] - start] = 1.0

@@ -13,10 +13,11 @@ pool) and separate for a reservoir (a replay batch is drawn, attacked in
 the batch's own PGD call and passed to the builder). When a replay term
 reads the replay rows, the reservoir builders run the student once over
 the batch and the replay batch stacked and split the logits with
-`autodiff.take_rows`. Builders return graph nodes so one backward pass
-yields exact parameter gradients; zero-weighted terms are skipped
-entirely, which makes endpoint reductions bit-exact. `build_training_loss`
-is the one entry point that sums a method's terms.
+`autodiff.take_rows`. Builders return graph nodes on the leaves of a
+`network.Passes` recorder, one pass per (model, input), so one backward
+pass and `Passes.grads()` yield exact parameter gradients; zero-weighted
+terms are skipped entirely, which makes endpoint reductions bit-exact.
+`build_training_loss` is the one entry point that sums a method's terms.
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ from . import losses
 from .attacks import AttackConfig
 from .autodiff import Node
 from .errors import ArgumentError, ConfigurationError, ContractError, DimensionError
-from .network import Network, ParamNodes, grad_params, split
+from .network import Network, Passes, grad_params, split
 
 Array = np.ndarray
 
@@ -45,7 +46,7 @@ SI_XI = 1e-3         # SI damping of the squared total parameter change
 class MethodInfo:
     name: str
     # terms(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-    #       reg, params) -> {term name: scalar node}
+    #       reg, passes) -> {term name: scalar node}
     terms: Callable[..., dict[str, Node]]
     default_alpha: float = 0.0
     default_beta: float = 0.0
@@ -140,12 +141,11 @@ class RegState:
                         grow(self.anchor), new_layout)
 
 
-def _quadratic_penalty(params: ParamNodes, weights: Array, anchor: Array,
+def _quadratic_penalty(passes: Passes, weights: Array, anchor: Array,
                        layout) -> Node:
-    """sum_i weights_i * (theta_i - anchor_i)^2 as a graph node."""
-    nodes = [node for pair in params.pairs for node in pair]
+    """sum_i weights_i * (theta_i - anchor_i)^2 on the leaves of `passes`."""
     total: Node | None = None
-    for node, w, a in zip(nodes, split(weights, layout), split(anchor, layout)):
+    for node, w, a in zip(passes.leaves, split(weights, layout), split(anchor, layout)):
         d = ad.sub(node, a)
         term = ad.sum_all(ad.mul(ad.mul(d, d), w))
         total = term if total is None else ad.add(total, term)
@@ -224,33 +224,33 @@ def _replay(buffer_batch, x_adv_buffer):
 # term builders; each has the signature of `MethodInfo.terms`
 
 
-def _ce_adv(student: Network, x_adv: Array, y, params: ParamNodes) -> dict[str, Node]:
-    return {"ce_adv": losses.ce(student.forward_graph(x_adv, params), y)}
+def _ce_adv(x_adv: Array, y, passes: Passes) -> dict[str, Node]:
+    return {"ce_adv": losses.ce(passes.logits(x_adv), y)}
 
 
 def _pgd_at(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-            reg, params):
-    return _ce_adv(student, x_adv, batch[1], params)
+            reg, passes):
+    return _ce_adv(x_adv, batch[1], passes)
 
 
 def _trades(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-            reg, params):
+            reg, passes):
     x, y = batch
-    clean = student.forward_graph(x, params)
+    clean = passes.logits(x)
     terms = {"ce_clean": losses.ce(clean, y)}
     if cfg.alpha != 0.0:
-        adv = student.forward_graph(x_adv, params)
+        adv = passes.logits(x_adv)
         terms["kl_adv_clean"] = cfg.alpha * losses.kl_div(adv, clean)
     return terms
 
 
 def _mart(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-          reg, params):
+          reg, passes):
     x, y = batch
-    adv = student.forward_graph(x_adv, params)
+    adv = passes.logits(x_adv)
     terms = {"bce_adv": losses.bce_multilabel(adv, losses.one_hot(y, student.out_dim))}
     if cfg.alpha != 0.0:
-        clean = student.forward_graph(x, params)
+        clean = passes.logits(x)
         p_true = ad.exp(ad.take_per_row(ad.log_softmax(clean), np.asarray(y)))
         weight = ad.sub(1.0, p_true)
         kl = losses.kl_rows(adv, clean)
@@ -259,13 +259,13 @@ def _mart(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
 
 
 def _i_ard(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-           reg, params):
+           reg, passes):
     """Adversarial CE plus KL of the old slice at x_adv to the clean teacher."""
     x, y = batch
     if teacher is None:
-        return _ce_adv(student, x_adv, y, params)
+        return _ce_adv(x_adv, y, passes)
     w = _check_teacher(student, teacher)
-    adv = student.forward_graph(x_adv, params)
+    adv = passes.logits(x_adv)
     terms = {"ce_adv": losses.ce(adv, y)}
     if cfg.beta != 0.0:
         terms["distill"] = cfg.beta * losses.kl_div(ad.take_cols(adv, slice(0, w)),
@@ -274,53 +274,55 @@ def _i_ard(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
 
 
 def _i_rslad(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-             reg, params, adversarial_reference=False):
+             reg, passes, adversarial_reference=False):
     """Adversarial CE plus distillation whose adversarial branch (weight
     alpha) and clean branch (1 - alpha) both match the old slice to the
     teacher; i-adaad takes the teacher at x_adv as the adversarial reference."""
     x, y = batch
     if teacher is None:
-        return _ce_adv(student, x_adv, y, params)
+        return _ce_adv(x_adv, y, passes)
     old = slice(0, _check_teacher(student, teacher))
-    adv = student.forward_graph(x_adv, params)
+    adv = passes.logits(x_adv)
     terms = {"ce_adv": losses.ce(adv, y)}
     if cfg.beta == 0.0:
         return terms
     parts: dict[str, Node] = {}
+    clean_teacher = (None if adversarial_reference and cfg.alpha == 1.0
+                     else teacher.forward(x))
     if cfg.alpha != 0.0:
-        reference = teacher.forward(x_adv if adversarial_reference else x)
+        reference = teacher.forward(x_adv) if adversarial_reference else clean_teacher
         parts["adv"] = cfg.alpha * losses.kl_div(ad.take_cols(adv, old), reference)
     if cfg.alpha != 1.0:
-        clean = student.forward_graph(x, params)
+        clean = passes.logits(x)
         parts["clean"] = (1.0 - cfg.alpha) * losses.kl_div(ad.take_cols(clean, old),
-                                                           teacher.forward(x))
+                                                           clean_teacher)
     if parts:
         terms["distill"] = cfg.beta * _total(parts)
     return terms
 
 
 def _r_lwf(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-           reg, params):
+           reg, passes):
     x, y = batch
-    terms = _ce_adv(student, x_adv, y, params)
+    terms = _ce_adv(x_adv, y, passes)
     if cfg.alpha != 0.0 and teacher is not None:
         w = _check_teacher(student, teacher)
-        clean = student.forward_graph(x, params)
+        clean = passes.logits(x)
         terms["distill"] = cfg.alpha * losses.kl_div(
             ad.take_cols(clean, slice(0, w)), teacher.forward(x))
     return terms
 
 
 def _multilabel_distill(cfg, student, teacher, batch, buffer_batch, x_adv,
-                        x_adv_buffer, reg, params):
+                        x_adv_buffer, reg, passes):
     """r-lwf-mc and r-icarl: multilabel fit of the new slice at x_adv plus
     sigmoid distillation of the clean old slice; r-icarl's batch already
     holds the replayed exemplars."""
     x, y = batch
     terms = {"bce_new": _new_slice_bce(student, teacher,
-                                       student.forward_graph(x_adv, params), y)}
+                                       passes.logits(x_adv), y)}
     if teacher is not None:
-        clean = student.forward_graph(x, params)
+        clean = passes.logits(x)
         terms["bce_distill"] = losses.bce_multilabel(
             ad.take_cols(clean, slice(0, teacher.out_dim)),
             losses.sigmoid(teacher.forward(x)))
@@ -328,37 +330,37 @@ def _multilabel_distill(cfg, student, teacher, batch, buffer_batch, x_adv,
 
 
 def _penalized(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-               reg, params, importance="fisher"):
+               reg, passes, importance="fisher"):
     """Adversarial CE plus alpha * sum importance * (theta - anchor)^2, where
     `importance` names the RegState field (fisher for EWC, omega for SI)."""
     if reg is None:
         raise ContractError(f"{cfg.name} needs an initialized regularization state")
-    terms = _ce_adv(student, x_adv, batch[1], params)
+    terms = _ce_adv(x_adv, batch[1], passes)
     if cfg.alpha != 0.0:
         terms["penalty"] = cfg.alpha * _quadratic_penalty(
-            params, getattr(reg, importance), reg.anchor, reg.layout)
+            passes, getattr(reg, importance), reg.anchor, reg.layout)
     return terms
 
 
-def _batch_and_replay_logits(student: Network, params: ParamNodes, x_adv: Array,
+def _batch_and_replay_logits(passes: Passes, x_adv: Array,
                              x_adv_buffer: Array) -> tuple[Node, Node]:
     """Student logits of the batch and of the replay rows, from one pass
     over both stacked."""
     n = len(x_adv)
-    logits = student.forward_graph(np.concatenate([x_adv, x_adv_buffer]), params)
+    logits = passes.logits(np.concatenate([x_adv, x_adv_buffer]))
     return ad.take_rows(logits, slice(0, n)), ad.take_rows(logits, slice(n, None))
 
 
 def _r_er(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-          reg, params, asymmetric=False):
+          reg, passes, asymmetric=False):
     """CE on the current batch (r-er-ace: asymmetric CE over the classes
     present in it) plus CE on the replayed samples."""
     y = batch[1]
     replay = _replay(buffer_batch, x_adv_buffer)
     if replay is None:
-        adv = student.forward_graph(x_adv, params)
+        adv = passes.logits(x_adv)
     else:
-        adv, adv_buffer = _batch_and_replay_logits(student, params, x_adv, replay[0])
+        adv, adv_buffer = _batch_and_replay_logits(passes, x_adv, replay[0])
     if asymmetric:
         present = np.unique(np.asarray(y, dtype=np.int64))
         terms = {"ace_adv": losses.ace(adv, y, present)}
@@ -390,19 +392,19 @@ def _der_mse(logits: Node, stored_logits: Sequence[Array]) -> Node:
 
 
 def _r_der(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-           reg, params, replay_ce=False):
+           reg, passes, replay_ce=False):
     """Adversarial CE plus alpha * MSE to the logits stored with each
     replayed sample; r-der++ (replay_ce) adds beta * CE on replayed labels."""
     replay = _replay(buffer_batch, x_adv_buffer)
     if replay is None:
-        return _ce_adv(student, x_adv, batch[1], params)
+        return _ce_adv(x_adv, batch[1], passes)
     xab, yb, zb = replay
     if zb is None or any(z is None for z in zb):
         raise ConfigurationError(f"{cfg.name} needs stored logits in the buffer")
     use_ce = replay_ce and cfg.beta != 0.0
     if cfg.alpha == 0.0 and not use_ce:   # no term reads the replay rows
-        return _ce_adv(student, x_adv, batch[1], params)
-    adv, adv_buffer = _batch_and_replay_logits(student, params, x_adv, xab)
+        return _ce_adv(x_adv, batch[1], passes)
+    adv, adv_buffer = _batch_and_replay_logits(passes, x_adv, xab)
     terms = {"ce_adv": losses.ce(adv, batch[1])}
     if cfg.alpha != 0.0:
         terms["mse_buffer"] = cfg.alpha * _der_mse(adv_buffer, zb)
@@ -415,24 +417,25 @@ def _r_der(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
 # FLAIR: separated-logit distillation and flatness-preserving distillation
 
 
-def flatness_distill_loss(student: Network, teacher: Network, x, x_adv,
-                          metric: str = "kl",
-                          params: ParamNodes | None = None) -> Node:
+def flatness_distill_loss(passes: Passes, teacher: Network, x, x_adv,
+                          metric: str = "kl", adv: Node | None = None,
+                          teacher_adv: Array | None = None) -> Node:
     """Match the clean-vs-adversarial output difference against the teacher.
 
     The difference f(x_adv) - f(x) carries first- and second-order
     input-space information, so matching it on the old-class slice keeps
-    past gradients and Hessians close to the teacher's.
+    past gradients and Hessians close to the teacher's. `adv` and
+    `teacher_adv` are the student's and teacher's logits at x_adv, if known.
     """
     if teacher is None:
         raise ContractError("flatness distillation needs a frozen teacher")
     x_adv = _require_adv(x_adv)
-    params = params or ParamNodes(student)
-    w = _check_teacher(student, teacher)
+    w = _check_teacher(passes.net, teacher)
     old = slice(0, w)
-    delta_student = ad.sub(ad.take_cols(student.forward_graph(x_adv, params), old),
-                           ad.take_cols(student.forward_graph(x, params), old))
-    delta_teacher = teacher.forward(x_adv) - teacher.forward(x)
+    adv = passes.logits(x_adv) if adv is None else adv
+    teacher_adv = teacher.forward(x_adv) if teacher_adv is None else teacher_adv
+    delta_student = ad.sub(ad.take_cols(adv, old), ad.take_cols(passes.logits(x), old))
+    delta_teacher = teacher_adv - teacher.forward(x)
     if metric == "kl":
         return losses.kl_div(delta_teacher, delta_student)
     if metric == "mse":
@@ -441,23 +444,26 @@ def flatness_distill_loss(student: Network, teacher: Network, x, x_adv,
 
 
 def _flair(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-           reg, params):
+           reg, passes):
     """Multilabel fit of the new slice at x_adv, alpha * sigmoid distillation
     of the old slice at x_adv to the teacher, and beta * flatness distillation.
 
     The new-slice term reads only the newest head columns, so its gradient
-    w.r.t. old-class output weights is exactly zero.
+    w.r.t. old-class output weights is exactly zero. Student and teacher
+    run once over x_adv for all three terms.
     """
     x, y = batch
-    adv = student.forward_graph(x_adv, params)
+    adv = passes.logits(x_adv)
     terms = {"bce_new": _new_slice_bce(student, teacher, adv, y)}
-    if teacher is not None and cfg.alpha != 0.0:
+    if teacher is None or cfg.alpha == cfg.beta == 0.0:
+        return terms
+    teacher_adv = teacher.forward(x_adv)
+    if cfg.alpha != 0.0:
         terms["bce_distill"] = cfg.alpha * losses.bce_multilabel(
-            ad.take_cols(adv, slice(0, teacher.out_dim)),
-            losses.sigmoid(teacher.forward(x_adv)))
-    if teacher is not None and cfg.beta != 0.0:
-        terms["fpd"] = cfg.beta * flatness_distill_loss(student, teacher, x, x_adv,
-                                                        cfg.fpd_metric, params)
+            ad.take_cols(adv, slice(0, teacher.out_dim)), losses.sigmoid(teacher_adv))
+    if cfg.beta != 0.0:
+        terms["fpd"] = cfg.beta * flatness_distill_loss(
+            passes, teacher, x, x_adv, cfg.fpd_metric, adv, teacher_adv)
     return terms
 
 
@@ -501,8 +507,8 @@ REGISTRY: dict[str, MethodInfo] = {m.name: m for m in [
 def build_training_loss(cfg: MethodConfig, student: Network,
                         teacher: Network | None, batch, buffer_batch,
                         x_adv, x_adv_buffer, reg: RegState | None,
-                        params: ParamNodes) -> tuple[Node, dict[str, float]]:
+                        passes: Passes) -> tuple[Node, dict[str, float]]:
     """Sum the configured method's terms; returns (node, term values)."""
     terms = cfg.info.terms(cfg, student, teacher, batch, buffer_batch,
-                           _require_adv(x_adv), x_adv_buffer, reg, params)
+                           _require_adv(x_adv), x_adv_buffer, reg, passes)
     return _total(terms), {k: float(v.value) for k, v in terms.items()}

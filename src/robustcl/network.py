@@ -4,13 +4,13 @@ A `Network` is a stack of (weight, bias, activation) layers in float64.
 The final layer emits pre-softmax logits; `head_boundaries` records the
 cumulative class count after each task so losses can slice the head by
 task range. Each activation is one `(fn, deriv)` entry of `_ACTIVATIONS`
-that `forward`, `input_vjp` and `forward_graph` (via `autodiff.pointwise`)
-all apply. `input_vjp` is a forward walk that keeps each layer's
-activations plus a backward walk through them, so it gives the input
-gradients of `backward` through `forward_graph` bit for bit while only
-the loss on the logits is a graph. Exact parameter gradients come from
-the reverse-mode engine in `autodiff`. Input Hessians are central finite
-differences of those exact gradients.
+that `forward`, `_backward` and `forward_graph` (via `autodiff.pointwise`)
+all apply. Every exact gradient is a forward walk that keeps each layer's
+activations plus a backward walk through them (`_backward`), to the input
+(`input_vjp`) or to the parameters (`Passes`); only the loss on the
+logits is a graph, and the gradients equal those of `backward` through
+`forward_graph` bit for bit. Input Hessians are central finite
+differences of exact input gradients.
 """
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from .errors import (ArgumentError, CapacityError, ContractError,
 Array = np.ndarray
 
 # name -> (fn, deriv(pre-activation, activation)), or None for identity.
-# `forward`, `input_vjp`, `forward_graph` and `losses.bce_rows` all read
+# `forward`, `_backward`, `forward_graph` and `losses.bce_rows` all read
 # this one entry.
 _ACTIVATIONS: dict[str, tuple[Callable, Callable] | None] = {
     "relu": (lambda x: np.maximum(x, 0.0), lambda pre, out: pre > 0),
@@ -65,6 +65,23 @@ def _walk(h: Array, layers: Sequence[Layer]) -> tuple[Array, list]:
         h = pre if act is None else act[0](pre)
         kept.append((layer.weight, act, pre, h))
     return h, kept
+
+
+def _backward(kept: list, g: Array, x: Array | None = None):
+    """Logit gradient `g` walked back through `_walk`'s kept layers: the
+    input gradient, or, given the walk's input `x`, the parameter
+    gradients in `layout()` order (skipping the first layer's `g @ W.T`)."""
+    blocks: list[Array] = []
+    for i in reversed(range(len(kept))):
+        weight, act, pre, out = kept[i]
+        if act is not None:
+            g = g * act[1](pre, out)
+        if x is not None:
+            blocks[:0] = [(kept[i - 1][3] if i else x).T @ g, g.sum(axis=0)]
+            if i == 0:
+                return blocks
+        g = g @ weight.T
+    return g
 
 
 class Network:
@@ -148,30 +165,21 @@ class Network:
         """Logits of `x` and the map from a logit gradient to the input gradient.
 
         The forward pass is `forward`'s walk (without its checks); the
-        returned map walks the kept layers backward with `g * deriv(pre,
-        out)` and `g @ W.T`. Weights are constants: this is the input
-        gradient of a frozen network.
+        returned map is `_backward` through its kept layers. Weights are
+        constants: this is the input gradient of a frozen network.
         """
         h, kept = _walk(x, self.layers)
+        return h, lambda g: _backward(kept, g)
 
-        def vjp(g: Array) -> Array:
-            for weight, act, pre, out in reversed(kept):
-                if act is not None:
-                    g = g * act[1](pre, out)
-                g = g @ weight.T
-            return g
-
-        return h, vjp
-
-    def forward_graph(self, x, params: "ParamNodes | None" = None) -> Node:
-        """Differentiable forward pass; reuses `params` leaves when given."""
+    def forward_graph(self, x, leaves: Sequence[Node] | None = None) -> Node:
+        """Forward pass as a graph on `leaves` (one per array, `layout()`
+        order; default: constant weights): the kernels' reference."""
         h = ad.lift(x)
         if h.value.ndim != 2 or h.value.shape[1] != self.input_dim:
             raise DimensionError(f"expected (batch, {self.input_dim}) input, "
                                  f"got {h.value.shape}")
-        pairs = params.pairs if params is not None else \
-            [(ad.lift(l.weight), ad.lift(l.bias)) for l in self.layers]
-        for layer, (w, b) in zip(self.layers, pairs):
+        leaves = leaves or [a for l in self.layers for a in (l.weight, l.bias)]
+        for layer, w, b in zip(self.layers, leaves[::2], leaves[1::2]):
             act = _ACTIVATIONS[layer.activation]
             h = ad.add(ad.matmul(h, w), b)
             h = h if act is None else ad.pointwise(h, *act)
@@ -231,25 +239,34 @@ def split(vector: Array, layout: Sequence[tuple[int, ...]]) -> list[Array]:
     return out
 
 
-class ParamNodes:
-    """Leaf nodes for every parameter array of a network.
+class Passes:
+    """Forward passes of one network whose parameter gradients are summed.
 
-    Reusing one `ParamNodes` across several forward passes makes the
-    backward pass accumulate gradients from all of them, which is what
-    composite losses need.
-    """
+    `logits(x)` is one `_walk` with its logits as a graph leaf; `leaves`
+    are one variable per parameter array. After `autodiff.backward`,
+    `grads()` adds the leaves' gradients and, in call order, each reached
+    logits leaf's gradient walked back through its pass (`_backward`)."""
 
     def __init__(self, net: Network):
-        self.pairs = [(Node(l.weight), Node(l.bias)) for l in net.layers]
+        self.net = net
+        self.leaves = [Node(a) for l in net.layers for a in (l.weight, l.bias)]
+        self._passes: list[tuple[Array, list, Node]] = []
+
+    def logits(self, x: Array) -> Node:
+        x = self.net._check_input(x)
+        h, kept = _walk(x, self.net.layers)
+        self._passes.append((x, kept, Node(h)))
+        return self._passes[-1][2]
 
     def grads(self) -> Array:
-        """Accumulated gradients as one plain vector in `layout()` order
-        (zeros for a leaf no loss reached)."""
-        parts = []
-        for w, b in self.pairs:
-            parts.append((w.grad if w.grad is not None else np.zeros_like(w.value)).ravel())
-            parts.append(b.grad if b.grad is not None else np.zeros_like(b.value))
-        return np.concatenate(parts)
+        """The sum as one vector in `layout()` order (zeros where no loss reached)."""
+        sums = [leaf.grad for leaf in self.leaves]
+        for x, kept, z in self._passes:
+            if z.grad is not None:
+                for i, c in enumerate(_backward(kept, z.grad, x)):
+                    sums[i] = c if sums[i] is None else sums[i] + c
+        return np.concatenate([(np.zeros_like(leaf.value) if g is None else g).ravel()
+                               for g, leaf in zip(sums, self.leaves)])
 
 
 # ---------------------------------------------------------------------------
@@ -260,14 +277,9 @@ def grad_params(net: Network, scalar_loss: Callable, batch: tuple) -> Array:
     """Exact gradient of `scalar_loss(logits, aux)` w.r.t. every parameter,
     as one plain vector in `layout()` order."""
     x, aux = batch
-    params = ParamNodes(net)
-    logits = net.forward_graph(net._check_input(x), params)
-    _raise_on_bad_rows(logits.value)
-    loss = scalar_loss(logits, aux)
-    if not np.isfinite(loss.value).all():
-        raise NumericError(f"non-finite loss value {float(loss.value)!r}")
-    ad.backward(loss)
-    grads = params.grads()
+    passes = Passes(net)
+    _backward_loss(scalar_loss, passes.logits(x), aux)
+    grads = passes.grads()
     _check_finite(grads, "parameter gradient")
     return grads
 
@@ -279,21 +291,22 @@ def grad_input(net: Network, scalar_loss: Callable, x: Array, aux) -> Array:
     gradient back through the network.
     """
     logits, vjp = net.input_vjp(net._check_input(x))
-    _raise_on_bad_rows(logits)
     z = Node(logits)
-    loss = scalar_loss(z, aux)
-    if not np.isfinite(loss.value).all():
-        raise NumericError(f"non-finite loss value {float(loss.value)!r}")
-    ad.backward(loss)
+    _backward_loss(scalar_loss, z, aux)
     grad = vjp(z.grad)
     _check_finite(grad, "input gradient")
     return grad
 
 
-def _raise_on_bad_rows(logits: Array) -> None:
-    bad = ~np.isfinite(logits).all(axis=1)
+def _backward_loss(scalar_loss: Callable, z: Node, aux) -> None:
+    """`ad.backward(scalar_loss(z, aux))` once `z`'s rows and the loss are finite."""
+    bad = ~np.isfinite(z.value).all(axis=1)
     if bad.any():
         raise NumericError(f"non-finite logits for batch index {int(np.argmax(bad))}")
+    loss = scalar_loss(z, aux)
+    if not np.isfinite(loss.value).all():
+        raise NumericError(f"non-finite loss value {float(loss.value)!r}")
+    ad.backward(loss)
 
 
 def hessian_input(net: Network, scalar_loss: Callable, x: Array, aux,

@@ -270,7 +270,7 @@ def test_run_task_first_task_flair_uses_new_slice_bce_only():
     _, terms = methods.build_training_loss(
         methods.make_method_config("flair", ATTACK), net, None,
         (np.zeros((2, 4)), np.array([0, 1])), None, np.zeros((2, 4)), None, None,
-        rc.ParamNodes(net))
+        rc.Passes(net))
     assert set(terms) == {"bce_new"}
 
 

@@ -187,6 +187,13 @@ def test_slice_bounds_convention():
         losses.slice_bounds([2, 4], 1, 1)
 
 
+@pytest.mark.parametrize("y", [[0.5, 1.7, 0.2], [0.0, np.nan, 1.0]],
+                         ids=["fraction", "nan"])
+def test_one_hot_in_slice_rejects_non_integer_labels(y):
+    with pytest.raises(LabelError):
+        losses.one_hot_in_slice(np.array(y), 0, 2)
+
+
 def test_one_hot_in_slice_zero_rows_for_outside_labels():
     t = losses.one_hot_in_slice(np.array([0, 2, 3]), 2, 4)
     assert np.array_equal(t, [[0, 0], [1, 0], [0, 1]])

@@ -4,8 +4,10 @@ import pytest
 import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl import losses, methods
-from robustcl.errors import ConfigurationError, ContractError
+from robustcl.errors import ConfigurationError, ContractError, LabelError
 from robustcl.network import split
+
+from conftest import finite_difference_param_grad
 
 ATTACK = rc.AttackConfig(epsilon=0.05, step_size=0.0125, n_steps=3,
                          random_start=False, clamp_range=None, seed=0)
@@ -23,7 +25,7 @@ def build(cfg, student, teacher, batch, x_adv, buffer_batch=None, x_adv_buffer=N
           reg=None):
     """(loss node, {term: value}) from the training-loop entry point."""
     return methods.build_training_loss(cfg, student, teacher, batch, buffer_batch,
-                                       x_adv, x_adv_buffer, reg, rc.ParamNodes(student))
+                                       x_adv, x_adv_buffer, reg, rc.Passes(student))
 
 
 @pytest.fixture
@@ -396,30 +398,42 @@ def test_separated_logit_distill_grad_zero_when_matching(two_task_pair, batch):
     # distillation term sits at its stationary point for the logits
     x, y, x_adv = batch
     cfg = make_cfg("flair", alpha=1.0, beta=0.0)
-    params = rc.ParamNodes(student)
+    passes = rc.Passes(student)
     terms = cfg.info.terms(cfg, student, teacher, (x, y), None, x_adv, None, None,
-                           params)
+                           passes)
     ad.backward(terms["bce_distill"])
+    blocks = split(passes.grads(), student.layout())
     # the gradient through sigma(z) - sigma(z_teacher) = 0 vanishes everywhere
-    assert all(np.max(np.abs(w.grad)) < 1e-12 and np.max(np.abs(b.grad)) < 1e-12
-               for w, b in params.pairs)
+    assert all(np.max(np.abs(w)) < 1e-12 and np.max(np.abs(b)) < 1e-12
+               for w, b in zip(blocks[::2], blocks[1::2]))
 
 
 def test_new_slice_term_has_exactly_zero_grad_on_old_output_rows(two_task_pair,
                                                                  batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
-    params = rc.ParamNodes(student)
+    passes = rc.Passes(student)
     loss, _ = methods.build_training_loss(make_cfg("flair", alpha=0.0, beta=0.0),
                                           student, teacher, (x, y), None, x_adv,
-                                          None, None, params)
+                                          None, None, passes)
     ad.backward(loss)
-    w_out, b_out = params.pairs[-1]
+    w_out, b_out = split(passes.grads(), student.layout())[-2:]
     old = teacher.out_dim
-    assert np.array_equal(w_out.grad[:, :old], np.zeros_like(w_out.grad[:, :old]))
-    assert np.array_equal(b_out.grad[:old], np.zeros(old))
+    assert np.array_equal(w_out[:, :old], np.zeros_like(w_out[:, :old]))
+    assert np.array_equal(b_out[:old], np.zeros(old))
     # while the new columns do receive gradient
-    assert np.max(np.abs(w_out.grad[:, old:])) > 0
+    assert np.max(np.abs(w_out[:, old:])) > 0
+
+
+@pytest.mark.parametrize("name", ["flair", "flair+", "r-lwf-mc", "r-icarl"])
+def test_multilabel_losses_reject_non_integer_labels(two_task_pair, batch, name):
+    # these losses build their targets with one_hot_in_slice, which must not
+    # truncate 2.5 to class 2
+    student, teacher = two_task_pair
+    x, _, x_adv = batch
+    y = np.array([2.5, 3.7, 2.2, 3.0, 2.0, 3.0])
+    with pytest.raises(LabelError):
+        build(make_cfg(name), student, teacher, (x, y), x_adv)
 
 
 # ---------------------------------------------------------------------------
@@ -431,21 +445,21 @@ def test_fpd_zero_when_student_equals_teacher(batch):
     teacher = rc.snapshot(teacher_net)
     student = rc.expand_head(teacher_net, 2, seed=22)
     x, y, x_adv = batch
-    assert val(rc.flatness_distill_loss(student, teacher, x, x_adv)) == \
+    assert val(rc.flatness_distill_loss(rc.Passes(student), teacher, x, x_adv)) == \
         pytest.approx(0.0, abs=1e-12)
 
 
 def test_fpd_zero_when_adv_equals_clean(two_task_pair, batch):
     student, teacher = two_task_pair
     x, _, _ = batch
-    assert val(rc.flatness_distill_loss(student, teacher, x, x)) == 0.0
+    assert val(rc.flatness_distill_loss(rc.Passes(student), teacher, x, x)) == 0.0
 
 
 def test_fpd_requires_teacher(two_task_pair, batch):
     student, _ = two_task_pair
     x, _, x_adv = batch
     with pytest.raises(ContractError):
-        rc.flatness_distill_loss(student, None, x, x_adv)
+        rc.flatness_distill_loss(rc.Passes(student), None, x, x_adv)
 
 
 def test_fpd_mse_metric(two_task_pair, batch):
@@ -455,7 +469,7 @@ def test_fpd_mse_metric(two_task_pair, batch):
     ds = student.forward(x_adv)[:, :w] - student.forward(x)[:, :w]
     dt = teacher.forward(x_adv) - teacher.forward(x)
     expected = rc.mse(dt, ds)
-    got = rc.flatness_distill_loss(student, teacher, x, x_adv, metric="mse")
+    got = rc.flatness_distill_loss(rc.Passes(student), teacher, x, x_adv, metric="mse")
     assert val(got) == pytest.approx(val(expected), rel=1e-12)
 
 
@@ -555,7 +569,7 @@ def test_flair_beta_adds_only_the_fpd_term(two_task_pair, batch):
     assert list(without) == ["bce_new", "bce_distill"]
     assert list(terms) == ["bce_new", "bce_distill", "fpd"]
     assert {k: terms[k] for k in without} == without
-    fpd = rc.flatness_distill_loss(student, teacher, x, x_adv, metric="mse")
+    fpd = rc.flatness_distill_loss(rc.Passes(student), teacher, x, x_adv, metric="mse")
     assert terms["fpd"] == 2.0 * val(fpd)
 
 
@@ -568,6 +582,20 @@ def test_flair_first_task_reduces_to_full_head_bce(batch):
     assert val(loss) == val(expected)
 
 
+@pytest.mark.parametrize("name,overrides,teacher_passes", [
+    ("i-rslad", {"alpha": 0.5}, 1), ("i-adaad", {"alpha": 0.5}, 2), ("flair", {}, 2)],
+    ids=["i-rslad", "i-adaad", "flair"])
+def test_teacher_runs_once_per_input(two_task_pair, batch, monkeypatch, name,
+                                     overrides, teacher_passes):
+    student, teacher = two_task_pair
+    x, y, x_adv = batch
+    forward, inputs = teacher.forward, []
+    monkeypatch.setattr(teacher, "forward",
+                        lambda v: inputs.append(v) or forward(v))
+    build(make_cfg(name, **overrides), student, teacher, (x, y), x_adv)
+    assert len(inputs) == teacher_passes
+
+
 def test_flair_default_coefficients_accepted_from_config():
     cfg = make_cfg("flair")
     assert (cfg.alpha, cfg.beta) == (0.5, 2.0)
@@ -578,12 +606,12 @@ def test_build_training_loss_terms_are_finite_and_deterministic(two_task_pair,
     student, teacher = two_task_pair
     x, y, x_adv = batch
     cfg = make_cfg("flair")
-    params = rc.ParamNodes(student)
+    passes = rc.Passes(student)
     loss1, terms1 = methods.build_training_loss(cfg, student, teacher, (x, y),
-                                                None, x_adv, None, None, params)
+                                                None, x_adv, None, None, passes)
     loss2, terms2 = methods.build_training_loss(cfg, student, teacher, (x, y),
                                                 None, x_adv, None, None,
-                                                rc.ParamNodes(student))
+                                                rc.Passes(student))
     assert np.isfinite(val(loss1))
     assert val(loss1) == val(loss2)
     assert terms1 == terms2
@@ -635,6 +663,58 @@ def test_build_training_loss_dispatches_every_method(two_task_pair, batch, name,
     reg.anchor = student.flatten() + 0.1
     loss, terms = methods.build_training_loss(
         cfg, student, teacher if with_teacher else None, (x, y), buffer_batch,
-        x_adv, x_adv_buffer, reg, rc.ParamNodes(student))
+        x_adv, x_adv_buffer, reg, rc.Passes(student))
     assert np.isfinite(val(loss))
     assert set(terms) == EXPECTED_TERMS[name][0 if with_teacher else 1]
+
+
+# ---------------------------------------------------------------------------
+# whole-loss gradient oracle: every method's composite training loss
+# against central differences over all parameters
+
+# methods whose default coefficients leave a branch of the loss unused
+ORACLE_OVERRIDES = {"i-rslad": {"alpha": 0.5}, "i-adaad": {"alpha": 0.5}}
+
+
+def oracle_case(name, activation):
+    """Arguments of `build_training_loss` for `name` on a [6, 5] net over 4
+    inputs expanded to a second task, with a 3-row replay batch whose
+    stored logits have mixed widths, and a random Fisher, omega and anchor."""
+    rng = np.random.default_rng(71)
+    base = rc.Network.init_mlp(4, [6, 5], 2, activation=activation, seed=72)
+    teacher = rc.snapshot(base)
+    student = rc.expand_head(base, 2, seed=73)
+    x = rng.uniform(size=(5, 4))
+    y = np.array([2, 3, 2, 0, 3])
+    x_adv = x + rng.uniform(-0.05, 0.05, size=x.shape)
+    kind = methods.REGISTRY[name].default_buffer
+    cfg = make_cfg(name, buffer_kind=kind, **ORACLE_OVERRIDES.get(name, {}))
+    buffer_batch = x_adv_buffer = None
+    if kind.startswith("reservoir"):
+        xb = rng.uniform(size=(3, 4))
+        stored = [rng.normal(size=k) for k in (2, 4, 2)] \
+            if kind == "reservoir-with-logits" else [None] * 3
+        buffer_batch = (xb, np.array([0, 1, 3]), stored)
+        x_adv_buffer = xb + rng.uniform(-0.05, 0.05, size=xb.shape)
+    reg = methods.RegState.zeros(student)
+    reg.fisher = rng.uniform(size=student.n_params)
+    reg.omega = rng.uniform(size=student.n_params)
+    reg.anchor = student.flatten() + rng.normal(scale=0.1, size=student.n_params)
+    return cfg, student, teacher, (x, y), buffer_batch, x_adv, x_adv_buffer, reg
+
+
+@pytest.mark.parametrize("activation", ["tanh", "softplus"])
+@pytest.mark.parametrize("name", sorted(methods.REGISTRY))
+def test_training_loss_gradient_matches_central_differences(name, activation):
+    cfg, student, *rest = oracle_case(name, activation)
+    passes = rc.Passes(student)
+    loss, _ = methods.build_training_loss(cfg, student, *rest, passes)
+    ad.backward(loss)
+    grads = passes.grads()
+
+    def loss_value(net):
+        return val(methods.build_training_loss(cfg, net, *rest,
+                                               rc.Passes(net))[0])
+
+    fd = finite_difference_param_grad(student, loss_value, step=1e-5)
+    assert np.max(np.abs(grads - fd)) <= 1e-7 * np.max(np.abs(fd))

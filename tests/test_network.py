@@ -142,6 +142,30 @@ def test_grad_input_equals_the_graph_bit_for_bit(activation, scalar):
     assert np.array_equal(net.forward(x), logits.value)
 
 
+@pytest.mark.parametrize("n_passes", [1, 2], ids=["one-pass", "two-passes"])
+@pytest.mark.parametrize("activation", ACTIVATIONS)
+def test_passes_grads_equal_the_graph_bit_for_bit(activation, n_passes):
+    # reference: backward through forward_graph, every pass on the same
+    # parameter leaves; two addends per leaf sum the same in either order
+    net = rc.expand_head(rc.Network.init_mlp(4, [8, 8], 2, activation=activation,
+                                             seed=3), 2, seed=4)
+    rng = np.random.default_rng(13)
+    batches = [(rng.uniform(size=(6, 4)), rng.integers(0, 4, size=6))
+               for _ in range(n_passes)]
+
+    def total(logits_of):
+        losses = [rc.ce(logits_of(x), y) for x, y in batches]
+        return losses[0] if len(losses) == 1 else ad.add(*losses)
+
+    leaves = [ad.Node(a) for layer in net.layers for a in (layer.weight, layer.bias)]
+    ad.backward(total(lambda x: net.forward_graph(x, leaves)))
+    passes = rc.Passes(net)
+    ad.backward(total(passes.logits))
+    got = passes.grads()
+    assert np.array_equal(got, np.concatenate([leaf.grad.ravel() for leaf in leaves]))
+    assert np.any(got != 0.0)
+
+
 def test_grad_params_reports_offending_batch_index():
     net = identity_net(np.eye(2))
     x = np.array([[0.0, 0.0], [np.inf, 1.0]])
