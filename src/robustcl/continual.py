@@ -230,11 +230,12 @@ class Schedule:
     weight_decay: float = 1e-5
     milestones: tuple[int, ...] | None = None
 
-    # reference milestones (24, 31, 40) assume a 50-epoch task; scale them
+    # reference milestones (24, 31, 40) assume a 50-epoch task; scale them,
+    # never below epoch 1, so the first epoch always trains at `lr`
     def resolved_milestones(self) -> tuple[int, ...]:
         if self.milestones is not None:
             return tuple(self.milestones)
-        return tuple(int(round(self.epochs * m / 50)) for m in (24, 31, 40))
+        return tuple(max(1, round(self.epochs * m / 50)) for m in (24, 31, 40))
 
     def lr_at(self, epoch: int) -> float:
         drops = sum(1 for m in self.resolved_milestones() if epoch >= m)
@@ -298,29 +299,25 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
                 if method_cfg.augment:
                     x = augment(x, clamp, derive_rng(root_seed, task_index, epoch,
                                                      "augment", extra=b))
-                buffer_batch = None
-                if isinstance(buffer, ReservoirBuffer) and len(buffer) > 0:
-                    buffer_batch = buffer.sample_batch(schedule.batch_size,
-                                                       buffer_rng)
                 frozen = snapshot(student)
                 atk = replace(attack_base, seed=derive_seed(root_seed, task_index,
                                                             epoch, "attack", b))
-                if buffer_batch is None:
-                    x_adv, x_adv_buffer = pgd(frozen, x, y, atk), None
-                else:
+                replay = None
+                if isinstance(buffer, ReservoirBuffer) and len(buffer) > 0:
+                    xb, yb, zb = buffer.sample_batch(schedule.batch_size, buffer_rng)
                     # one call attacks the batch and the replay batch, each
                     # part with its own seed and batch mean
-                    xb, yb = buffer_batch[0], buffer_batch[1]
                     parts = ((len(x), atk.seed), (len(xb), derive_seed(
                         root_seed, task_index, epoch, "attack-buffer", b)))
                     both = pgd(frozen, np.concatenate([x, xb]),
                                np.concatenate([y, yb]), atk, parts=parts)
-                    x_adv, x_adv_buffer = both[:len(x)], both[len(x):]
+                    x_adv, replay = both[:len(x)], (both[len(x):], yb, zb)
+                else:
+                    x_adv = pgd(frozen, x, y, atk)
 
                 passes = Passes(student)
                 loss, terms = methods.build_training_loss(
-                    method_cfg, student, teacher, (x, y), buffer_batch,
-                    x_adv, x_adv_buffer, reg, passes)
+                    method_cfg, passes, teacher, x, y, x_adv, replay, reg)
                 if not np.isfinite(float(loss.value)):
                     raise NumericError(f"non-finite loss; terms {terms}")
             except NumericError as exc:
@@ -328,7 +325,7 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
                                    f"batch {b}: {exc}") from exc
             ad.backward(loss)
             grads = passes.grads()
-            before = student.flatten()
+            before = passes.params.value
             after = sgd_step(before, grads, lr, schedule.weight_decay)
             student.load_params(after)
             if info.reg == "si" and reg is not None:

@@ -139,16 +139,6 @@ def load_csv_dataset(path: str) -> Dataset:
                    value_range=(0.0, 1.0))
 
 
-def save_csv_dataset(ds: Dataset, path: str) -> None:
-    """Write a dataset in the loadable CSV format (gzipped when `.gz`)."""
-    opener = gzip.open if str(path).endswith(".gz") else open
-    with opener(path, "wt", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(ds.input_dim)])
-        for y, row in zip(ds.labels, ds.inputs):
-            writer.writerow([int(y)] + [repr(float(v)) for v in row])
-
-
 # ---------------------------------------------------------------------------
 # augmentation
 

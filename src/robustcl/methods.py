@@ -9,15 +9,19 @@ fit of the newest head slice, sigmoid distillation of the old slice,
 and flatness-preserving distillation (`flatness_distill_loss`); FLAIR+
 differs only in switching augmentation on by default. Replay is merged
 for a herding buffer (the stored exemplars join the task's training
-pool) and separate for a reservoir (a replay batch is drawn, attacked in
-the batch's own PGD call and passed to the builder). When a replay term
-reads the replay rows, the reservoir builders run the student once over
-the batch and the replay batch stacked and split the logits with
+pool) and separate for a reservoir: the training loop draws a replay
+batch, attacks it in the batch's own PGD call and hands the builder its
+attacked rows, labels and stored logits. When a replay term reads the
+replay rows, the reservoir builders run the student once over the batch
+and the replay rows stacked and split the logits with
 `autodiff.take_rows`. Builders return graph nodes on the leaves of a
-`network.Passes` recorder, one pass per (model, input), so one backward
+`network.Passes` recorder, one pass per (model, input), plus the flat
+parameter leaf `Passes.params` that EWC and SI penalize, so one backward
 pass and `Passes.grads()` yield exact parameter gradients; zero-weighted
 terms are skipped entirely, which makes endpoint reductions bit-exact.
-`build_training_loss` is the one entry point that sums a method's terms.
+`build_training_loss(cfg, passes, teacher, x, y, x_adv, replay, reg)` is
+the one entry point: it checks the teacher against the student once and
+sums the method's terms.
 """
 from __future__ import annotations
 
@@ -45,8 +49,8 @@ SI_XI = 1e-3         # SI damping of the squared total parameter change
 @dataclass(frozen=True)
 class MethodInfo:
     name: str
-    # terms(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-    #       reg, passes) -> {term name: scalar node}
+    # terms(cfg, passes, teacher, x, y, x_adv, replay, reg)
+    #     -> {term name: scalar node}
     terms: Callable[..., dict[str, Node]]
     default_alpha: float = 0.0
     default_beta: float = 0.0
@@ -105,13 +109,12 @@ def make_method_config(name: str, attack: AttackConfig, alpha: float | None = No
 
 
 # ---------------------------------------------------------------------------
-# regularization state (online-EWC Fisher, SI importance)
+# regularization state (online-EWC Fisher or SI omega as the importance)
 
 
 @dataclass
 class RegState:
-    fisher: Array
-    omega: Array
+    importance: Array    # EWC's Fisher diagonal or SI's omega
     si_path: Array
     anchor: Array
     layout: tuple[tuple[int, ...], ...]
@@ -119,8 +122,7 @@ class RegState:
     @classmethod
     def zeros(cls, net: Network) -> "RegState":
         n = net.n_params
-        return cls(np.zeros(n), np.zeros(n), np.zeros(n),
-                   net.flatten(), net.layout())
+        return cls(np.zeros(n), np.zeros(n), net.flatten(), net.layout())
 
     def expand_to(self, net: Network) -> "RegState":
         """Re-shape state after a head expansion; new slots are zero (the
@@ -137,30 +139,19 @@ class RegState:
                 out.append(padded.ravel())
             return np.concatenate(out)
 
-        return RegState(grow(self.fisher), grow(self.omega), grow(self.si_path),
-                        grow(self.anchor), new_layout)
-
-
-def _quadratic_penalty(passes: Passes, weights: Array, anchor: Array,
-                       layout) -> Node:
-    """sum_i weights_i * (theta_i - anchor_i)^2 on the leaves of `passes`."""
-    total: Node | None = None
-    for node, w, a in zip(passes.leaves, split(weights, layout), split(anchor, layout)):
-        d = ad.sub(node, a)
-        term = ad.sum_all(ad.mul(ad.mul(d, d), w))
-        total = term if total is None else ad.add(total, term)
-    return total
+        return RegState(grow(self.importance), grow(self.si_path), grow(self.anchor),
+                        new_layout)
 
 
 def refresh_fisher(reg: RegState, student: Network,
                    adv_batches: Sequence[tuple[Array, Array]]) -> None:
     """Online EWC: the Fisher diagonal becomes EWC_GAMMA * old + the mean
     over the (x_adv, y) batches of squared CE parameter gradients."""
-    acc = np.zeros_like(reg.fisher)
+    acc = np.zeros_like(reg.importance)
     for x_adv, y in adv_batches:
         g = grad_params(student, lambda z, aux: losses.ce(z, aux), (x_adv, y))
         acc += g ** 2
-    reg.fisher = EWC_GAMMA * reg.fisher + acc / max(len(adv_batches), 1)
+    reg.importance = EWC_GAMMA * reg.importance + acc / max(len(adv_batches), 1)
 
 
 def si_step(reg: RegState, grads: Array, delta: Array) -> None:
@@ -172,7 +163,7 @@ def si_consolidate(reg: RegState, student: Network) -> None:
     """SI at task end: fold the path into omega (clamped nonnegative)
     against the anchor, then reset the path."""
     total_delta = student.flatten() - reg.anchor
-    reg.omega += np.maximum(reg.si_path / (total_delta ** 2 + SI_XI), 0.0)
+    reg.importance += np.maximum(reg.si_path / (total_delta ** 2 + SI_XI), 0.0)
     reg.si_path = np.zeros_like(reg.si_path)
 
 
@@ -190,12 +181,6 @@ def _check_teacher(student: Network, teacher: Network) -> int:
     return w
 
 
-def _require_adv(x_adv) -> Array:
-    if x_adv is None:
-        raise ContractError("this loss needs adversarial inputs for the batch")
-    return np.asarray(x_adv, dtype=np.float64)
-
-
 def _total(terms: dict[str, Node]) -> Node:
     nodes = list(terms.values())
     total = nodes[0]
@@ -204,38 +189,30 @@ def _total(terms: dict[str, Node]) -> Node:
     return total
 
 
-def _new_slice_bce(student: Network, teacher: Network | None, adv: Node, y) -> Node:
+def _new_slice_bce(passes: Passes, teacher: Network | None, adv: Node, y) -> Node:
     """Multilabel fit of the newest head slice (the whole head on the first task)."""
+    k = passes.net.out_dim
     if teacher is None:
-        return losses.bce_multilabel(adv, losses.one_hot_in_slice(y, 0, student.out_dim))
-    w = _check_teacher(student, teacher)
-    return losses.bce_multilabel(ad.take_cols(adv, slice(w, student.out_dim)),
-                                 losses.one_hot_in_slice(y, w, student.out_dim))
-
-
-def _replay(buffer_batch, x_adv_buffer):
-    """(x_adv, labels, stored logits) of a nonempty replay batch, else None."""
-    if buffer_batch is None or len(buffer_batch[0]) == 0:
-        return None
-    return _require_adv(x_adv_buffer), buffer_batch[1], buffer_batch[2]
+        return losses.bce_multilabel(adv, losses.one_hot_in_slice(y, 0, k))
+    w = teacher.out_dim
+    return losses.bce_multilabel(ad.take_cols(adv, slice(w, k)),
+                                 losses.one_hot_in_slice(y, w, k))
 
 
 # ---------------------------------------------------------------------------
-# term builders; each has the signature of `MethodInfo.terms`
+# term builders; each has the signature of `MethodInfo.terms`, and a
+# teacher, when given, has already been checked against the student
 
 
-def _ce_adv(x_adv: Array, y, passes: Passes) -> dict[str, Node]:
+def _ce_adv(passes: Passes, x_adv: Array, y) -> dict[str, Node]:
     return {"ce_adv": losses.ce(passes.logits(x_adv), y)}
 
 
-def _pgd_at(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-            reg, passes):
-    return _ce_adv(x_adv, batch[1], passes)
+def _pgd_at(cfg, passes, teacher, x, y, x_adv, replay, reg):
+    return _ce_adv(passes, x_adv, y)
 
 
-def _trades(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-            reg, passes):
-    x, y = batch
+def _trades(cfg, passes, teacher, x, y, x_adv, replay, reg):
     clean = passes.logits(x)
     terms = {"ce_clean": losses.ce(clean, y)}
     if cfg.alpha != 0.0:
@@ -244,11 +221,10 @@ def _trades(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
     return terms
 
 
-def _mart(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-          reg, passes):
-    x, y = batch
+def _mart(cfg, passes, teacher, x, y, x_adv, replay, reg):
     adv = passes.logits(x_adv)
-    terms = {"bce_adv": losses.bce_multilabel(adv, losses.one_hot(y, student.out_dim))}
+    onehot = losses.one_hot(y, passes.net.out_dim)
+    terms = {"bce_adv": losses.bce_multilabel(adv, onehot)}
     if cfg.alpha != 0.0:
         clean = passes.logits(x)
         p_true = ad.exp(ad.take_per_row(ad.log_softmax(clean), np.asarray(y)))
@@ -258,30 +234,26 @@ def _mart(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
     return terms
 
 
-def _i_ard(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-           reg, passes):
+def _i_ard(cfg, passes, teacher, x, y, x_adv, replay, reg):
     """Adversarial CE plus KL of the old slice at x_adv to the clean teacher."""
-    x, y = batch
     if teacher is None:
-        return _ce_adv(x_adv, y, passes)
-    w = _check_teacher(student, teacher)
+        return _ce_adv(passes, x_adv, y)
     adv = passes.logits(x_adv)
     terms = {"ce_adv": losses.ce(adv, y)}
     if cfg.beta != 0.0:
-        terms["distill"] = cfg.beta * losses.kl_div(ad.take_cols(adv, slice(0, w)),
-                                                    teacher.forward(x))
+        terms["distill"] = cfg.beta * losses.kl_div(
+            ad.take_cols(adv, slice(0, teacher.out_dim)), teacher.forward(x))
     return terms
 
 
-def _i_rslad(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-             reg, passes, adversarial_reference=False):
+def _i_rslad(cfg, passes, teacher, x, y, x_adv, replay, reg,
+             adversarial_reference=False):
     """Adversarial CE plus distillation whose adversarial branch (weight
     alpha) and clean branch (1 - alpha) both match the old slice to the
     teacher; i-adaad takes the teacher at x_adv as the adversarial reference."""
-    x, y = batch
     if teacher is None:
-        return _ce_adv(x_adv, y, passes)
-    old = slice(0, _check_teacher(student, teacher))
+        return _ce_adv(passes, x_adv, y)
+    old = slice(0, teacher.out_dim)
     adv = passes.logits(x_adv)
     terms = {"ce_adv": losses.ce(adv, y)}
     if cfg.beta == 0.0:
@@ -301,26 +273,20 @@ def _i_rslad(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
     return terms
 
 
-def _r_lwf(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-           reg, passes):
-    x, y = batch
-    terms = _ce_adv(x_adv, y, passes)
+def _r_lwf(cfg, passes, teacher, x, y, x_adv, replay, reg):
+    terms = _ce_adv(passes, x_adv, y)
     if cfg.alpha != 0.0 and teacher is not None:
-        w = _check_teacher(student, teacher)
         clean = passes.logits(x)
         terms["distill"] = cfg.alpha * losses.kl_div(
-            ad.take_cols(clean, slice(0, w)), teacher.forward(x))
+            ad.take_cols(clean, slice(0, teacher.out_dim)), teacher.forward(x))
     return terms
 
 
-def _multilabel_distill(cfg, student, teacher, batch, buffer_batch, x_adv,
-                        x_adv_buffer, reg, passes):
+def _multilabel_distill(cfg, passes, teacher, x, y, x_adv, replay, reg):
     """r-lwf-mc and r-icarl: multilabel fit of the new slice at x_adv plus
     sigmoid distillation of the clean old slice; r-icarl's batch already
     holds the replayed exemplars."""
-    x, y = batch
-    terms = {"bce_new": _new_slice_bce(student, teacher,
-                                       passes.logits(x_adv), y)}
+    terms = {"bce_new": _new_slice_bce(passes, teacher, passes.logits(x_adv), y)}
     if teacher is not None:
         clean = passes.logits(x)
         terms["bce_distill"] = losses.bce_multilabel(
@@ -329,45 +295,41 @@ def _multilabel_distill(cfg, student, teacher, batch, buffer_batch, x_adv,
     return terms
 
 
-def _penalized(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-               reg, passes, importance="fisher"):
-    """Adversarial CE plus alpha * sum importance * (theta - anchor)^2, where
-    `importance` names the RegState field (fisher for EWC, omega for SI)."""
+def _penalized(cfg, passes, teacher, x, y, x_adv, replay, reg):
+    """Adversarial CE plus alpha * sum importance * (theta - anchor)^2 on the
+    flat parameter leaf, with EWC's Fisher or SI's omega as the importance."""
     if reg is None:
         raise ContractError(f"{cfg.name} needs an initialized regularization state")
-    terms = _ce_adv(x_adv, batch[1], passes)
+    terms = _ce_adv(passes, x_adv, y)
     if cfg.alpha != 0.0:
-        terms["penalty"] = cfg.alpha * _quadratic_penalty(
-            passes, getattr(reg, importance), reg.anchor, reg.layout)
+        d = ad.sub(passes.params, reg.anchor)
+        terms["penalty"] = cfg.alpha * ad.sum_all(ad.mul(ad.mul(d, d), reg.importance))
     return terms
 
 
 def _batch_and_replay_logits(passes: Passes, x_adv: Array,
-                             x_adv_buffer: Array) -> tuple[Node, Node]:
+                             x_adv_replay: Array) -> tuple[Node, Node]:
     """Student logits of the batch and of the replay rows, from one pass
     over both stacked."""
     n = len(x_adv)
-    logits = passes.logits(np.concatenate([x_adv, x_adv_buffer]))
+    logits = passes.logits(np.concatenate([x_adv, x_adv_replay]))
     return ad.take_rows(logits, slice(0, n)), ad.take_rows(logits, slice(n, None))
 
 
-def _r_er(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-          reg, passes, asymmetric=False):
+def _r_er(cfg, passes, teacher, x, y, x_adv, replay, reg, asymmetric=False):
     """CE on the current batch (r-er-ace: asymmetric CE over the classes
     present in it) plus CE on the replayed samples."""
-    y = batch[1]
-    replay = _replay(buffer_batch, x_adv_buffer)
     if replay is None:
         adv = passes.logits(x_adv)
     else:
-        adv, adv_buffer = _batch_and_replay_logits(passes, x_adv, replay[0])
+        adv, adv_replay = _batch_and_replay_logits(passes, x_adv, replay[0])
     if asymmetric:
         present = np.unique(np.asarray(y, dtype=np.int64))
         terms = {"ace_adv": losses.ace(adv, y, present)}
     else:
         terms = {"ce_adv": losses.ce(adv, y)}
     if replay is not None:
-        terms["ce_buffer"] = losses.ce(adv_buffer, replay[1])
+        terms["ce_buffer"] = losses.ce(adv_replay, replay[1])
     return terms
 
 
@@ -391,25 +353,23 @@ def _der_mse(logits: Node, stored_logits: Sequence[Array]) -> Node:
     return ad.sum_all(ad.mul(ad.mul(d, d), mask / widths[:, None])) / n
 
 
-def _r_der(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-           reg, passes, replay_ce=False):
+def _r_der(cfg, passes, teacher, x, y, x_adv, replay, reg, replay_ce=False):
     """Adversarial CE plus alpha * MSE to the logits stored with each
     replayed sample; r-der++ (replay_ce) adds beta * CE on replayed labels."""
-    replay = _replay(buffer_batch, x_adv_buffer)
     if replay is None:
-        return _ce_adv(x_adv, batch[1], passes)
-    xab, yb, zb = replay
-    if zb is None or any(z is None for z in zb):
+        return _ce_adv(passes, x_adv, y)
+    x_adv_replay, y_replay, stored = replay
+    if any(z is None for z in stored):
         raise ConfigurationError(f"{cfg.name} needs stored logits in the buffer")
     use_ce = replay_ce and cfg.beta != 0.0
     if cfg.alpha == 0.0 and not use_ce:   # no term reads the replay rows
-        return _ce_adv(x_adv, batch[1], passes)
-    adv, adv_buffer = _batch_and_replay_logits(passes, x_adv, xab)
-    terms = {"ce_adv": losses.ce(adv, batch[1])}
+        return _ce_adv(passes, x_adv, y)
+    adv, adv_replay = _batch_and_replay_logits(passes, x_adv, x_adv_replay)
+    terms = {"ce_adv": losses.ce(adv, y)}
     if cfg.alpha != 0.0:
-        terms["mse_buffer"] = cfg.alpha * _der_mse(adv_buffer, zb)
+        terms["mse_buffer"] = cfg.alpha * _der_mse(adv_replay, stored)
     if use_ce:
-        terms["ce_buffer"] = cfg.beta * losses.ce(adv_buffer, yb)
+        terms["ce_buffer"] = cfg.beta * losses.ce(adv_replay, y_replay)
     return terms
 
 
@@ -417,23 +377,19 @@ def _r_der(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
 # FLAIR: separated-logit distillation and flatness-preserving distillation
 
 
-def flatness_distill_loss(passes: Passes, teacher: Network, x, x_adv,
-                          metric: str = "kl", adv: Node | None = None,
-                          teacher_adv: Array | None = None) -> Node:
+def flatness_distill_loss(passes: Passes, teacher: Network, x, adv: Node,
+                          teacher_adv: Array, metric: str = "kl") -> Node:
     """Match the clean-vs-adversarial output difference against the teacher.
 
     The difference f(x_adv) - f(x) carries first- and second-order
     input-space information, so matching it on the old-class slice keeps
-    past gradients and Hessians close to the teacher's. `adv` and
-    `teacher_adv` are the student's and teacher's logits at x_adv, if known.
+    past gradients and Hessians close to the teacher's. `adv` is the
+    student's logits node at x_adv (from `passes`) and `teacher_adv` the
+    teacher's logits there; the clean logits at `x` are computed here.
     """
     if teacher is None:
         raise ContractError("flatness distillation needs a frozen teacher")
-    x_adv = _require_adv(x_adv)
-    w = _check_teacher(passes.net, teacher)
-    old = slice(0, w)
-    adv = passes.logits(x_adv) if adv is None else adv
-    teacher_adv = teacher.forward(x_adv) if teacher_adv is None else teacher_adv
+    old = slice(0, _check_teacher(passes.net, teacher))
     delta_student = ad.sub(ad.take_cols(adv, old), ad.take_cols(passes.logits(x), old))
     delta_teacher = teacher_adv - teacher.forward(x)
     if metric == "kl":
@@ -443,8 +399,7 @@ def flatness_distill_loss(passes: Passes, teacher: Network, x, x_adv,
     raise ArgumentError(f"unknown difference metric {metric!r}")
 
 
-def _flair(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
-           reg, passes):
+def _flair(cfg, passes, teacher, x, y, x_adv, replay, reg):
     """Multilabel fit of the new slice at x_adv, alpha * sigmoid distillation
     of the old slice at x_adv to the teacher, and beta * flatness distillation.
 
@@ -452,9 +407,8 @@ def _flair(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
     w.r.t. old-class output weights is exactly zero. Student and teacher
     run once over x_adv for all three terms.
     """
-    x, y = batch
     adv = passes.logits(x_adv)
-    terms = {"bce_new": _new_slice_bce(student, teacher, adv, y)}
+    terms = {"bce_new": _new_slice_bce(passes, teacher, adv, y)}
     if teacher is None or cfg.alpha == cfg.beta == 0.0:
         return terms
     teacher_adv = teacher.forward(x_adv)
@@ -463,7 +417,7 @@ def _flair(cfg, student, teacher, batch, buffer_batch, x_adv, x_adv_buffer,
             ad.take_cols(adv, slice(0, teacher.out_dim)), losses.sigmoid(teacher_adv))
     if cfg.beta != 0.0:
         terms["fpd"] = cfg.beta * flatness_distill_loss(
-            passes, teacher, x, x_adv, cfg.fpd_metric, adv, teacher_adv)
+            passes, teacher, x, adv, teacher_adv, cfg.fpd_metric)
     return terms
 
 
@@ -485,7 +439,7 @@ REGISTRY: dict[str, MethodInfo] = {m.name: m for m in [
     MethodInfo("r-lwf", _r_lwf, 1.0),
     MethodInfo("r-lwf-mc", _multilabel_distill),
     MethodInfo("r-ewc-on", _penalized, 1.0, reg="ewc"),
-    MethodInfo("r-si", partial(_penalized, importance="omega"), 1.0, reg="si"),
+    MethodInfo("r-si", _penalized, 1.0, reg="si"),
     MethodInfo("r-er", _r_er, default_buffer="reservoir",
                allowed_buffers=("reservoir",)),
     MethodInfo("r-er-ace", partial(_r_er, asymmetric=True), default_buffer="reservoir",
@@ -504,11 +458,18 @@ REGISTRY: dict[str, MethodInfo] = {m.name: m for m in [
 ]}
 
 
-def build_training_loss(cfg: MethodConfig, student: Network,
-                        teacher: Network | None, batch, buffer_batch,
-                        x_adv, x_adv_buffer, reg: RegState | None,
-                        passes: Passes) -> tuple[Node, dict[str, float]]:
-    """Sum the configured method's terms; returns (node, term values)."""
-    terms = cfg.info.terms(cfg, student, teacher, batch, buffer_batch,
-                           _require_adv(x_adv), x_adv_buffer, reg, passes)
+def build_training_loss(cfg: MethodConfig, passes: Passes, teacher: Network | None,
+                        x: Array, y: Array, x_adv: Array, replay=None,
+                        reg: RegState | None = None) -> tuple[Node, dict[str, float]]:
+    """Sum the configured method's terms on the student `passes.net`;
+    returns (node, term values).
+
+    `x_adv` is the attacked batch; `replay`, when a reservoir gives one, is
+    (attacked replay rows, their labels, their stored logits).
+    """
+    if x_adv is None:
+        raise ContractError("the loss needs adversarial inputs for the batch")
+    if teacher is not None:
+        _check_teacher(passes.net, teacher)
+    terms = cfg.info.terms(cfg, passes, teacher, x, y, x_adv, replay, reg)
     return _total(terms), {k: float(v.value) for k, v in terms.items()}

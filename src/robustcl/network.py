@@ -242,14 +242,15 @@ def split(vector: Array, layout: Sequence[tuple[int, ...]]) -> list[Array]:
 class Passes:
     """Forward passes of one network whose parameter gradients are summed.
 
-    `logits(x)` is one `_walk` with its logits as a graph leaf; `leaves`
-    are one variable per parameter array. After `autodiff.backward`,
-    `grads()` adds the leaves' gradients and, in call order, each reached
-    logits leaf's gradient walked back through its pass (`_backward`)."""
+    `logits(x)` is one `_walk` with its logits as a graph leaf; `params`
+    is one variable leaf holding the flat parameter vector, for losses on
+    the parameters themselves. After `autodiff.backward`, `grads()` adds to
+    `params`' gradient, in call order, each reached logits leaf's gradient
+    walked back through its pass (`_backward`)."""
 
     def __init__(self, net: Network):
         self.net = net
-        self.leaves = [Node(a) for l in net.layers for a in (l.weight, l.bias)]
+        self.params = Node(net.flatten())
         self._passes: list[tuple[Array, list, Node]] = []
 
     def logits(self, x: Array) -> Node:
@@ -260,13 +261,12 @@ class Passes:
 
     def grads(self) -> Array:
         """The sum as one vector in `layout()` order (zeros where no loss reached)."""
-        sums = [leaf.grad for leaf in self.leaves]
+        total = self.params.grad
         for x, kept, z in self._passes:
             if z.grad is not None:
-                for i, c in enumerate(_backward(kept, z.grad, x)):
-                    sums[i] = c if sums[i] is None else sums[i] + c
-        return np.concatenate([(np.zeros_like(leaf.value) if g is None else g).ravel()
-                               for g, leaf in zip(sums, self.leaves)])
+                g = np.concatenate([b.ravel() for b in _backward(kept, z.grad, x)])
+                total = g if total is None else total + g
+        return np.zeros_like(self.params.value) if total is None else total
 
 
 # ---------------------------------------------------------------------------

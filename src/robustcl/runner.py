@@ -176,9 +176,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
             dim=_int(_need(ds_raw, "dim", "dataset"), "dataset dim"),
             separation=_float(ds_raw.get("separation", 6.0), "dataset separation"),
             train_per_class=_int(ds_raw.get("train_per_class", 200),
-                                 "dataset train_per_class"),
+                                 "dataset train_per_class", 1),
             test_per_class=_int(ds_raw.get("test_per_class", 100),
-                                "dataset test_per_class"))
+                                "dataset test_per_class", 1))
     else:
         train_path = _str(_need(ds_raw, "train", "dataset"), "dataset train")
         test_path = _str(_need(ds_raw, "test", "dataset"), "dataset test")
@@ -247,10 +247,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
         augment=augment_enabled,
         fpd_metric=m_raw.get("fpd_metric", "kl"),
         explicit_objective="objective" in atk_raw)
-    if method.buffer_kind != "none" and buffer_capacity == 0:
+    if (method.buffer_kind != "none") != (buffer_capacity > 0):
         raise ConfigurationError(
-            f"method {name!r} with buffer kind {method.buffer_kind!r} "
-            "needs a positive buffer capacity")
+            f"method {name!r} has buffer kind {method.buffer_kind!r} and capacity "
+            f"{buffer_capacity}; the capacity must be positive exactly when the "
+            "kind is not 'none'")
 
     flat_raw = _section(raw, "flatness", {"subsample", "scalar"})
     flatness_subsample = _int(flat_raw.get("subsample", 64), "flatness subsample", 1)
@@ -504,7 +505,7 @@ def _build_streams(cfg: ExperimentConfig) -> tuple[list[Dataset], list[Dataset]]
 
 def _make_buffer(cfg: ExperimentConfig):
     kind = cfg.method.buffer_kind
-    if kind == "none" or cfg.buffer_capacity == 0:
+    if kind == "none":
         return None
     if kind == "herding":
         return HerdingBuffer(cfg.buffer_capacity)
@@ -564,7 +565,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                                      cfg.method, cfg.schedule, reg=reg,
                                      root_seed=cfg.seed, task_index=t + 1)
             logs.extend(task_log)
-            if cfg.method.buffer_kind == "herding" and buffer is not None:
+            if cfg.method.buffer_kind == "herding":
                 buffer_update_herding(buffer, net, train_tasks[t])
             stored_per_task.append(len(buffer) if buffer is not None else 0)
             snap = snapshot(net)

@@ -1,3 +1,5 @@
+import csv
+import gzip
 import os
 
 # single-threaded BLAS keeps reductions bit-reproducible across runs
@@ -60,3 +62,14 @@ def finite_difference_input_grad(net, loss_value_fn, x, step=1e-4):
         fd[idx] = (loss_value_fn(net, xp) - loss_value_fn(net, xm)) / (2 * step)
         it.iternext()
     return fd
+
+
+def save_csv_dataset(ds, path):
+    """Write a dataset in the format `load_csv_dataset` reads (gzipped when
+    `path` ends in `.gz`)."""
+    opener = gzip.open if str(path).endswith(".gz") else open
+    with opener(path, "wt", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["label"] + [f"f{i}" for i in range(ds.input_dim)])
+        for y, row in zip(ds.labels, ds.inputs):
+            writer.writerow([int(y)] + [repr(float(v)) for v in row])

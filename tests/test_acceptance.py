@@ -191,8 +191,7 @@ def test_criterion_4_separated_logit_invariance():
         x_adv = rng.uniform(size=(5, d_in))
         y = rng.integers(old_k, old_k + new_k, size=5)
         passes = rc.Passes(student)
-        loss, _ = rc.build_training_loss(flair, student, teacher, (x_adv, y), None,
-                                         x_adv, None, None, passes)
+        loss, _ = rc.build_training_loss(flair, passes, teacher, x_adv, y, x_adv)
         ad.backward(loss)
         w_out, b_out = split(passes.grads(), student.layout())[-2:]
         if not (np.array_equal(w_out[:, :old_k], np.zeros_like(w_out[:, :old_k]))

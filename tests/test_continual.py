@@ -243,6 +243,8 @@ def test_milestones_scale_from_reference_50_epoch_recipe():
     assert sched20.lr_at(0) == pytest.approx(0.1)
     assert sched20.lr_at(10) == pytest.approx(0.01)
     assert sched20.lr_at(16) == pytest.approx(0.0001)
+    # a one-epoch task trains at its full rate
+    assert Schedule(epochs=1, lr=0.2, batch_size=8).lr_at(0) == 0.2
 
 
 # ---------------------------------------------------------------------------
@@ -268,9 +270,8 @@ def test_run_task_zero_epochs_leaves_model_unchanged():
 def test_run_task_first_task_flair_uses_new_slice_bce_only():
     net = rc.Network.init_mlp(4, [8], 2, seed=5)
     _, terms = methods.build_training_loss(
-        methods.make_method_config("flair", ATTACK), net, None,
-        (np.zeros((2, 4)), np.array([0, 1])), None, np.zeros((2, 4)), None, None,
-        rc.Passes(net))
+        methods.make_method_config("flair", ATTACK), rc.Passes(net), None,
+        np.zeros((2, 4)), np.array([0, 1]), np.zeros((2, 4)))
     assert set(terms) == {"bce_new"}
 
 

@@ -6,6 +6,8 @@ from robustcl.data import AUGMENT_MAGNITUDE, AUGMENT_OPS
 from robustcl.errors import ArgumentError, ParseError
 from robustcl.seeding import derive_rng
 
+from conftest import save_csv_dataset
+
 
 # ---------------------------------------------------------------------------
 # gaussian task generator
@@ -49,7 +51,7 @@ def test_gaussian_argument_validation():
 def test_csv_roundtrip(tmp_path):
     ds = rc.gen_gaussian_tasks(3, 4, 5.0, 7, seed=2)
     path = tmp_path / "data.csv"
-    rc.save_csv_dataset(ds, str(path))
+    save_csv_dataset(ds, str(path))
     loaded = rc.load_csv_dataset(str(path))
     assert np.array_equal(loaded.inputs, ds.inputs)
     assert np.array_equal(loaded.labels, ds.labels)
@@ -59,7 +61,7 @@ def test_csv_roundtrip(tmp_path):
 def test_csv_gzip_roundtrip(tmp_path):
     ds = rc.gen_gaussian_tasks(2, 3, 4.0, 5, seed=2)
     path = tmp_path / "data.csv.gz"
-    rc.save_csv_dataset(ds, str(path))
+    save_csv_dataset(ds, str(path))
     loaded = rc.load_csv_dataset(str(path))
     assert np.array_equal(loaded.inputs, ds.inputs)
 

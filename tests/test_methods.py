@@ -21,11 +21,17 @@ def make_cfg(name, **kw):
     return methods.make_method_config(name, ATTACK, **kw)
 
 
-def build(cfg, student, teacher, batch, x_adv, buffer_batch=None, x_adv_buffer=None,
-          reg=None):
+def build(cfg, student, teacher, batch, x_adv, replay=None, reg=None):
     """(loss node, {term: value}) from the training-loop entry point."""
-    return methods.build_training_loss(cfg, student, teacher, batch, buffer_batch,
-                                       x_adv, x_adv_buffer, reg, rc.Passes(student))
+    return methods.build_training_loss(cfg, rc.Passes(student), teacher, *batch,
+                                       x_adv, replay, reg)
+
+
+def fpd(student, teacher, x, x_adv, metric="kl"):
+    """`flatness_distill_loss` with the student's and teacher's logits at x_adv."""
+    passes = rc.Passes(student)
+    return rc.flatness_distill_loss(passes, teacher, x, passes.logits(x_adv),
+                                    teacher.forward(x_adv), metric)
 
 
 @pytest.fixture
@@ -212,7 +218,7 @@ def test_ewc_penalty_zero_at_anchor(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
     reg = methods.RegState.zeros(student)
-    reg.fisher = np.ones(student.n_params)
+    reg.importance = np.ones(student.n_params)
     reg.anchor = student.flatten()
     cfg = make_cfg("r-ewc-on", alpha=1.0)
     _, terms = build(cfg, student, teacher, (x, y), x_adv, reg=reg)
@@ -224,12 +230,12 @@ def test_ewc_penalty_quadratic_value(two_task_pair, batch):
     x, y, x_adv = batch
     reg = methods.RegState.zeros(student)
     rng = np.random.default_rng(5)
-    reg.fisher = rng.uniform(size=student.n_params)
+    reg.importance = rng.uniform(size=student.n_params)
     reg.anchor = student.flatten() + rng.normal(size=student.n_params)
     cfg = make_cfg("r-ewc-on", alpha=0.7)
     _, terms = build(cfg, student, teacher, (x, y), x_adv, reg=reg)
     theta = student.flatten()
-    expected = 0.7 * np.sum(reg.fisher * (theta - reg.anchor) ** 2)
+    expected = 0.7 * np.sum(reg.importance * (theta - reg.anchor) ** 2)
     assert terms["penalty"] == pytest.approx(expected, rel=1e-12)
 
 
@@ -249,17 +255,17 @@ def test_update_reg_state_ewc():
     # from a zero Fisher only the fresh batch statistic remains
     methods.refresh_fisher(reg, net, [(x_adv, y)])
     g = rc.grad_params(net, lambda z, aux: rc.ce(z, aux), (x_adv, y))
-    assert np.allclose(reg.fisher, g ** 2)
+    assert np.allclose(reg.importance, g ** 2)
     # decay-only when gradients vanish: zero inputs kill the weight grads and
     # label-balanced uniform logits cancel the bias grads
     zero_net = rc.Network([rc.Layer(np.zeros((3, 4)), np.zeros(4), "identity"),
                            rc.Layer(np.zeros((4, 2)), np.zeros(2), "identity")],
                           [2], 3)
     reg2 = methods.RegState.zeros(zero_net)
-    reg2.fisher = np.full(zero_net.n_params, 2.0)
+    reg2.importance = np.full(zero_net.n_params, 2.0)
     balanced = (np.zeros((2, 3)), np.array([0, 1]))
     methods.refresh_fisher(reg2, zero_net, [balanced])
-    assert np.allclose(reg2.fisher, methods.EWC_GAMMA * 2.0)
+    assert np.allclose(reg2.importance, methods.EWC_GAMMA * 2.0)
 
 
 def test_update_reg_state_si_frozen_params_leave_omega_unchanged():
@@ -268,7 +274,7 @@ def test_update_reg_state_si_frozen_params_leave_omega_unchanged():
     g = np.ones(net.n_params)
     methods.si_step(reg, g, np.zeros(net.n_params))
     methods.si_consolidate(reg, net)
-    assert np.array_equal(reg.omega, np.zeros(net.n_params))
+    assert np.array_equal(reg.importance, np.zeros(net.n_params))
 
 
 def test_update_reg_state_si_accumulates_path():
@@ -280,20 +286,20 @@ def test_update_reg_state_si_accumulates_path():
     assert np.allclose(reg.si_path, 0.1)
     net.load_params(net.flatten() + delta)
     methods.si_consolidate(reg, net)
-    assert np.all(reg.omega > 0)
-    assert np.allclose(reg.omega, 0.1 / (0.01 + methods.SI_XI))
+    assert np.all(reg.importance > 0)
+    assert np.allclose(reg.importance, 0.1 / (0.01 + methods.SI_XI))
 
 
 def test_reg_state_expands_with_head():
     net = rc.Network.init_mlp(3, [4], 2, seed=2)
     reg = methods.RegState.zeros(net)
-    reg.fisher = np.arange(net.n_params, dtype=float)
+    reg.importance = np.arange(net.n_params, dtype=float)
     wide = rc.expand_head(net, 2, seed=3)
     grown = reg.expand_to(wide)
-    assert grown.fisher.shape == (wide.n_params,)
+    assert grown.importance.shape == (wide.n_params,)
     # old entries preserved blockwise, new output columns get zero weight
-    blocks_old = split(reg.fisher, net.layout())
-    blocks_new = split(grown.fisher, wide.layout())
+    blocks_old = split(reg.importance, net.layout())
+    blocks_new = split(grown.importance, wide.layout())
     assert np.array_equal(blocks_new[-2][:, :2], blocks_old[-2])
     assert np.array_equal(blocks_new[-2][:, 2:], np.zeros((4, 2)))
 
@@ -306,8 +312,7 @@ def test_r_er_empty_buffer_equals_pgd_at(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
     cfg = methods.make_method_config("r-er", ATTACK)
-    empty = (np.zeros((0, 4)), np.zeros(0, dtype=int), [])
-    loss, _ = build(cfg, student, teacher, (x, y), x_adv, empty)
+    loss, _ = build(cfg, student, teacher, (x, y), x_adv, None)
     assert val(loss) == val(rc.ce(student.forward(x_adv), y))
 
 
@@ -315,8 +320,8 @@ def test_r_der_alpha_zero_equals_pgd_at(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
     cfg = methods.make_method_config("r-der", ATTACK, alpha=0.0)
-    buf = (x[:2], y[:2], [student.forward(x[:2])[i] for i in range(2)])
-    loss, _ = build(cfg, student, teacher, (x, y), x_adv, buf, x[:2])
+    replay = (x[:2], y[:2], [student.forward(x[:2])[i] for i in range(2)])
+    loss, _ = build(cfg, student, teacher, (x, y), x_adv, replay)
     assert val(loss) == val(rc.ce(student.forward(x_adv), y))
 
 
@@ -326,7 +331,7 @@ def test_r_der_mse_zero_when_stored_logits_match(two_task_pair, batch):
     cfg = methods.make_method_config("r-der", ATTACK, alpha=1.0)
     xb = x[:3]
     stored = [student.forward(xb)[i] for i in range(3)]
-    _, terms = build(cfg, student, teacher, (x, y), x_adv, (xb, y[:3], stored), xb)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, (xb, y[:3], stored))
     assert terms["mse_buffer"] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -337,7 +342,7 @@ def test_r_der_handles_mixed_stored_widths(two_task_pair, batch):
     xb = x[:3]
     full = student.forward(xb)
     stored = [full[0, :2], full[1], full[2, :2]]      # two old-width entries
-    _, terms = build(cfg, student, teacher, (x, y), x_adv, (xb, y[:3], stored), xb)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, (xb, y[:3], stored))
     assert terms["mse_buffer"] == pytest.approx(0.0, abs=1e-15)
 
 
@@ -349,7 +354,7 @@ def test_r_der_mixed_width_mse_equals_the_per_row_formula(two_task_pair, batch):
     full = student.forward(xb)
     stored = [full[0, :2] + 0.3, full[1] - np.array([0.1, 0.2, 0.3, 0.4]),
               1.5 * full[2, :2]]
-    _, terms = build(cfg, student, teacher, (x, y), x_adv, (xb, y[:3], stored), xb)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, (xb, y[:3], stored))
     expected = np.mean([np.mean((full[i, :z.size] - z) ** 2)
                         for i, z in enumerate(stored)])
     assert expected > 0.0
@@ -360,8 +365,7 @@ def test_r_er_ace_masks_to_batch_classes(two_task_pair, batch):
     student, teacher = two_task_pair
     x, y, x_adv = batch
     cfg = methods.make_method_config("r-er-ace", ATTACK)
-    empty = (np.zeros((0, 4)), np.zeros(0, dtype=int), [])
-    _, terms = build(cfg, student, teacher, (x, y), x_adv, empty)
+    _, terms = build(cfg, student, teacher, (x, y), x_adv, None)
     expected = rc.ace(student.forward(x_adv), y, np.unique(y))
     assert terms["ace_adv"] == pytest.approx(val(expected), rel=1e-12)
 
@@ -399,8 +403,7 @@ def test_separated_logit_distill_grad_zero_when_matching(two_task_pair, batch):
     x, y, x_adv = batch
     cfg = make_cfg("flair", alpha=1.0, beta=0.0)
     passes = rc.Passes(student)
-    terms = cfg.info.terms(cfg, student, teacher, (x, y), None, x_adv, None, None,
-                           passes)
+    terms = cfg.info.terms(cfg, passes, teacher, x, y, x_adv, None, None)
     ad.backward(terms["bce_distill"])
     blocks = split(passes.grads(), student.layout())
     # the gradient through sigma(z) - sigma(z_teacher) = 0 vanishes everywhere
@@ -414,8 +417,7 @@ def test_new_slice_term_has_exactly_zero_grad_on_old_output_rows(two_task_pair,
     x, y, x_adv = batch
     passes = rc.Passes(student)
     loss, _ = methods.build_training_loss(make_cfg("flair", alpha=0.0, beta=0.0),
-                                          student, teacher, (x, y), None, x_adv,
-                                          None, None, passes)
+                                          passes, teacher, x, y, x_adv)
     ad.backward(loss)
     w_out, b_out = split(passes.grads(), student.layout())[-2:]
     old = teacher.out_dim
@@ -445,21 +447,22 @@ def test_fpd_zero_when_student_equals_teacher(batch):
     teacher = rc.snapshot(teacher_net)
     student = rc.expand_head(teacher_net, 2, seed=22)
     x, y, x_adv = batch
-    assert val(rc.flatness_distill_loss(rc.Passes(student), teacher, x, x_adv)) == \
-        pytest.approx(0.0, abs=1e-12)
+    assert val(fpd(student, teacher, x, x_adv)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fpd_zero_when_adv_equals_clean(two_task_pair, batch):
     student, teacher = two_task_pair
     x, _, _ = batch
-    assert val(rc.flatness_distill_loss(rc.Passes(student), teacher, x, x)) == 0.0
+    assert val(fpd(student, teacher, x, x)) == 0.0
 
 
 def test_fpd_requires_teacher(two_task_pair, batch):
     student, _ = two_task_pair
     x, _, x_adv = batch
+    passes = rc.Passes(student)
     with pytest.raises(ContractError):
-        rc.flatness_distill_loss(rc.Passes(student), None, x, x_adv)
+        rc.flatness_distill_loss(passes, None, x, passes.logits(x_adv),
+                                 student.forward(x_adv)[:, :2])
 
 
 def test_fpd_mse_metric(two_task_pair, batch):
@@ -469,7 +472,7 @@ def test_fpd_mse_metric(two_task_pair, batch):
     ds = student.forward(x_adv)[:, :w] - student.forward(x)[:, :w]
     dt = teacher.forward(x_adv) - teacher.forward(x)
     expected = rc.mse(dt, ds)
-    got = rc.flatness_distill_loss(rc.Passes(student), teacher, x, x_adv, metric="mse")
+    got = fpd(student, teacher, x, x_adv, metric="mse")
     assert val(got) == pytest.approx(val(expected), rel=1e-12)
 
 
@@ -569,8 +572,7 @@ def test_flair_beta_adds_only_the_fpd_term(two_task_pair, batch):
     assert list(without) == ["bce_new", "bce_distill"]
     assert list(terms) == ["bce_new", "bce_distill", "fpd"]
     assert {k: terms[k] for k in without} == without
-    fpd = rc.flatness_distill_loss(rc.Passes(student), teacher, x, x_adv, metric="mse")
-    assert terms["fpd"] == 2.0 * val(fpd)
+    assert terms["fpd"] == 2.0 * val(fpd(student, teacher, x, x_adv, metric="mse"))
 
 
 def test_flair_first_task_reduces_to_full_head_bce(batch):
@@ -606,12 +608,10 @@ def test_build_training_loss_terms_are_finite_and_deterministic(two_task_pair,
     student, teacher = two_task_pair
     x, y, x_adv = batch
     cfg = make_cfg("flair")
-    passes = rc.Passes(student)
-    loss1, terms1 = methods.build_training_loss(cfg, student, teacher, (x, y),
-                                                None, x_adv, None, None, passes)
-    loss2, terms2 = methods.build_training_loss(cfg, student, teacher, (x, y),
-                                                None, x_adv, None, None,
-                                                rc.Passes(student))
+    loss1, terms1 = methods.build_training_loss(cfg, rc.Passes(student), teacher,
+                                                x, y, x_adv)
+    loss2, terms2 = methods.build_training_loss(cfg, rc.Passes(student), teacher,
+                                                x, y, x_adv)
     assert np.isfinite(val(loss1))
     assert val(loss1) == val(loss2)
     assert terms1 == terms2
@@ -651,19 +651,18 @@ def test_build_training_loss_dispatches_every_method(two_task_pair, batch, name,
     student, teacher = two_task_pair
     x, y, x_adv = batch
     cfg = make_cfg(name, buffer_kind=buffer_kind)
-    buffer_batch = x_adv_buffer = None
+    replay = None
     if buffer_kind.startswith("reservoir"):
         xb = x[:3] + 0.01
         stored = [student.forward(xb)[i] for i in range(3)] \
             if buffer_kind == "reservoir-with-logits" else [None] * 3
-        buffer_batch = (xb, y[:3], stored)
-        x_adv_buffer = np.clip(xb - 0.02, 0.0, 1.0)
+        replay = (np.clip(xb - 0.02, 0.0, 1.0), y[:3], stored)
     reg = methods.RegState.zeros(student)
-    reg.fisher = reg.omega = np.full(student.n_params, 0.5)
+    reg.importance = np.full(student.n_params, 0.5)
     reg.anchor = student.flatten() + 0.1
     loss, terms = methods.build_training_loss(
-        cfg, student, teacher if with_teacher else None, (x, y), buffer_batch,
-        x_adv, x_adv_buffer, reg, rc.Passes(student))
+        cfg, rc.Passes(student), teacher if with_teacher else None, x, y, x_adv,
+        replay, reg)
     assert np.isfinite(val(loss))
     assert set(terms) == EXPECTED_TERMS[name][0 if with_teacher else 1]
 
@@ -677,9 +676,10 @@ ORACLE_OVERRIDES = {"i-rslad": {"alpha": 0.5}, "i-adaad": {"alpha": 0.5}}
 
 
 def oracle_case(name, activation):
-    """Arguments of `build_training_loss` for `name` on a [6, 5] net over 4
-    inputs expanded to a second task, with a 3-row replay batch whose
-    stored logits have mixed widths, and a random Fisher, omega and anchor."""
+    """Config, student and the other arguments of `build_training_loss` for
+    `name` on a [6, 5] net over 4 inputs expanded to a second task, with a
+    3-row replay batch whose stored logits have mixed widths, and a random
+    importance (Fisher for r-ewc-on, omega for r-si) and anchor."""
     rng = np.random.default_rng(71)
     base = rc.Network.init_mlp(4, [6, 5], 2, activation=activation, seed=72)
     teacher = rc.snapshot(base)
@@ -689,18 +689,18 @@ def oracle_case(name, activation):
     x_adv = x + rng.uniform(-0.05, 0.05, size=x.shape)
     kind = methods.REGISTRY[name].default_buffer
     cfg = make_cfg(name, buffer_kind=kind, **ORACLE_OVERRIDES.get(name, {}))
-    buffer_batch = x_adv_buffer = None
+    replay = None
     if kind.startswith("reservoir"):
         xb = rng.uniform(size=(3, 4))
         stored = [rng.normal(size=k) for k in (2, 4, 2)] \
             if kind == "reservoir-with-logits" else [None] * 3
-        buffer_batch = (xb, np.array([0, 1, 3]), stored)
-        x_adv_buffer = xb + rng.uniform(-0.05, 0.05, size=xb.shape)
+        replay = (xb + rng.uniform(-0.05, 0.05, size=xb.shape), np.array([0, 1, 3]),
+                  stored)
     reg = methods.RegState.zeros(student)
-    reg.fisher = rng.uniform(size=student.n_params)
-    reg.omega = rng.uniform(size=student.n_params)
+    fisher, omega = rng.uniform(size=student.n_params), rng.uniform(size=student.n_params)
+    reg.importance = omega if cfg.info.reg == "si" else fisher
     reg.anchor = student.flatten() + rng.normal(scale=0.1, size=student.n_params)
-    return cfg, student, teacher, (x, y), buffer_batch, x_adv, x_adv_buffer, reg
+    return cfg, student, teacher, x, y, x_adv, replay, reg
 
 
 @pytest.mark.parametrize("activation", ["tanh", "softplus"])
@@ -708,13 +708,12 @@ def oracle_case(name, activation):
 def test_training_loss_gradient_matches_central_differences(name, activation):
     cfg, student, *rest = oracle_case(name, activation)
     passes = rc.Passes(student)
-    loss, _ = methods.build_training_loss(cfg, student, *rest, passes)
+    loss, _ = methods.build_training_loss(cfg, passes, *rest)
     ad.backward(loss)
     grads = passes.grads()
 
     def loss_value(net):
-        return val(methods.build_training_loss(cfg, net, *rest,
-                                               rc.Passes(net))[0])
+        return val(methods.build_training_loss(cfg, rc.Passes(net), *rest)[0])
 
     fd = finite_difference_param_grad(student, loss_value, step=1e-5)
     assert np.max(np.abs(grads - fd)) <= 1e-7 * np.max(np.abs(fd))

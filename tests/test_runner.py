@@ -10,6 +10,8 @@ import robustcl as rc
 from robustcl.cli import main as cli_main
 from robustcl.errors import ConfigurationError, IntegrityError
 
+from conftest import save_csv_dataset
+
 
 def tiny_config(out_dir, **overrides):
     cfg = {
@@ -123,6 +125,9 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
     ("dataset", 0),
     ("dataset", True),
     ("dataset", None),
+    ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6, "test_per_class": 0}),
+    ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6, "train_per_class": 0}),
+    ("buffer", {"capacity": 5}),
 ], ids=["nested-typo", "string-bool", "float-int", "bool-int", "fractional-int",
         "tasks-typo", "zero-width", "activation", "dataset-typo", "float-capacity",
         "string-augment", "method-typo", "grid-typo", "string-lr", "bool-lr",
@@ -132,7 +137,8 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
         "infinite-weight-decay", "infinite-separation", "negative-infinite-separation",
         "nan-grid-value", "negative-lr", "negative-weight-decay", "empty-grid",
         "scalar-hidden", "scalar-milestones", "int-dataset", "bool-dataset",
-        "null-dataset"])
+        "null-dataset", "no-test-examples", "no-train-examples",
+        "capacity-without-buffer"])
 def test_parse_rejects_bad_nested_values(tmp_path, section, values):
     with pytest.raises(ConfigurationError):
         rc.config_from_dict(tiny_config(tmp_path, **{section: values}))
@@ -199,7 +205,8 @@ def test_cli_bad_activation_exits_2_before_creating_output(tmp_path, capsys):
     ("training", {"epochs": 2, "lr": -0.2, "batch_size": 16}),
     ("grid", {"alpha": []}),
     ("seed", -1),
-], ids=["nan-lr", "negative-lr", "empty-grid", "negative-seed"])
+    ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6, "test_per_class": 0}),
+], ids=["nan-lr", "negative-lr", "empty-grid", "negative-seed", "no-test-examples"])
 def test_cli_bad_number_exits_2_before_creating_output(tmp_path, section, values):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", **{section: values})))
@@ -213,7 +220,7 @@ def test_cli_bad_split_exits_2_before_creating_output(tmp_path, capsys, kind):
     if kind == "csv":
         # the CSV class count is known only once the files are read
         ds = rc.gen_gaussian_tasks(4, 6, 10.0, 8, seed=6)
-        rc.save_csv_dataset(ds, str(tmp_path / "data.csv"))
+        save_csv_dataset(ds, str(tmp_path / "data.csv"))
         overrides["dataset"] = {"kind": "csv", "train": str(tmp_path / "data.csv"),
                                 "test": str(tmp_path / "data.csv")}
     cfg_path = tmp_path / "cfg.json"
@@ -470,7 +477,7 @@ def test_cli_run_and_eval_and_landscape(tmp_path, capsys):
 
     test_csv = tmp_path / "test.csv"
     ds = rc.gen_gaussian_tasks(4, 6, 10.0, 10, seed=5)
-    rc.save_csv_dataset(ds, str(test_csv))
+    save_csv_dataset(ds, str(test_csv))
     ckpt = tmp_path / "out" / "checkpoints" / "task_002"
     assert cli_main(["eval", "--checkpoint", str(ckpt), "--dataset",
                      str(test_csv), "--attack", "pgd20",
@@ -496,7 +503,7 @@ def test_cli_flatness(tmp_path, capsys):
     data_dir = tmp_path / "data"
     data_dir.mkdir()
     ds = rc.gen_gaussian_tasks(2, 6, 10.0, 8, seed=6)
-    rc.save_csv_dataset(ds, str(data_dir / "task_001.csv"))
+    save_csv_dataset(ds, str(data_dir / "task_001.csv"))
     assert cli_main(["flatness", "--checkpoints",
                      str(tmp_path / "out" / "checkpoints"),
                      "--datasets", str(data_dir), "--subsample", "4"]) == 0
@@ -511,7 +518,7 @@ def test_cli_flatness_rejects_zero_subsample(tmp_path, capsys):
     for t in (1, 2):
         net = rc.Network.init_mlp(6, [5], 2, activation="tanh", seed=t)
         rc.save_checkpoint(net, str(ckpt_dir / f"task_{t:03d}"))
-    rc.save_csv_dataset(rc.gen_gaussian_tasks(2, 6, 10.0, 8, seed=6),
+    save_csv_dataset(rc.gen_gaussian_tasks(2, 6, 10.0, 8, seed=6),
                         str(data_dir / "task_001.csv"))
     assert cli_main(["flatness", "--checkpoints", str(ckpt_dir),
                      "--datasets", str(data_dir), "--subsample", "0"]) == 2

@@ -3,9 +3,11 @@
 Every registered method runs once with each buffer kind it allows, on a
 tiny Gaussian config (6 classes in 3 tasks, d = 8, hidden [16, 16],
 2 epochs, 3 PGD steps, flatness subsample 4) with relu hidden layers.
-A few non-flair methods also run with augmentation switched on, and
-pgd-at, trades and flair also run with each other hidden activation.
-Each line reads `method/buffer[+augment][@activation] <report> <checkpoints>`:
+A few non-flair methods also run with augmentation switched on,
+pgd-at, trades and flair also run with each other hidden activation, and
+a few methods run with method settings that reach loss branches their
+defaults skip. Each line reads
+`method/buffer[+augment][@activation][:key=value] <report> <checkpoints>`:
 two sha256 prefixes, one of `report.json` with `wall_clock_sec` removed
 and one of every file under `checkpoints/` (name, manifest and blob
 bytes, in name order).
@@ -44,9 +46,16 @@ AUGMENTED = [("pgd-at", "none"), ("trades", "herding"), ("i-rslad", "herding"),
 ACTIVATION_METHODS = ("pgd-at", "trades", "flair")
 OTHER_ACTIVATIONS = ("tanh", "softplus", "identity")
 
+# (method, buffer kind, method settings): both i-rslad/i-adaad distillation
+# branches, FLAIR's MSE flatness distillation, and r-der++'s replay CE alone
+SETTINGS = [("i-rslad", "none", {"alpha": 0.5}), ("i-adaad", "none", {"alpha": 0.5}),
+            ("flair", "none", {"fpd_metric": "mse"}),
+            ("r-der++", "reservoir-with-logits", {"alpha": 0.0})]
+
 
 def tiny_config(method: str, buffer_kind: str, augment: bool,
-                activation: str = "relu", seed: int = 1) -> dict:
+                activation: str = "relu", seed: int = 1,
+                settings: dict | None = None) -> dict:
     cfg = {
         "seed": seed,
         "output_dir": "run",
@@ -55,7 +64,7 @@ def tiny_config(method: str, buffer_kind: str, augment: bool,
                     "test_per_class": 10},
         "tasks": {"n_tasks": 3, "classes_per_task": 2},
         "model": {"hidden": [16, 16], "activation": activation},
-        "method": {"name": method, "buffer_kind": buffer_kind},
+        "method": {"name": method, "buffer_kind": buffer_kind, **(settings or {})},
         "attack": {"epsilon": "1/20", "n_steps": 3},
         "eval_attack": {"n_steps": 3},
         "training": {"epochs": 2, "lr": 0.1, "batch_size": 16},
@@ -92,17 +101,20 @@ def main(argv=None) -> int:
     if Path(rc.__file__).resolve().parent != Path(args.src, "robustcl").resolve():
         raise SystemExit(f"robustcl imported from {rc.__file__}, not {args.src}")
 
-    runs = [(name, kind, False, "relu") for name, info in rc.methods.REGISTRY.items()
+    runs = [(name, kind, False, "relu", {})
+            for name, info in rc.methods.REGISTRY.items()
             for kind in info.allowed_buffers]
-    runs += [(name, kind, True, "relu") for name, kind in AUGMENTED]
-    runs += [(name, "none", False, act) for act in OTHER_ACTIVATIONS
+    runs += [(name, kind, True, "relu", {}) for name, kind in AUGMENTED]
+    runs += [(name, "none", False, act, {}) for act in OTHER_ACTIVATIONS
              for name in ACTIVATION_METHODS]
+    runs += [(name, kind, False, "relu", settings) for name, kind, settings in SETTINGS]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, kind, augment, act in runs:
+        for name, kind, augment, act, settings in runs:
             report, ckpt = run_digests(rc, tiny_config(name, kind, augment, act,
-                                                         args.seed))
-            tag = ("+augment" if augment else "") + ("" if act == "relu" else f"@{act}")
+                                                         args.seed, settings))
+            tag = (("+augment" if augment else "") + ("" if act == "relu" else f"@{act}")
+                   + "".join(f":{k}={v}" for k, v in settings.items()))
             print(f"{name}/{kind}{tag} {report} {ckpt}", flush=True)
     return 0
 
