@@ -3,9 +3,8 @@
 __version__ = "0.1.0"
 
 from .attacks import AttackConfig, parse_rational, pgd
-from .continual import (HerdingBuffer, ReservoirBuffer, Schedule,
-                        buffer_update_herding, herding_select, reservoir_update,
-                        run_task, split_dataset)
+from .continual import (ReservoirBuffer, Schedule, buffer_update_herding,
+                        herding_select, reservoir_update, run_task, split_dataset)
 from .data import Dataset, augment, gen_gaussian_tasks, load_csv_dataset
 from .losses import (ace, bce_multilabel, ce, kl_div, mse, one_hot,
                      one_hot_in_slice, sigmoid, slice_bounds)

@@ -1,8 +1,8 @@
 """Task streams, replay buffers, and the per-task training loop.
 
 A task stream is an ordered list of class-disjoint datasets. Replay
-comes in two flavours: a herding-ordered exemplar store rebuilt at each
-task end, whose exemplars are merged into the training pool, and an
+comes in two flavours: herding exemplars, a plain `Dataset` rebuilt at
+each task end and appended to the next task's training pool, and an
 online reservoir, sampled as a separate replay batch, that can also pin
 the model's logits at insertion time. `run_task` drives one task of
 adversarial training for any registered method.
@@ -20,7 +20,7 @@ from . import losses, methods
 from .attacks import AttackConfig, pgd
 from .data import Dataset, augment
 from .errors import (ArgumentError, ConfigurationError, ContractError,
-                     DimensionError, NumericError)
+                     DimensionError, LabelError, NumericError)
 from .methods import MethodConfig, RegState
 from .network import Network, Passes, sgd_step, snapshot
 from .seeding import derive_rng, derive_seed
@@ -99,62 +99,38 @@ def herding_select(features: Array, m: int) -> list[int]:
     return selected
 
 
-class HerdingBuffer:
-    """Fixed-capacity exemplar store, herding-ordered per class.
+def buffer_update_herding(exemplars: Dataset | None, model: Network,
+                          task_dataset: Dataset, capacity: int) -> Dataset:
+    """The exemplar set after a finished task, at most `capacity` rows.
 
-    Capacity is constant across tasks; per-class quotas are
-    floor(capacity / classes seen) with the remainder going to the
-    lowest class ids. Shrinking a quota truncates from the tail, so the
-    stored set is always a prefix of each class's herding order.
+    Every head class of `model` gets a quota of floor(capacity / classes),
+    with the remainder going to the lowest class ids. A class of the task
+    is herded from the task; any other class keeps a prefix of its stored
+    herding order. Rows are grouped by ascending class id.
     """
-
-    def __init__(self, capacity: int):
-        if capacity < 1:
-            raise ArgumentError("capacity must be positive")
-        self.capacity = int(capacity)
-        self._store: dict[int, tuple[Array, Array]] = {}   # class -> (xs, ys)
-
-    def __len__(self) -> int:
-        return sum(xs.shape[0] for xs, _ in self._store.values())
-
-    @property
-    def classes(self) -> list[int]:
-        return sorted(self._store)
-
-    def quotas(self, class_ids: Sequence[int]) -> dict[int, int]:
-        ids = sorted(class_ids)
-        base, rem = divmod(self.capacity, len(ids))
-        return {c: base + (1 if rank < rem else 0) for rank, c in enumerate(ids)}
-
-    def as_arrays(self) -> tuple[Array, Array]:
-        if not self._store:
-            return np.zeros((0, 0)), np.zeros(0, dtype=np.int64)
-        xs = np.concatenate([self._store[c][0] for c in self.classes])
-        ys = np.concatenate([self._store[c][1] for c in self.classes])
-        return xs, ys
-
-
-def buffer_update_herding(buffer: HerdingBuffer, model: Network,
-                          task_dataset: Dataset) -> HerdingBuffer:
-    """Admit a finished task's classes and rebalance all quotas."""
-    new_classes = sorted(int(c) for c in np.unique(task_dataset.labels))
-    all_classes = sorted(set(buffer.classes) | set(new_classes))
-    quota = buffer.quotas(all_classes)
-    for c in buffer.classes:
-        xs, ys = buffer._store[c]
-        keep = min(quota[c], xs.shape[0])
-        buffer._store[c] = (xs[:keep], ys[:keep])
-    for c in new_classes:
-        idx = task_dataset.class_indices(c)
-        feats = model.features(task_dataset.inputs[idx])
-        m = min(quota[c], idx.size)
-        order = herding_select(feats, m) if m > 0 else []
-        chosen = idx[np.asarray(order, dtype=np.intp)] if order else idx[:0]
-        buffer._store[c] = (task_dataset.inputs[chosen].copy(),
-                            task_dataset.labels[chosen].copy())
-    if len(buffer) > buffer.capacity:
-        raise ContractError("herding buffer exceeded its capacity")
-    return buffer
+    if capacity < 1:
+        raise ArgumentError("capacity must be positive")
+    n_classes = model.out_dim
+    task_classes = set(np.unique(task_dataset.labels).tolist())
+    if task_classes and max(task_classes) >= n_classes:
+        raise LabelError(f"task labels reach past the model's {n_classes} classes")
+    base, rem = divmod(capacity, n_classes)
+    parts: list[Dataset] = []
+    for c in range(n_classes):
+        quota = base + (1 if c < rem else 0)
+        if c in task_classes:
+            idx = task_dataset.class_indices(c)
+            m = min(quota, idx.size)
+            order = herding_select(model.features(task_dataset.inputs[idx]), m) if m else []
+            parts.append(task_dataset.subset(idx[np.asarray(order, dtype=np.intp)]))
+        elif exemplars is not None:
+            parts.append(exemplars.subset(exemplars.class_indices(c)[:quota]))
+    kept = Dataset(np.concatenate([p.inputs for p in parts]),
+                   np.concatenate([p.labels for p in parts]), task_dataset.n_classes,
+                   value_range=task_dataset.value_range)
+    if len(kept) > capacity:
+        raise ContractError("herding exemplars exceeded their capacity")
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -250,15 +226,6 @@ def _params_digest(net: Network) -> str:
     return h.hexdigest()
 
 
-def _merged_pool(task_data: Dataset, buffer) -> tuple[Array, Array]:
-    xs, ys = task_data.inputs, task_data.labels
-    if isinstance(buffer, HerdingBuffer) and len(buffer) > 0:
-        bx, by = buffer.as_arrays()
-        xs = np.concatenate([xs, bx])
-        ys = np.concatenate([ys, by])
-    return xs, ys
-
-
 def run_task(student: Network, teacher: Network | None, task_data: Dataset,
              buffer, method_cfg: MethodConfig, schedule: Schedule, *,
              reg: RegState | None = None, root_seed: int = 0,
@@ -266,10 +233,10 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
     """Train the (already head-expanded) student on one task.
 
     Per batch: optional augmentation, PGD with the method's attack
-    config, the method loss, one SGD step. A herding buffer is merged
-    into the training pool; a reservoir gives each batch a separate replay
-    batch, attacked in the batch's own PGD call. Returns the trained network
-    and per-epoch rows (task, epoch, train_loss, clean_acc, robust_acc).
+    config, the method loss, one SGD step. A herding `Dataset` joins the
+    training pool; a reservoir gives each batch a separate replay batch,
+    attacked in the batch's own PGD call. Returns the trained network and
+    per-epoch rows (task, epoch, train_loss, clean_acc, robust_acc).
     The teacher is never touched; this is checked by hashing.
     """
     if student.frozen:
@@ -279,7 +246,10 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
     teacher_digest = _params_digest(teacher) if teacher is not None else None
 
     info = method_cfg.info
-    pool_x, pool_y = _merged_pool(task_data, buffer)
+    pool_x, pool_y = task_data.inputs, task_data.labels
+    if isinstance(buffer, Dataset):
+        pool_x = np.concatenate([pool_x, buffer.inputs])
+        pool_y = np.concatenate([pool_y, buffer.labels])
     n_pool = pool_x.shape[0]
     clamp = task_data.value_range
     attack_base = method_cfg.attack

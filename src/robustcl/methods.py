@@ -40,8 +40,6 @@ from .network import Network, Passes, grad_params, split
 
 Array = np.ndarray
 
-BUFFER_KINDS = ("none", "herding", "reservoir", "reservoir-with-logits")
-
 EWC_GAMMA = 0.9      # online-EWC decay of the previous Fisher diagonal
 SI_XI = 1e-3         # SI damping of the squared total parameter change
 
@@ -54,8 +52,7 @@ class MethodInfo:
     terms: Callable[..., dict[str, Node]]
     default_alpha: float = 0.0
     default_beta: float = 0.0
-    default_buffer: str = "none"
-    allowed_buffers: tuple[str, ...] = ("none",)
+    buffers: tuple[str, ...] = ("none",)   # allowed buffer kinds, default first
     inner_objective: str = "ce"       # default PGD objective
     reg: str | None = None            # ewc | si
     augment_default: bool = False
@@ -93,12 +90,10 @@ def make_method_config(name: str, attack: AttackConfig, alpha: float | None = No
     beta = info.default_beta if beta is None else float(beta)
     if alpha < 0 or beta < 0 or not np.isfinite(alpha) or not np.isfinite(beta):
         raise ConfigurationError("alpha and beta must be finite and nonnegative")
-    buffer_kind = info.default_buffer if buffer_kind is None else buffer_kind
-    if buffer_kind not in BUFFER_KINDS:
-        raise ConfigurationError(f"unknown buffer kind {buffer_kind!r}")
-    if buffer_kind not in info.allowed_buffers:
+    buffer_kind = info.buffers[0] if buffer_kind is None else buffer_kind
+    if buffer_kind not in info.buffers:
         raise ConfigurationError(
-            f"method {name!r} requires buffer kind in {info.allowed_buffers}, "
+            f"method {name!r} requires buffer kind in {info.buffers}, "
             f"got {buffer_kind!r}")
     if fpd_metric not in ("kl", "mse"):
         raise ConfigurationError("fpd_metric must be 'kl' or 'mse'")
@@ -428,32 +423,26 @@ _NONE_OR_HERDING = ("none", "herding")
 
 # name, term builder, default alpha, default beta, then the other facts
 REGISTRY: dict[str, MethodInfo] = {m.name: m for m in [
-    MethodInfo("pgd-at", _pgd_at, allowed_buffers=_NONE_OR_HERDING),
-    MethodInfo("trades", _trades, 6.0, allowed_buffers=_NONE_OR_HERDING,
+    MethodInfo("pgd-at", _pgd_at, buffers=_NONE_OR_HERDING),
+    MethodInfo("trades", _trades, 6.0, buffers=_NONE_OR_HERDING,
                inner_objective="kl-vs-clean"),
-    MethodInfo("mart", _mart, 6.0, allowed_buffers=_NONE_OR_HERDING),
-    MethodInfo("i-ard", _i_ard, 1.0, 1.0, allowed_buffers=_NONE_OR_HERDING),
-    MethodInfo("i-rslad", _i_rslad, 1.0, 1.0, allowed_buffers=_NONE_OR_HERDING),
+    MethodInfo("mart", _mart, 6.0, buffers=_NONE_OR_HERDING),
+    MethodInfo("i-ard", _i_ard, 1.0, 1.0, buffers=_NONE_OR_HERDING),
+    MethodInfo("i-rslad", _i_rslad, 1.0, 1.0, buffers=_NONE_OR_HERDING),
     MethodInfo("i-adaad", partial(_i_rslad, adversarial_reference=True), 1.0, 1.0,
-               allowed_buffers=_NONE_OR_HERDING),
+               buffers=_NONE_OR_HERDING),
     MethodInfo("r-lwf", _r_lwf, 1.0),
     MethodInfo("r-lwf-mc", _multilabel_distill),
     MethodInfo("r-ewc-on", _penalized, 1.0, reg="ewc"),
     MethodInfo("r-si", _penalized, 1.0, reg="si"),
-    MethodInfo("r-er", _r_er, default_buffer="reservoir",
-               allowed_buffers=("reservoir",)),
-    MethodInfo("r-er-ace", partial(_r_er, asymmetric=True), default_buffer="reservoir",
-               allowed_buffers=("reservoir",)),
-    MethodInfo("r-der", _r_der, 0.3,
-               default_buffer="reservoir-with-logits",
-               allowed_buffers=("reservoir-with-logits",)),
+    MethodInfo("r-er", _r_er, buffers=("reservoir",)),
+    MethodInfo("r-er-ace", partial(_r_er, asymmetric=True), buffers=("reservoir",)),
+    MethodInfo("r-der", _r_der, 0.3, buffers=("reservoir-with-logits",)),
     MethodInfo("r-der++", partial(_r_der, replay_ce=True), 0.1, 0.5,
-               default_buffer="reservoir-with-logits",
-               allowed_buffers=("reservoir-with-logits",)),
-    MethodInfo("r-icarl", _multilabel_distill, default_buffer="herding",
-               allowed_buffers=("herding",)),
-    MethodInfo("flair", _flair, 0.5, 2.0, allowed_buffers=_NONE_OR_HERDING),
-    MethodInfo("flair+", _flair, 0.5, 2.0, allowed_buffers=_NONE_OR_HERDING,
+               buffers=("reservoir-with-logits",)),
+    MethodInfo("r-icarl", _multilabel_distill, buffers=("herding",)),
+    MethodInfo("flair", _flair, 0.5, 2.0, buffers=_NONE_OR_HERDING),
+    MethodInfo("flair+", _flair, 0.5, 2.0, buffers=_NONE_OR_HERDING,
                augment_default=True),
 ]}
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from . import __version__
 from .attacks import AttackConfig, parse_rational
-from .continual import (HerdingBuffer, ReservoirBuffer, Schedule,
-                        buffer_update_herding, run_task, split_dataset, split_order)
+from .continual import (ReservoirBuffer, Schedule, buffer_update_herding,
+                        run_task, split_dataset, split_order)
 from .data import Dataset, gen_gaussian_tasks, load_csv_dataset
 from .errors import ArgumentError, ConfigurationError, IntegrityError
 from .methods import MethodConfig, RegState, make_method_config
@@ -359,6 +359,7 @@ def load_checkpoint(path: str) -> Network:
         boundaries = [int(b) for b in fields["head_boundaries"].split(",")]
         n_layers = int(fields["n_layers"])
         blob_len = int(fields["blob_len"])
+        digest = fields["blob_sha256"]
         seed = int(fields["seed"]) if fields.get("seed") else None
         shapes = []
         for i in range(n_layers):
@@ -372,9 +373,7 @@ def load_checkpoint(path: str) -> Network:
         raise IntegrityError(
             f"checkpoint blob length mismatch: manifest {blob_len}, "
             f"expected {expected}, blob holds {len(blob) // 8}")
-    # manifests written before the digest existed have no blob_sha256 line
-    digest = fields.get("blob_sha256")
-    if digest is not None and digest != hashlib.sha256(blob).hexdigest():
+    if digest != hashlib.sha256(blob).hexdigest():
         raise IntegrityError(f"checkpoint blob {path}.blob does not match its "
                              "manifest's SHA-256")
     if shapes[-1][0][1] != boundaries[-1]:
@@ -500,15 +499,18 @@ def _build_streams(cfg: ExperimentConfig) -> tuple[list[Dataset], list[Dataset]]
                                  cfg.class_order, seed=cfg.seed)
     test_stream = split_dataset(test, cfg.n_tasks, cfg.classes_per_task,
                                 cfg.class_order, seed=cfg.seed)
+    for t, (train_t, test_t) in enumerate(zip(train_stream, test_stream), 1):
+        for split, task in (("train", train_t), ("test", test_t)):
+            if len(task) == 0:
+                raise ConfigurationError(f"task {t} has no {split} examples")
     return train_stream, test_stream
 
 
 def _make_buffer(cfg: ExperimentConfig):
+    # herding exemplars first exist after task 1
     kind = cfg.method.buffer_kind
-    if kind == "none":
+    if kind in ("none", "herding"):
         return None
-    if kind == "herding":
-        return HerdingBuffer(cfg.buffer_capacity)
     return ReservoirBuffer(cfg.buffer_capacity,
                            with_logits=(kind == "reservoir-with-logits"),
                            seed=derive_seed(cfg.seed, purpose="reservoir"))
@@ -566,7 +568,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                                      root_seed=cfg.seed, task_index=t + 1)
             logs.extend(task_log)
             if cfg.method.buffer_kind == "herding":
-                buffer_update_herding(buffer, net, train_tasks[t])
+                buffer = buffer_update_herding(buffer, net, train_tasks[t],
+                                               cfg.buffer_capacity)
             stored_per_task.append(len(buffer) if buffer is not None else 0)
             snap = snapshot(net)
             snapshots.append(snap)

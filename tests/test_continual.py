@@ -3,7 +3,7 @@ import pytest
 
 import robustcl as rc
 from robustcl import continual, methods
-from robustcl.continual import HerdingBuffer, ReservoirBuffer, Schedule
+from robustcl.continual import ReservoirBuffer, Schedule
 from robustcl.errors import ArgumentError, ContractError, DimensionError, LabelError
 
 ATTACK = rc.AttackConfig(epsilon=0.05, step_size=0.0125, n_steps=3,
@@ -136,40 +136,74 @@ def test_herding_argument_validation():
 # herding buffer
 
 
+def class_counts(exemplars, n_classes):
+    return np.bincount(exemplars.labels, minlength=n_classes).tolist()
+
+
+def task_of(dataset, classes):
+    keep = np.isin(dataset.labels, classes)
+    return rc.Dataset(dataset.inputs[keep], dataset.labels[keep], dataset.n_classes,
+                      value_range=(0, 1))
+
+
 def test_quota_arithmetic():
-    buf = HerdingBuffer(10)
-    assert buf.quotas([0, 1]) == {0: 5, 1: 5}
-    assert buf.quotas([0, 1, 2, 3]) == {0: 3, 1: 3, 2: 2, 3: 2}
+    two = rc.Network.init_mlp(4, [8], 2, seed=1)
+    four = rc.expand_head(two, 2, seed=3)
+    data = make_dataset(n_classes=4, per_class=20, seed=2)
+    exemplars = rc.buffer_update_herding(None, two, task_of(data, [0, 1]), 10)
+    assert class_counts(exemplars, 4) == [5, 5, 0, 0]
+    exemplars = rc.buffer_update_herding(exemplars, four, task_of(data, [2, 3]), 10)
+    assert class_counts(exemplars, 4) == [3, 3, 2, 2]
 
 
 def test_buffer_update_keeps_capacity_and_prefix_property():
     net = rc.Network.init_mlp(4, [8], 2, seed=1)
-    buf = HerdingBuffer(10)
     task0 = make_dataset(n_classes=2, per_class=20, seed=2)
-    rc.buffer_update_herding(buf, net, task0)
-    assert len(buf) == 10
-    first_order = {c: buf._store[c][0].copy() for c in buf.classes}
+    first = rc.buffer_update_herding(None, net, task0, 10)
+    assert len(first) == 10
 
     net2 = rc.expand_head(net, 2, seed=3)
-    task1_raw = make_dataset(n_classes=4, per_class=20, seed=3)
-    keep = np.isin(task1_raw.labels, [2, 3])
-    task1 = rc.Dataset(task1_raw.inputs[keep], task1_raw.labels[keep], 4,
-                       value_range=(0, 1))
-    rc.buffer_update_herding(buf, net2, task1)
-    assert len(buf) == 10
-    assert buf.classes == [0, 1, 2, 3]
+    task1 = task_of(make_dataset(n_classes=4, per_class=20, seed=3), [2, 3])
+    second = rc.buffer_update_herding(first, net2, task1, 10)
+    assert len(second) == 10
+    assert np.unique(second.labels).tolist() == [0, 1, 2, 3]
+    assert np.all(np.diff(second.labels) >= 0)        # grouped by class id
     # shrunk classes keep a prefix of their original herding order
     for c in (0, 1):
-        kept = buf._store[c][0]
-        assert np.array_equal(kept, first_order[c][: len(kept)])
+        kept = second.inputs[second.class_indices(c)]
+        assert np.array_equal(kept, first.inputs[first.class_indices(c)][: len(kept)])
+
+
+def test_buffer_update_below_one_exemplar_per_class():
+    data = make_dataset(n_classes=6, per_class=10, seed=5)
+    net = rc.Network.init_mlp(4, [8], 2, seed=1)
+    sets = [None]
+    for t in range(3):
+        if t:
+            net = rc.expand_head(net, 2, seed=3 + t)
+        sets.append(rc.buffer_update_herding(sets[-1], net,
+                                             task_of(data, [2 * t, 2 * t + 1]), 3))
+    assert [class_counts(e, 6) for e in sets[1:]] == [
+        [2, 1, 0, 0, 0, 0], [1, 1, 1, 0, 0, 0], [1, 1, 1, 0, 0, 0]]
+    # old classes keep a prefix of their herding order
+    for before, after in zip(sets[1:], sets[2:]):
+        for c in np.unique(before.labels).tolist():
+            kept = after.inputs[after.class_indices(c)]
+            assert np.array_equal(kept, before.inputs[before.class_indices(c)][:len(kept)])
 
 
 def test_buffer_stores_everything_when_capacity_exceeds_data():
     net = rc.Network.init_mlp(4, [8], 2, seed=1)
-    buf = HerdingBuffer(100)
     task = make_dataset(n_classes=2, per_class=10, seed=4)
-    rc.buffer_update_herding(buf, net, task)
-    assert len(buf) == 20
+    assert len(rc.buffer_update_herding(None, net, task, 100)) == 20
+
+
+def test_buffer_update_validation():
+    net = rc.Network.init_mlp(4, [8], 2, seed=1)
+    with pytest.raises(ArgumentError):
+        rc.buffer_update_herding(None, net, make_dataset(n_classes=2), 0)
+    with pytest.raises(LabelError):
+        rc.buffer_update_herding(None, net, make_dataset(n_classes=4), 10)
 
 
 # ---------------------------------------------------------------------------

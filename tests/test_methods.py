@@ -80,6 +80,8 @@ def test_buffer_kind_validation():
     with pytest.raises(ConfigurationError):
         make_cfg("r-icarl", buffer_kind="none")
     with pytest.raises(ConfigurationError):
+        make_cfg("pgd-at", buffer_kind="fifo")
+    with pytest.raises(ConfigurationError):
         make_cfg("unknown-method")
 
 
@@ -645,7 +647,7 @@ EXPECTED_TERMS = {
 @pytest.mark.parametrize("with_teacher", [True, False], ids=["teacher", "first-task"])
 @pytest.mark.parametrize("name,buffer_kind", [
     (name, kind) for name, info in methods.REGISTRY.items()
-    for kind in info.allowed_buffers])
+    for kind in info.buffers])
 def test_build_training_loss_dispatches_every_method(two_task_pair, batch, name,
                                                      buffer_kind, with_teacher):
     student, teacher = two_task_pair
@@ -687,7 +689,7 @@ def oracle_case(name, activation):
     x = rng.uniform(size=(5, 4))
     y = np.array([2, 3, 2, 0, 3])
     x_adv = x + rng.uniform(-0.05, 0.05, size=x.shape)
-    kind = methods.REGISTRY[name].default_buffer
+    kind = methods.REGISTRY[name].buffers[0]
     cfg = make_cfg(name, buffer_kind=kind, **ORACLE_OVERRIDES.get(name, {}))
     replay = None
     if kind.startswith("reservoir"):

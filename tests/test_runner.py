@@ -230,6 +230,24 @@ def test_cli_bad_split_exits_2_before_creating_output(tmp_path, capsys, kind):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("split,n_tasks,missing", [
+    ("test", 2, [0, 1]), ("train", 3, [2, 3])], ids=["test-task-1", "train-task-2"])
+def test_cli_empty_task_split_exits_2_before_creating_output(tmp_path, capsys, split,
+                                                             n_tasks, missing):
+    ds = rc.gen_gaussian_tasks(2 * n_tasks, 6, 10.0, 8, seed=6)
+    save_csv_dataset(ds, str(tmp_path / "full.csv"))
+    save_csv_dataset(ds.subset(~np.isin(ds.labels, missing)), str(tmp_path / "gap.csv"))
+    files = {"train": str(tmp_path / "full.csv"), "test": str(tmp_path / "full.csv")}
+    files[split] = str(tmp_path / "gap.csv")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(
+        tmp_path / "out", dataset={"kind": "csv", **files},
+        tasks={"n_tasks": n_tasks, "classes_per_task": 2})))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert f"no {split} examples" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("overrides", [
     {"method": {"name": ["flair"]}},
     {"dataset": {"kind": {"gaussian": 1}}},
@@ -371,13 +389,13 @@ def test_checkpoint_blob_digest_detects_same_length_corruption(tmp_path):
     (tmp_path / "ckpt.blob").write_bytes(bytes(flipped))
     with pytest.raises(IntegrityError):
         rc.load_checkpoint(str(stem))
-    # a manifest written before the digest line existed still loads
+    # the digest line is required: without it even an intact blob is refused
     (tmp_path / "ckpt.blob").write_bytes(blob)
-    legacy = re.sub(r"blob_sha256=\w+\n", "", manifest)
-    assert "blob_sha256" not in legacy
-    (tmp_path / "ckpt.manifest").write_text(legacy)
-    xs = np.random.default_rng(0).uniform(size=(5, 4))
-    assert np.array_equal(rc.load_checkpoint(str(stem)).forward(xs), net.forward(xs))
+    undigested = re.sub(r"blob_sha256=\w+\n", "", manifest)
+    assert "blob_sha256" not in undigested
+    (tmp_path / "ckpt.manifest").write_text(undigested)
+    with pytest.raises(IntegrityError):
+        rc.load_checkpoint(str(stem))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Print one digest line per method x buffer run of a tiny experiment.
 
-Every registered method runs once with each buffer kind it allows, on a
-tiny Gaussian config (6 classes in 3 tasks, d = 8, hidden [16, 16],
-2 epochs, 3 PGD steps, flatness subsample 4) with relu hidden layers.
+Every registered method runs once with each buffer kind that
+`make_method_config` accepts for it, on a tiny Gaussian config (6 classes
+in 3 tasks, d = 8, hidden [16, 16], 2 epochs, 3 PGD steps, buffer
+capacity 20, flatness subsample 4) with relu hidden layers.
 A few non-flair methods also run with augmentation switched on,
-pgd-at, trades and flair also run with each other hidden activation, and
+pgd-at, trades and flair also run with each other hidden activation,
 a few methods run with method settings that reach loss branches their
-defaults skip. Each line reads
+defaults skip, and two herding runs use a capacity below the class count,
+so the later tasks' quotas reach zero. Each line reads
 `method/buffer[+augment][@activation][:key=value] <report> <checkpoints>`:
 two sha256 prefixes, one of `report.json` with `wall_clock_sec` removed
 and one of every file under `checkpoints/` (name, manifest and blob
@@ -37,6 +39,9 @@ from pathlib import Path
 
 DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
+BUFFER_KINDS = ("none", "herding", "reservoir", "reservoir-with-logits")
+CAPACITY = 20        # buffer capacity of every run not listed in CAPACITIES
+
 # (method, buffer kind) pairs that also run with augmentation on
 AUGMENTED = [("pgd-at", "none"), ("trades", "herding"), ("i-rslad", "herding"),
              ("r-si", "none"), ("r-der++", "reservoir-with-logits"),
@@ -52,10 +57,13 @@ SETTINGS = [("i-rslad", "none", {"alpha": 0.5}), ("i-adaad", "none", {"alpha": 0
             ("flair", "none", {"fpd_metric": "mse"}),
             ("r-der++", "reservoir-with-logits", {"alpha": 0.0})]
 
+# (method, buffer kind, buffer capacity): herding quotas below one per class
+CAPACITIES = [("pgd-at", "herding", 3), ("r-icarl", "herding", 3)]
+
 
 def tiny_config(method: str, buffer_kind: str, augment: bool,
                 activation: str = "relu", seed: int = 1,
-                settings: dict | None = None) -> dict:
+                settings: dict | None = None, capacity: int = CAPACITY) -> dict:
     cfg = {
         "seed": seed,
         "output_dir": "run",
@@ -68,12 +76,25 @@ def tiny_config(method: str, buffer_kind: str, augment: bool,
         "attack": {"epsilon": "1/20", "n_steps": 3},
         "eval_attack": {"n_steps": 3},
         "training": {"epochs": 2, "lr": 0.1, "batch_size": 16},
-        "buffer": {"capacity": 0 if buffer_kind == "none" else 20},
+        "buffer": {"capacity": 0 if buffer_kind == "none" else capacity},
         "flatness": {"subsample": 4},
     }
     if augment:
         cfg["augment"] = {"enabled": True}
     return cfg
+
+
+def accepted_kinds(rc, name: str) -> list[str]:
+    """The buffer kinds `make_method_config` accepts for method `name`."""
+    attack = rc.AttackConfig(epsilon=0.05, step_size=0.0125, n_steps=3)
+    kinds = []
+    for kind in BUFFER_KINDS:
+        try:
+            rc.methods.make_method_config(name, attack, buffer_kind=kind)
+        except rc.errors.ConfigurationError:
+            continue
+        kinds.append(kind)
+    return kinds
 
 
 def run_digests(rc, cfg: dict) -> tuple[str, str]:
@@ -101,20 +122,22 @@ def main(argv=None) -> int:
     if Path(rc.__file__).resolve().parent != Path(args.src, "robustcl").resolve():
         raise SystemExit(f"robustcl imported from {rc.__file__}, not {args.src}")
 
-    runs = [(name, kind, False, "relu", {})
-            for name, info in rc.methods.REGISTRY.items()
-            for kind in info.allowed_buffers]
-    runs += [(name, kind, True, "relu", {}) for name, kind in AUGMENTED]
-    runs += [(name, "none", False, act, {}) for act in OTHER_ACTIVATIONS
+    runs = [(name, kind, False, "relu", {}, CAPACITY)
+            for name in rc.methods.REGISTRY for kind in accepted_kinds(rc, name)]
+    runs += [(name, kind, True, "relu", {}, CAPACITY) for name, kind in AUGMENTED]
+    runs += [(name, "none", False, act, {}, CAPACITY) for act in OTHER_ACTIVATIONS
              for name in ACTIVATION_METHODS]
-    runs += [(name, kind, False, "relu", settings) for name, kind, settings in SETTINGS]
+    runs += [(name, kind, False, "relu", settings, CAPACITY)
+             for name, kind, settings in SETTINGS]
+    runs += [(name, kind, False, "relu", {}, cap) for name, kind, cap in CAPACITIES]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, kind, augment, act, settings in runs:
+        for name, kind, augment, act, settings, cap in runs:
             report, ckpt = run_digests(rc, tiny_config(name, kind, augment, act,
-                                                         args.seed, settings))
+                                                         args.seed, settings, cap))
             tag = (("+augment" if augment else "") + ("" if act == "relu" else f"@{act}")
-                   + "".join(f":{k}={v}" for k, v in settings.items()))
+                   + "".join(f":{k}={v}" for k, v in settings.items())
+                   + ("" if cap == CAPACITY else f":capacity={cap}"))
             print(f"{name}/{kind}{tag} {report} {ckpt}", flush=True)
     return 0
 
