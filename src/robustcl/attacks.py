@@ -30,16 +30,16 @@ Head = Callable[[Array], tuple[Array, Array]]
 OBJECTIVES = ("ce", "kl-vs-clean", "bce-newslice")
 
 
-def parse_rational(value) -> float:
+def parse_rational(value, what: str = "a radius") -> float:
     """Accept numbers (not booleans) or exact rational strings such as "8/255"."""
     if isinstance(value, bool):
-        raise ConfigurationError(f"a radius must be a number, got {value!r}")
+        raise ConfigurationError(f"{what} must be a number, got {value!r}")
     try:
         if isinstance(value, (int, float)):
             return float(value)
         return float(Fraction(str(value)))
     except (ValueError, ZeroDivisionError, OverflowError) as exc:
-        raise ConfigurationError(f"cannot parse rational literal {value!r}") from exc
+        raise ConfigurationError(f"{what} must be a rational, got {value!r}") from exc
 
 
 @dataclass(frozen=True)

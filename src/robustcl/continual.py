@@ -239,6 +239,8 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
     per-epoch rows (task, epoch, train_loss, clean_acc, robust_acc).
     The teacher is never touched; this is checked by hashing.
     """
+    if len(task_data) == 0:
+        raise ArgumentError(f"task {task_index} has no training examples")
     if student.frozen:
         raise ContractError("cannot train a frozen network")
     if teacher is not None and not teacher.frozen:
@@ -327,8 +329,6 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
 def _epoch_eval(student: Network, task_data: Dataset, attack: AttackConfig,
                 root_seed: int, task_index: int, epoch: int) -> dict:
     n = len(task_data)
-    if n == 0:
-        return {"clean_acc": 0.0, "robust_acc": 0.0}
     rng = derive_rng(root_seed, task_index, epoch, "log-subsample")
     idx = rng.choice(n, size=min(LOG_SUBSAMPLE, n), replace=False)
     x, y = task_data.inputs[idx], task_data.labels[idx]

@@ -1,11 +1,12 @@
 """Experiment orchestration: config parsing, the task loop, reports.
 
-Configs are JSON with exact-rational attack radii ("8/255"). A run
-trains task after task (expand head, freeze the teacher, train, update
-the replay buffer, evaluate the new accuracy-matrix row), checkpoints
-every per-task model, and finally computes backward transfer and
-flatness drift. Reports are deterministic for a fixed (config, seed)
-apart from the wall-clock field.
+Configs are JSON with exact-rational attack radii ("8/255"). One table,
+`_SCHEMA`, states each key's parser, minimum and default; parsing walks
+it, then checks the few rules that cross keys. A run trains task after
+task (expand head, freeze the teacher, train, update the replay buffer,
+evaluate the new accuracy-matrix row), checkpoints every per-task model,
+and finally computes backward transfer and flatness drift. Reports are
+deterministic for a fixed (config, seed) apart from the wall-clock field.
 """
 from __future__ import annotations
 
@@ -36,6 +37,7 @@ Array = np.ndarray
 
 CHECKPOINT_VERSION = 1
 _REPORT_FILE = "report.json"
+_REQUIRED = object()   # the default of a config key that must be given
 
 
 # ---------------------------------------------------------------------------
@@ -45,13 +47,13 @@ _REPORT_FILE = "report.json"
 @dataclass(frozen=True)
 class DatasetSpec:
     kind: str                          # gaussian | csv
-    n_classes: int = 10
-    dim: int = 16
-    separation: float = 6.0
-    train_per_class: int = 200
-    test_per_class: int = 100
-    train_path: str | None = None
-    test_path: str | None = None
+    n_classes: int | None              # gaussian keys; None for csv
+    dim: int | None
+    separation: float | None
+    train_per_class: int | None
+    test_per_class: int | None
+    train_path: str | None             # csv keys; None for gaussian
+    test_path: str | None
 
 
 @dataclass(frozen=True)
@@ -75,35 +77,6 @@ class ExperimentConfig:
     grid: dict | None = None
 
 
-def _need(d: dict, key: str, where: str):
-    if not isinstance(d, dict):
-        raise ConfigurationError(f"{where} must be a JSON object")
-    if key not in d:
-        raise ConfigurationError(f"missing key {key!r} in {where}")
-    return d[key]
-
-
-_TOP_KEYS = {"seed", "output_dir", "dataset", "tasks", "model", "method",
-             "attack", "eval_attack", "training", "buffer", "augment",
-             "flatness", "grid"}
-_DATASET_KEYS = {"gaussian": {"kind", "n_classes", "dim", "separation",
-                              "train_per_class", "test_per_class"},
-                 "csv": {"kind", "train", "test"}}
-_ATTACK_KEYS = {"epsilon", "step_size", "n_steps", "random_start", "objective",
-                "n_restarts"}
-
-
-def _section(raw: dict, name: str, keys: set[str], required: bool = False) -> dict:
-    """A nested config object whose keys all lie in `keys` ({} when absent)."""
-    sec = _need(raw, name, "config") if required else raw.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigurationError(f"{name} must be a JSON object")
-    unknown = set(sec) - keys
-    if unknown:
-        raise ConfigurationError(f"unknown keys in {name}: {sorted(unknown)}")
-    return sec
-
-
 def _int(value, what: str, minimum: int = 0) -> int:
     """An exact JSON integer (not a bool or a float) of at least `minimum`."""
     if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
@@ -119,14 +92,16 @@ def _ints(value, what: str, minimum: int = 0) -> tuple[int, ...]:
     return tuple(_int(v, f"{what} entry", minimum) for v in value)
 
 
-def _float(value, what: str) -> float:
-    """A finite JSON number (not a bool, a string, NaN or an infinity)."""
+def _float(value, what: str, minimum: float = -np.inf) -> float:
+    """A finite JSON number (not a bool, a string, NaN or infinite), >= `minimum`."""
     number = float("nan")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         # an integer too large for a float counts as infinite
         number = float(value) if abs(value) <= sys.float_info.max else float("inf")
-    if not np.isfinite(number):
-        raise ConfigurationError(f"{what} must be a finite number, got {value!r}")
+    if not np.isfinite(number) or number < minimum:
+        bound = "" if minimum == -np.inf else f" >= {minimum}"
+        raise ConfigurationError(f"{what} must be a finite number{bound}, "
+                                 f"got {value!r}")
     return number
 
 
@@ -142,16 +117,105 @@ def _str(value, what: str) -> str:
     return value
 
 
-def _attack(atk_raw: dict, where: str, epsilon, default_steps: int,
-            min_steps: int = 0) -> AttackConfig:
-    return AttackConfig(
-        epsilon=epsilon,
-        step_size=parse_rational(atk_raw.get("step_size", epsilon / 4.0)),
-        n_steps=_int(atk_raw.get("n_steps", default_steps), f"{where} n_steps",
-                     min_steps),
-        random_start=_bool(atk_raw.get("random_start", True), f"{where} random_start"),
-        objective=atk_raw.get("objective", "ce"),
-        n_restarts=_int(atk_raw.get("n_restarts", 1), f"{where} n_restarts", 1))
+def _one_of(value, what: str, options: tuple[str, ...]) -> str:
+    if value not in options:
+        raise ConfigurationError(f"{what} must be one of {options}, got {value!r}")
+    return value
+
+
+def _or_null(parse):
+    """`parse` for a key whose JSON null means "not set" (None)."""
+    return lambda value, *args: None if value is None else parse(value, *args)
+
+
+def _grid_values(value, what: str) -> list[float]:
+    if not isinstance(value, list) or not value:
+        raise ConfigurationError(f"{what} must be a nonempty list")
+    values = [_float(v, f"{what} value") for v in value]
+    # each value names its run's output directory (see `expand_grid`)
+    tags = [f"{v:g}" for v in values]
+    if len(set(tags)) != len(tags):
+        raise ConfigurationError(f"{what} values {tags} repeat an output "
+                                 "directory tag")
+    return values
+
+
+def _dataset(value, what: str, kinds: dict) -> DatasetSpec:
+    """A dataset object, read by the rows of its `kind`."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{what} must be a JSON object")
+    kind = _str(value.get("kind"), f"{what} kind")
+    d = _fields(value, what, kinds[_one_of(kind, f"{what} kind", tuple(kinds))])
+    if kind == "csv":
+        for path in (d["train"], d["test"]):
+            if not Path(path).exists():
+                raise ConfigurationError(f"dataset file does not exist: {path}")
+        return DatasetSpec("csv", None, None, None, None, None, d["train"], d["test"])
+    return DatasetSpec(**d, train_path=None, test_path=None)
+
+
+def _fields(value, where: str, rows: dict) -> dict:
+    """The JSON object `value` read by `rows` (see `_SCHEMA`)."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where} must be a JSON object")
+    unknown = set(value) - set(rows)
+    if unknown:
+        raise ConfigurationError(f"unknown keys in {where}: {sorted(unknown)}")
+    out = {}
+    for key, row in rows.items():
+        what = key if where == "config" else f"{where} {key}"
+        if isinstance(row, dict):
+            out[key] = _fields(value.get(key, {}), what, row)
+        elif key in value:
+            out[key] = row[0](value[key], what, *row[2:])
+        elif row[1] is _REQUIRED:
+            raise ConfigurationError(f"missing key {key!r} in {where}")
+        else:
+            out[key] = row[1]
+    return out
+
+
+def _attack_rows(epsilon, n_steps: int, min_steps: int) -> dict:
+    # a None radius or step is filled in by `parse_config_text`
+    return {"epsilon": (parse_rational, epsilon), "step_size": (parse_rational, None),
+            "n_steps": (_int, n_steps, min_steps), "random_start": (_bool, True),
+            "objective": (_str, "ce"), "n_restarts": (_int, 1, 1)}
+
+
+# key -> (parser, default or _REQUIRED, further parser arguments); each parser
+# takes (JSON value, key name for messages, those arguments). A given value is
+# parsed, an absent key takes its default as is. A dict is a nested section,
+# read as {} when absent, so a required key in it makes it required.
+_SCHEMA = {
+    "seed": (_int, _REQUIRED),
+    "output_dir": (_str, _REQUIRED),
+    "dataset": (_dataset, _REQUIRED, {
+        "gaussian": {"kind": (_str, _REQUIRED), "n_classes": (_int, _REQUIRED),
+                     "dim": (_int, _REQUIRED), "separation": (_float, 6.0),
+                     "train_per_class": (_int, 200, 1),
+                     "test_per_class": (_int, 100, 1)},
+        "csv": {"kind": (_str, _REQUIRED), "train": (_str, _REQUIRED),
+                "test": (_str, _REQUIRED)}}),
+    "tasks": {"n_tasks": (_int, _REQUIRED, 1), "classes_per_task": (_int, _REQUIRED, 1),
+              # "identity" is the order 0, 1, 2, ...
+              "class_order": (lambda value, what: None if value == "identity"
+                              else _ints(value, what), None)},
+    "model": {"hidden": (_ints, (64, 64), 1),
+              "activation": (_one_of, "relu", ACTIVATIONS)},
+    "method": {"name": (_str, _REQUIRED), "alpha": (_or_null(_float), None),
+               "beta": (_or_null(_float), None), "buffer_kind": (_or_null(_str), None),
+               "fpd_metric": (_str, "kl")},
+    "attack": _attack_rows(_REQUIRED, 10, 0),
+    "eval_attack": _attack_rows(None, 20, 1),  # robust accuracy needs a step
+    "training": {"epochs": (_int, _REQUIRED, 1), "lr": (_float, _REQUIRED, 0),
+                 "batch_size": (_int, _REQUIRED, 1), "weight_decay": (_float, 1e-5, 0),
+                 "milestones": (_or_null(_ints), None)},
+    "buffer": {"capacity": (_int, 0)},
+    "augment": {"enabled": (_or_null(_bool), None)},
+    "flatness": {"subsample": (_int, 64, 1),
+                 "scalar": (_one_of, "ce", FLATNESS_SCALARS)},
+    "grid": {"alpha": (_grid_values, None), "beta": (_grid_values, None)},
+}
 
 
 def parse_config_text(text: str) -> ExperimentConfig:
@@ -159,127 +223,37 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigurationError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-
-    kind = _str(_need(_need(raw, "dataset", "config"), "kind", "dataset"), "dataset kind")
-    if kind not in _DATASET_KEYS:
-        raise ConfigurationError(f"unknown dataset kind {kind!r}")
-    ds_raw = _section(raw, "dataset", _DATASET_KEYS[kind])
-    if kind == "gaussian":
-        dataset = DatasetSpec(
-            kind="gaussian",
-            n_classes=_int(_need(ds_raw, "n_classes", "dataset"), "dataset n_classes"),
-            dim=_int(_need(ds_raw, "dim", "dataset"), "dataset dim"),
-            separation=_float(ds_raw.get("separation", 6.0), "dataset separation"),
-            train_per_class=_int(ds_raw.get("train_per_class", 200),
-                                 "dataset train_per_class", 1),
-            test_per_class=_int(ds_raw.get("test_per_class", 100),
-                                "dataset test_per_class", 1))
-    else:
-        train_path = _str(_need(ds_raw, "train", "dataset"), "dataset train")
-        test_path = _str(_need(ds_raw, "test", "dataset"), "dataset test")
-        for p in (train_path, test_path):
-            if not Path(p).exists():
-                raise ConfigurationError(f"dataset file does not exist: {p}")
-        dataset = DatasetSpec(kind="csv", train_path=train_path, test_path=test_path)
-
-    tasks = _section(raw, "tasks", {"n_tasks", "classes_per_task", "class_order"},
-                     required=True)
-    n_tasks = _int(_need(tasks, "n_tasks", "tasks"), "tasks n_tasks", 1)
-    cpt = _int(_need(tasks, "classes_per_task", "tasks"), "tasks classes_per_task", 1)
-    order_raw = tasks.get("class_order", "identity")
-    class_order = None if order_raw == "identity" else \
-        _ints(order_raw, "tasks class_order")
-    if kind == "gaussian":  # CSV class counts are known only once the files are read
+    c = _fields(raw, "config", _SCHEMA)
+    tasks, attack, eval_attack = c["tasks"], c["attack"], c["eval_attack"]
+    if c["dataset"].kind == "gaussian":  # CSV class counts are known once read
         try:
-            split_order(dataset.n_classes, n_tasks, cpt, class_order)
+            split_order(c["dataset"].n_classes, tasks["n_tasks"],
+                        tasks["classes_per_task"], tasks["class_order"])
         except ArgumentError as exc:
             raise ConfigurationError(str(exc)) from exc
-
-    model = _section(raw, "model", {"hidden", "activation"})
-    hidden = _ints(model.get("hidden", [64, 64]), "model hidden", 1)
-    activation = model.get("activation", "relu")
-    if activation not in ACTIVATIONS:
-        raise ConfigurationError(f"unknown activation {activation!r}; "
-                                 f"known: {ACTIVATIONS}")
-
-    atk_raw = _section(raw, "attack", _ATTACK_KEYS, required=True)
-    epsilon = parse_rational(_need(atk_raw, "epsilon", "attack"))
-    attack = _attack(atk_raw, "attack", epsilon, 10)
-    ev_raw = _section(raw, "eval_attack", _ATTACK_KEYS)
-    # robust accuracy needs at least one attack step
-    eval_attack = _attack(ev_raw, "eval_attack",
-                          parse_rational(ev_raw.get("epsilon", epsilon)), 20, 1)
-
-    train_raw = _section(raw, "training", {"epochs", "lr", "batch_size",
-                                           "weight_decay", "milestones"}, required=True)
-    milestones = train_raw.get("milestones")
-    schedule = Schedule(
-        epochs=_int(_need(train_raw, "epochs", "training"), "training epochs"),
-        lr=_float(_need(train_raw, "lr", "training"), "training lr"),
-        batch_size=_int(_need(train_raw, "batch_size", "training"),
-                        "training batch_size", 1),
-        weight_decay=_float(train_raw.get("weight_decay", 1e-5),
-                            "training weight_decay"),
-        milestones=None if milestones is None else
-        _ints(milestones, "training milestones"))
-    if schedule.lr < 0 or schedule.weight_decay < 0:
-        raise ConfigurationError("training lr and weight_decay must be nonnegative")
-
-    buffer_capacity = _int(_section(raw, "buffer", {"capacity"}).get("capacity", 0),
-                           "buffer capacity")
-
-    m_raw = _section(raw, "method", {"name", "alpha", "beta", "buffer_kind",
-                                     "fpd_metric"}, required=True)
-    name = _str(_need(m_raw, "name", "method"), "method name")
-    augment_enabled = _section(raw, "augment", {"enabled"}).get("enabled")
-    if augment_enabled is not None:
-        _bool(augment_enabled, "augment enabled")
-    alpha, beta = (None if m_raw.get(k) is None else _float(m_raw[k], f"method {k}")
-                   for k in ("alpha", "beta"))
-    method = make_method_config(
-        name, attack, alpha=alpha, beta=beta,
-        buffer_kind=m_raw.get("buffer_kind"),
-        augment=augment_enabled,
-        fpd_metric=m_raw.get("fpd_metric", "kl"),
-        explicit_objective="objective" in atk_raw)
-    if (method.buffer_kind != "none") != (buffer_capacity > 0):
+    if eval_attack["epsilon"] is None:
+        eval_attack["epsilon"] = attack["epsilon"]
+    for atk in (attack, eval_attack):
+        if atk["step_size"] is None:
+            atk["step_size"] = atk["epsilon"] / 4.0
+    method = make_method_config(attack=AttackConfig(**attack),
+                                augment=c["augment"]["enabled"],
+                                explicit_objective="objective" in raw["attack"],
+                                **c["method"])
+    capacity = c["buffer"]["capacity"]
+    if (method.buffer_kind != "none") != (capacity > 0):
         raise ConfigurationError(
-            f"method {name!r} has buffer kind {method.buffer_kind!r} and capacity "
-            f"{buffer_capacity}; the capacity must be positive exactly when the "
+            f"method {method.name!r} has buffer kind {method.buffer_kind!r} and "
+            f"capacity {capacity}; the capacity must be positive exactly when the "
             "kind is not 'none'")
-
-    flat_raw = _section(raw, "flatness", {"subsample", "scalar"})
-    flatness_subsample = _int(flat_raw.get("subsample", 64), "flatness subsample", 1)
-    flatness_scalar = flat_raw.get("scalar", "ce")
-    if flatness_scalar not in FLATNESS_SCALARS:
-        raise ConfigurationError(f"flatness scalar must be one of {FLATNESS_SCALARS}, "
-                                 f"got {flatness_scalar!r}")
-
-    grid = _section(raw, "grid", {"alpha", "beta"})
-    for key, values in grid.items():
-        if not isinstance(values, list) or not values:
-            raise ConfigurationError(f"grid {key} must be a nonempty list")
-        grid[key] = [_float(v, f"grid {key} value") for v in values]
-        # each value names its run's output directory (see `expand_grid`)
-        tags = [f"{v:g}" for v in grid[key]]
-        if len(set(tags)) != len(tags):
-            raise ConfigurationError(f"grid {key} values {tags} repeat an output "
-                                     "directory tag")
-    text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    grid = {key: values for key, values in c["grid"].items() if values is not None}
     return ExperimentConfig(
-        seed=_int(_need(raw, "seed", "config"), "seed"),
-        output_dir=_str(_need(raw, "output_dir", "config"), "output_dir"),
-        dataset=dataset, n_tasks=n_tasks, classes_per_task=cpt,
-        class_order=class_order, hidden=hidden, activation=activation,
-        method=method, eval_attack=eval_attack, schedule=schedule,
-        buffer_capacity=buffer_capacity,
-        flatness_subsample=flatness_subsample, flatness_scalar=flatness_scalar,
-        raw_text=text, sha256=text_hash, grid=grid or None)
+        seed=c["seed"], output_dir=c["output_dir"], dataset=c["dataset"], **tasks,
+        **c["model"], method=method, eval_attack=AttackConfig(**eval_attack),
+        schedule=Schedule(**c["training"]), buffer_capacity=capacity,
+        flatness_subsample=c["flatness"]["subsample"],
+        flatness_scalar=c["flatness"]["scalar"], raw_text=text,
+        sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(), grid=grid or None)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -302,7 +276,6 @@ def expand_grid(cfg: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
     for a in cfg.grid.get("alpha", [cfg.method.alpha]):
         for b in cfg.grid.get("beta", [cfg.method.beta]):
             raw = json.loads(cfg.raw_text)
-            raw.setdefault("method", {})
             raw["method"]["alpha"] = a
             raw["method"]["beta"] = b
             raw.pop("grid", None)
@@ -522,7 +495,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     train_tasks, test_tasks = _build_streams(cfg)
     # only after the split succeeded: a bad split leaves no output behind
     ckpt_dir = Path(cfg.output_dir) / "checkpoints"
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        ckpt_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigurationError(f"cannot create output directory {ckpt_dir}: "
+                                 f"{exc}") from exc
     t_count = cfg.n_tasks
     buffer = _make_buffer(cfg)
     info = cfg.method.info

@@ -8,6 +8,8 @@ import itertools
 import json
 import re
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +19,7 @@ from robustcl import autodiff as ad
 from robustcl.errors import IntegrityError
 from robustcl.metrics import AccuracyMatrix
 from robustcl.network import split
+from robustcl.seeding import derive_seed
 
 from conftest import attack_values
 
@@ -380,6 +383,29 @@ def test_criterion_7d_fpd_ablation_raises_gf(desk_scale_runs):
     report_line("7d", "removing the flatness term strictly raises mean GF",
                 ablated["gf"] > flair["gf"],
                 f"({ablated['gf']:.4f} > {flair['gf']:.4f})")
+
+
+def test_criterion_7e_final_robust_accuracy_under_restarts(desk_scale_runs):
+    # re-attack each run's final checkpoint as its last accuracy-matrix row
+    # did (same test tasks, same per-task seeds), with five restarts
+    results, _ = desk_scale_runs
+    means = {}
+    for tag in ("flair", "pgd-at"):
+        accs = []
+        for report in results[tag]:
+            cfg = rc.runner.parse_config_text(report.config_text)
+            _, test_tasks = rc.runner._build_streams(cfg)
+            final = rc.load_checkpoint(
+                str(Path(cfg.output_dir) / "checkpoints" / f"task_{cfg.n_tasks:03d}"))
+            for j, task in enumerate(test_tasks):
+                seed = derive_seed(cfg.seed, cfg.n_tasks, 0, "eval-attack", extra=j)
+                atk = replace(cfg.eval_attack, n_restarts=5,
+                              clamp_range=task.value_range, seed=seed)
+                accs.append(rc.robust_accuracy(final, task, atk))
+        means[tag] = float(np.mean(accs))
+    report_line("7e", "mean final robust accuracy under 5 restarts above plain AT",
+                means["flair"] > means["pgd-at"],
+                f"({means['flair']:.2f} > {means['pgd-at']:.2f})")
 
 
 def test_criterion_7_runtime(desk_scale_runs):

@@ -301,6 +301,15 @@ def test_run_task_zero_epochs_leaves_model_unchanged():
     assert log == []
 
 
+def test_run_task_rejects_an_empty_task():
+    net = rc.Network.init_mlp(4, [8], 2, seed=5)
+    empty = small_task().subset(np.array([], dtype=int))
+    cfg = methods.make_method_config("pgd-at", ATTACK)
+    with pytest.raises(ArgumentError, match="no training examples"):
+        rc.run_task(net, None, empty, None, cfg,
+                    Schedule(epochs=1, lr=0.1, batch_size=16), root_seed=1)
+
+
 def test_run_task_first_task_flair_uses_new_slice_bce_only():
     net = rc.Network.init_mlp(4, [8], 2, seed=5)
     _, terms = methods.build_training_loss(

@@ -6,7 +6,6 @@ checkpoint on purpose regenerates the file (keeping its header and seed
 lines), so the moved digests show up in that change's diff.
 """
 import difflib
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -32,11 +31,10 @@ def golden_runs() -> tuple[str, dict[str, list[str]]]:
 def test_report_digests_match_golden_file():
     header, runs = golden_runs()
     assert runs and all(runs.values())
-    # one BLAS thread per process: the two seeds run side by side
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    # conftest pins one BLAS thread per process, so the seeds run side by side
     procs = {seed: subprocess.Popen(
         [sys.executable, str(ROOT / "tools" / "report_digests.py"), "--seed", seed],
-        stdout=subprocess.PIPE, text=True, env=env) for seed in runs}
+        stdout=subprocess.PIPE, text=True) for seed in runs}
     diff = []
     for seed, proc in procs.items():
         out, _ = proc.communicate(timeout=600)

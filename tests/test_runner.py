@@ -128,6 +128,7 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
     ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6, "test_per_class": 0}),
     ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6, "train_per_class": 0}),
     ("buffer", {"capacity": 5}),
+    ("training", {"epochs": 0, "lr": 0.2, "batch_size": 16}),
 ], ids=["nested-typo", "string-bool", "float-int", "bool-int", "fractional-int",
         "tasks-typo", "zero-width", "activation", "dataset-typo", "float-capacity",
         "string-augment", "method-typo", "grid-typo", "string-lr", "bool-lr",
@@ -138,7 +139,7 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
         "nan-grid-value", "negative-lr", "negative-weight-decay", "empty-grid",
         "scalar-hidden", "scalar-milestones", "int-dataset", "bool-dataset",
         "null-dataset", "no-test-examples", "no-train-examples",
-        "capacity-without-buffer"])
+        "capacity-without-buffer", "zero-epochs"])
 def test_parse_rejects_bad_nested_values(tmp_path, section, values):
     with pytest.raises(ConfigurationError):
         rc.config_from_dict(tiny_config(tmp_path, **{section: values}))
@@ -206,7 +207,9 @@ def test_cli_bad_activation_exits_2_before_creating_output(tmp_path, capsys):
     ("grid", {"alpha": []}),
     ("seed", -1),
     ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6, "test_per_class": 0}),
-], ids=["nan-lr", "negative-lr", "empty-grid", "negative-seed", "no-test-examples"])
+    ("training", {"epochs": 0, "lr": 0.2, "batch_size": 16}),
+], ids=["nan-lr", "negative-lr", "empty-grid", "negative-seed", "no-test-examples",
+        "zero-epochs"])
 def test_cli_bad_number_exits_2_before_creating_output(tmp_path, section, values):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", **{section: values})))
@@ -264,6 +267,15 @@ def test_cli_non_string_field_exits_2_before_creating_output(tmp_path, monkeypat
     assert cli_main(["run", "--config", str(cfg_path)]) == 2
     assert "must be a nonempty string" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["cfg.json"]
+
+
+def test_cli_uncreatable_output_dir_exits_2_without_traceback(tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "afile" / "out")))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "afile" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("alphas", [[0.5, 0.5], [0.1, 0.10000001]])
