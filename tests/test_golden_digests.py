@@ -36,12 +36,15 @@ def test_report_digests_match_golden_file():
         [sys.executable, str(ROOT / "tools" / "report_digests.py"), "--seed", seed],
         stdout=subprocess.PIPE, text=True) for seed in runs}
     diff = []
-    for seed, proc in procs.items():
-        out, _ = proc.communicate(timeout=600)
-        assert proc.returncode == 0, f"report_digests.py --seed {seed} failed"
-        diff += difflib.unified_diff(runs[seed], out.splitlines(), lineterm="",
-                                     fromfile=f"golden --seed {seed}",
-                                     tofile=f"now --seed {seed}")
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["version"]
-    assert not diff, (f"{header}\nthis run: numpy {np.__version__}, OpenBLAS {blas}\n"
+    try:
+        for seed, proc in procs.items():
+            out, _ = proc.communicate(timeout=600)
+            assert proc.returncode == 0, f"report_digests.py --seed {seed} failed"
+            diff += difflib.unified_diff(runs[seed], out.splitlines(), lineterm="",
+                                         fromfile=f"golden --seed {seed}",
+                                         tofile=f"now --seed {seed}")
+    finally:
+        for proc in procs.values():
+            proc.kill()
+    assert not diff, (f"{header}\nthis run: numpy {np.__version__}\n"
                       + "\n".join(diff))
