@@ -206,6 +206,12 @@ class Schedule:
     weight_decay: float = 1e-5
     milestones: tuple[int, ...] | None = None
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ArgumentError(f"batch_size must be at least 1, got {self.batch_size}")
+        if not all(np.isfinite(v) and v >= 0 for v in (self.lr, self.weight_decay)):
+            raise ArgumentError("lr and weight_decay must be finite and nonnegative")
+
     # reference milestones (24, 31, 40) assume a 50-epoch task; scale them,
     # never below epoch 1, so the first epoch always trains at `lr`
     def resolved_milestones(self) -> tuple[int, ...]:
@@ -309,8 +315,7 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
                                      None if z_batch is None else z_batch[i])
             epoch_losses.append(float(loss.value))
 
-        row = {"task": task_index, "epoch": epoch,
-               "train_loss": float(np.mean(epoch_losses)) if epoch_losses else 0.0}
+        row = {"task": task_index, "epoch": epoch, "train_loss": float(np.mean(epoch_losses))}
         row.update(_epoch_eval(student, task_data, attack_base, root_seed,
                                task_index, epoch))
         log.append(row)

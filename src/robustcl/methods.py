@@ -1,13 +1,13 @@
 """Per-batch training losses for adversarially robust class-incremental learning.
 
 `REGISTRY` holds one entry per method, and that entry owns the method's
-loss: its term builder combines a cross-entropy or multilabel term on
-adversarial inputs, optional distillation against the frozen
-previous-task model, optional replay terms, and optional quadratic
-parameter penalties. FLAIR and FLAIR+ share one builder: a multilabel
-fit of the newest head slice, sigmoid distillation of the old slice,
-and flatness-preserving distillation (`flatness_distill_loss`); FLAIR+
-differs only in switching augmentation on by default. Replay is merged
+loss and settings: a term builder (a cross-entropy or multilabel term on
+adversarial inputs, optional distillation against the frozen previous-task
+model, replay terms and quadratic parameter penalties) and the defaults of
+the only settings it reads among `alpha`, `beta` and `fpd_metric`. i-ard
+is i-rslad's adversarial branch alone, r-der is r-der++ without replay CE,
+and FLAIR+ is FLAIR (flatness-preserving distillation,
+`flatness_distill_loss`) with augmentation on by default. Replay is merged
 for a herding buffer (the stored exemplars join the task's training
 pool) and separate for a reservoir: the training loop draws a replay
 batch, attacks it in the batch's own PGD call and hands the builder its
@@ -50,8 +50,10 @@ class MethodInfo:
     # terms(cfg, passes, teacher, x, y, x_adv, replay, reg)
     #     -> {term name: scalar node}
     terms: Callable[..., dict[str, Node]]
-    default_alpha: float = 0.0
-    default_beta: float = 0.0
+    # each setting's default; None: the method has no such setting
+    default_alpha: float | None = None
+    default_beta: float | None = None
+    default_fpd_metric: str | None = None
     buffers: tuple[str, ...] = ("none",)   # allowed buffer kinds, default first
     inner_objective: str = "ce"       # default PGD objective
     reg: str | None = None            # ewc | si
@@ -61,12 +63,12 @@ class MethodInfo:
 @dataclass(frozen=True)
 class MethodConfig:
     name: str
-    alpha: float
-    beta: float
+    alpha: float | None      # None for a setting the method does not have
+    beta: float | None
     buffer_kind: str
     attack: AttackConfig
     augment: bool = False
-    fpd_metric: str = "kl"
+    fpd_metric: str | None = None
 
     @property
     def info(self) -> MethodInfo:
@@ -75,27 +77,31 @@ class MethodConfig:
 
 def make_method_config(name: str, attack: AttackConfig, alpha: float | None = None,
                        beta: float | None = None, buffer_kind: str | None = None,
-                       augment: bool | None = None, fpd_metric: str = "kl",
+                       augment: bool | None = None, fpd_metric: str | None = None,
                        explicit_objective: bool = False) -> MethodConfig:
-    """Fill method defaults and validate buffer compatibility.
-
-    A "ce" attack objective stands for "not chosen" and becomes the
-    method's `inner_objective`, unless `explicit_objective` says the
-    config named it.
-    """
+    """Fill method defaults and validate the settings and buffer kind; a
+    setting the method does not have is rejected. A "ce" attack objective
+    stands for "not chosen" and becomes the method's `inner_objective`,
+    unless `explicit_objective` says the config named it."""
     if name not in REGISTRY:
         raise ConfigurationError(f"unknown method {name!r}; known: {sorted(REGISTRY)}")
     info = REGISTRY[name]
+    lacking = [key for key, value in (("alpha", alpha), ("beta", beta),
+                                      ("fpd_metric", fpd_metric))
+               if value is not None and getattr(info, f"default_{key}") is None]
+    if lacking:
+        raise ConfigurationError(f"method {name!r} has no setting {' or '.join(lacking)}")
     alpha = info.default_alpha if alpha is None else float(alpha)
     beta = info.default_beta if beta is None else float(beta)
-    if alpha < 0 or beta < 0 or not np.isfinite(alpha) or not np.isfinite(beta):
+    if any(w is not None and not (np.isfinite(w) and w >= 0) for w in (alpha, beta)):
         raise ConfigurationError("alpha and beta must be finite and nonnegative")
     buffer_kind = info.buffers[0] if buffer_kind is None else buffer_kind
     if buffer_kind not in info.buffers:
         raise ConfigurationError(
             f"method {name!r} requires buffer kind in {info.buffers}, "
             f"got {buffer_kind!r}")
-    if fpd_metric not in ("kl", "mse"):
+    fpd_metric = info.default_fpd_metric if fpd_metric is None else fpd_metric
+    if fpd_metric not in (None, "kl", "mse"):
         raise ConfigurationError("fpd_metric must be 'kl' or 'mse'")
     if not explicit_objective and attack.objective == "ce":
         attack = replace(attack, objective=info.inner_objective)
@@ -229,40 +235,30 @@ def _mart(cfg, passes, teacher, x, y, x_adv, replay, reg):
     return terms
 
 
-def _i_ard(cfg, passes, teacher, x, y, x_adv, replay, reg):
-    """Adversarial CE plus KL of the old slice at x_adv to the clean teacher."""
-    if teacher is None:
-        return _ce_adv(passes, x_adv, y)
-    adv = passes.logits(x_adv)
-    terms = {"ce_adv": losses.ce(adv, y)}
-    if cfg.beta != 0.0:
-        terms["distill"] = cfg.beta * losses.kl_div(
-            ad.take_cols(adv, slice(0, teacher.out_dim)), teacher.forward(x))
-    return terms
-
-
 def _i_rslad(cfg, passes, teacher, x, y, x_adv, replay, reg,
              adversarial_reference=False):
     """Adversarial CE plus distillation whose adversarial branch (weight
     alpha) and clean branch (1 - alpha) both match the old slice to the
-    teacher; i-adaad takes the teacher at x_adv as the adversarial reference."""
+    teacher; i-ard has no alpha and keeps the adversarial branch alone
+    (alpha = 1), i-adaad takes the teacher at x_adv as the adversarial reference."""
     if teacher is None:
         return _ce_adv(passes, x_adv, y)
+    alpha = 1.0 if cfg.alpha is None else cfg.alpha
     old = slice(0, teacher.out_dim)
     adv = passes.logits(x_adv)
     terms = {"ce_adv": losses.ce(adv, y)}
     if cfg.beta == 0.0:
         return terms
     parts: dict[str, Node] = {}
-    clean_teacher = (None if adversarial_reference and cfg.alpha == 1.0
+    clean_teacher = (None if adversarial_reference and alpha == 1.0
                      else teacher.forward(x))
-    if cfg.alpha != 0.0:
+    if alpha != 0.0:
         reference = teacher.forward(x_adv) if adversarial_reference else clean_teacher
-        parts["adv"] = cfg.alpha * losses.kl_div(ad.take_cols(adv, old), reference)
-    if cfg.alpha != 1.0:
+        parts["adv"] = alpha * losses.kl_div(ad.take_cols(adv, old), reference)
+    if alpha != 1.0:
         clean = passes.logits(x)
-        parts["clean"] = (1.0 - cfg.alpha) * losses.kl_div(ad.take_cols(clean, old),
-                                                           clean_teacher)
+        parts["clean"] = (1.0 - alpha) * losses.kl_div(ad.take_cols(clean, old),
+                                                       clean_teacher)
     if parts:
         terms["distill"] = cfg.beta * _total(parts)
     return terms
@@ -348,15 +344,16 @@ def _der_mse(logits: Node, stored_logits: Sequence[Array]) -> Node:
     return ad.sum_all(ad.mul(ad.mul(d, d), mask / widths[:, None])) / n
 
 
-def _r_der(cfg, passes, teacher, x, y, x_adv, replay, reg, replay_ce=False):
+def _r_der(cfg, passes, teacher, x, y, x_adv, replay, reg):
     """Adversarial CE plus alpha * MSE to the logits stored with each
-    replayed sample; r-der++ (replay_ce) adds beta * CE on replayed labels."""
+    replayed sample; r-der++ adds beta * CE on replayed labels (r-der has
+    no beta)."""
     if replay is None:
         return _ce_adv(passes, x_adv, y)
     x_adv_replay, y_replay, stored = replay
     if any(z is None for z in stored):
         raise ConfigurationError(f"{cfg.name} needs stored logits in the buffer")
-    use_ce = replay_ce and cfg.beta != 0.0
+    use_ce = cfg.beta not in (None, 0.0)
     if cfg.alpha == 0.0 and not use_ce:   # no term reads the replay rows
         return _ce_adv(passes, x_adv, y)
     adv, adv_replay = _batch_and_replay_logits(passes, x_adv, x_adv_replay)
@@ -420,14 +417,15 @@ def _flair(cfg, passes, teacher, x, y, x_adv, replay, reg):
 # the method table and the loss used by the training loop
 
 _NONE_OR_HERDING = ("none", "herding")
+_FLAIR = MethodInfo("flair", _flair, 0.5, 2.0, "kl", buffers=_NONE_OR_HERDING)
 
-# name, term builder, default alpha, default beta, then the other facts
+# name, term builder, default alpha, beta and fpd_metric, then the other facts
 REGISTRY: dict[str, MethodInfo] = {m.name: m for m in [
     MethodInfo("pgd-at", _pgd_at, buffers=_NONE_OR_HERDING),
     MethodInfo("trades", _trades, 6.0, buffers=_NONE_OR_HERDING,
                inner_objective="kl-vs-clean"),
     MethodInfo("mart", _mart, 6.0, buffers=_NONE_OR_HERDING),
-    MethodInfo("i-ard", _i_ard, 1.0, 1.0, buffers=_NONE_OR_HERDING),
+    MethodInfo("i-ard", _i_rslad, default_beta=1.0, buffers=_NONE_OR_HERDING),
     MethodInfo("i-rslad", _i_rslad, 1.0, 1.0, buffers=_NONE_OR_HERDING),
     MethodInfo("i-adaad", partial(_i_rslad, adversarial_reference=True), 1.0, 1.0,
                buffers=_NONE_OR_HERDING),
@@ -438,12 +436,10 @@ REGISTRY: dict[str, MethodInfo] = {m.name: m for m in [
     MethodInfo("r-er", _r_er, buffers=("reservoir",)),
     MethodInfo("r-er-ace", partial(_r_er, asymmetric=True), buffers=("reservoir",)),
     MethodInfo("r-der", _r_der, 0.3, buffers=("reservoir-with-logits",)),
-    MethodInfo("r-der++", partial(_r_der, replay_ce=True), 0.1, 0.5,
-               buffers=("reservoir-with-logits",)),
+    MethodInfo("r-der++", _r_der, 0.1, 0.5, buffers=("reservoir-with-logits",)),
     MethodInfo("r-icarl", _multilabel_distill, buffers=("herding",)),
-    MethodInfo("flair", _flair, 0.5, 2.0, buffers=_NONE_OR_HERDING),
-    MethodInfo("flair+", _flair, 0.5, 2.0, buffers=_NONE_OR_HERDING,
-               augment_default=True),
+    _FLAIR,
+    replace(_FLAIR, name="flair+", augment_default=True),
 ]}
 
 

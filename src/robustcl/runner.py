@@ -204,7 +204,7 @@ _SCHEMA = {
               "activation": (_one_of, "relu", ACTIVATIONS)},
     "method": {"name": (_str, _REQUIRED), "alpha": (_or_null(_float), None),
                "beta": (_or_null(_float), None), "buffer_kind": (_or_null(_str), None),
-               "fpd_metric": (_str, "kl")},
+               "fpd_metric": (_str, None)},
     "attack": _attack_rows(_REQUIRED, 10, 0),
     "eval_attack": _attack_rows(None, 20, 1),  # robust accuracy needs a step
     "training": {"epochs": (_int, _REQUIRED, 1), "lr": (_float, _REQUIRED, 0),
@@ -269,17 +269,19 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 
 def expand_grid(cfg: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
-    """Enumerate (tag, config) pairs over the configured alpha/beta grid."""
+    """Enumerate (tag, config) pairs over the configured alpha/beta grid; each
+    tag names every weight the method has (`alpha_0.5_beta_2`, `alpha_6`), and
+    a grid over a weight it lacks fails to parse here, before any run."""
     if not cfg.grid:
         return [("single", cfg)]
     out = []
     for a in cfg.grid.get("alpha", [cfg.method.alpha]):
         for b in cfg.grid.get("beta", [cfg.method.beta]):
+            weights = {w: v for w, v in (("alpha", a), ("beta", b)) if v is not None}
             raw = json.loads(cfg.raw_text)
-            raw["method"]["alpha"] = a
-            raw["method"]["beta"] = b
+            raw["method"].update(weights)
             raw.pop("grid", None)
-            tag = f"alpha_{a:g}_beta_{b:g}"
+            tag = "_".join(f"{w}_{v:g}" for w, v in weights.items())
             raw["output_dir"] = str(Path(cfg.output_dir) / tag)
             out.append((tag, parse_config_text(json.dumps(raw, indent=2,
                                                           sort_keys=True))))

@@ -290,6 +290,14 @@ def small_task(seed=0):
     return ds
 
 
+@pytest.mark.parametrize("field,value", [
+    ("batch_size", 0), ("batch_size", -4), ("lr", -1.0), ("lr", float("nan")),
+    ("lr", float("inf")), ("weight_decay", -1e-5), ("weight_decay", float("nan"))])
+def test_schedule_rejects_bad_fields(field, value):
+    with pytest.raises(ArgumentError, match=field):
+        Schedule(**{"epochs": 1, "lr": 0.1, "batch_size": 16, field: value})
+
+
 def test_run_task_zero_epochs_leaves_model_unchanged():
     net = rc.Network.init_mlp(4, [8], 2, seed=5)
     before = net.flatten()

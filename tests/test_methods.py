@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -679,13 +681,17 @@ ORACLE_OVERRIDES = {"i-rslad": {"alpha": 0.5}, "i-adaad": {"alpha": 0.5}}
 
 def oracle_case(name, activation):
     """Config, student and the other arguments of `build_training_loss` for
-    `name` on a [6, 5] net over 4 inputs expanded to a second task, with a
-    3-row replay batch whose stored logits have mixed widths, and a random
-    importance (Fisher for r-ewc-on, omega for r-si) and anchor."""
+    `name` on a [6, 5] net over 4 inputs expanded to a second task and moved
+    off its teacher (so no distillation term sits at its zero-gradient
+    minimum), with a 3-row replay batch whose stored logits have mixed
+    widths, and a random importance (Fisher for r-ewc-on, omega for r-si)
+    and anchor."""
     rng = np.random.default_rng(71)
     base = rc.Network.init_mlp(4, [6, 5], 2, activation=activation, seed=72)
     teacher = rc.snapshot(base)
     student = rc.expand_head(base, 2, seed=73)
+    student.load_params(student.flatten() + np.random.default_rng(74).normal(
+        scale=0.1, size=student.n_params))
     x = rng.uniform(size=(5, 4))
     y = np.array([2, 3, 2, 0, 3])
     x_adv = x + rng.uniform(-0.05, 0.05, size=x.shape)
@@ -719,3 +725,41 @@ def test_training_loss_gradient_matches_central_differences(name, activation):
 
     fd = finite_difference_param_grad(student, loss_value, step=1e-5)
     assert np.max(np.abs(grads - fd)) <= 1e-7 * np.max(np.abs(fd))
+
+
+# ---------------------------------------------------------------------------
+# each method's settings: the table's non-None defaults name exactly the
+# settings its loss reads
+
+SETTINGS = ("alpha", "beta", "fpd_metric")
+
+
+def has_setting(name, key):
+    return getattr(methods.REGISTRY[name], f"default_{key}", None) is not None
+
+
+def test_setting_counts_follow_the_table():
+    counts = {key: sum(has_setting(name, key) for name in methods.REGISTRY)
+              for key in SETTINGS}
+    assert counts == {"alpha": 11, "beta": 6, "fpd_metric": 2}
+
+
+@pytest.mark.parametrize("name,key", [(name, key) for name in sorted(methods.REGISTRY)
+                                      for key in SETTINGS if has_setting(name, key)])
+def test_every_setting_a_method_has_changes_its_loss(name, key):
+    cfg, student, *rest = oracle_case(name, "tanh")
+    changed = dataclasses.replace(
+        cfg, **{key: "mse" if key == "fpd_metric" else getattr(cfg, key) + 1.0})
+
+    def loss_value(c):
+        return val(methods.build_training_loss(c, rc.Passes(student), *rest)[0])
+
+    assert loss_value(changed) != loss_value(cfg)
+
+
+@pytest.mark.parametrize("name,key", [(name, key) for name in sorted(methods.REGISTRY)
+                                      for key in SETTINGS if not has_setting(name, key)])
+def test_a_setting_the_method_lacks_is_rejected(name, key):
+    assert getattr(make_cfg(name), key) is None
+    with pytest.raises(ConfigurationError, match=key):
+        make_cfg(name, **{key: "kl" if key == "fpd_metric" else 1.0})

@@ -287,6 +287,20 @@ def test_cli_grid_values_sharing_an_output_tag_exit_2(tmp_path, capsys, alphas):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"method": {"name": "pgd-at", "alpha": 1.0}},
+    {"method": {"name": "r-lwf", "fpd_metric": "kl"}},
+    {"method": {"name": "trades"}, "grid": {"beta": [1.0, 2.0]}}],
+    ids=["pgd-at-alpha", "r-lwf-fpd-metric", "trades-beta-grid"])
+def test_cli_setting_the_method_lacks_exits_2_before_creating_output(tmp_path, capsys,
+                                                                   overrides):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out", **overrides)))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    assert "has no setting" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_bad_flatness_scalar_exits_2_before_training(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out",
@@ -337,6 +351,17 @@ def test_grid_enumerates_25_runs(tmp_path):
     assert alphas == {0.0, 0.5, 1.0, 2.0, 4.0}
     outs = {sub.output_dir for _, sub in combos}
     assert len(outs) == 25
+
+
+@pytest.mark.parametrize("method,grid,tags", [
+    ("trades", {"alpha": [3, 6]}, ["alpha_3", "alpha_6"]),
+    ("i-ard", {"beta": [0, 1.5]}, ["beta_0", "beta_1.5"]),
+    ("flair", {"alpha": [0.5, 1]}, ["alpha_0.5_beta_2", "alpha_1_beta_2"])])
+def test_grid_tags_name_the_weights_the_method_has(tmp_path, method, grid, tags):
+    cfg = rc.config_from_dict(tiny_config(tmp_path, method={"name": method}, grid=grid))
+    combos = rc.expand_grid(cfg)
+    assert [tag for tag, _ in combos] == tags
+    assert [sub.output_dir for _, sub in combos] == [str(tmp_path / t) for t in tags]
 
 
 # ---------------------------------------------------------------------------
