@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 configuration problems, 3 numeric aborts.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -28,14 +29,28 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
+def _seed(text: str) -> int:
+    seed = int(text)
+    if seed < 0:
+        raise argparse.ArgumentTypeError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, got {text}")
+    return value
+
+
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
     for tag, sub in expand_grid(cfg):
         report = run_experiment(sub)
         prefix = "" if tag == "single" else f"[{tag}] "
         bwt = "undefined" if report.r_bwt is None else _fmt(report.r_bwt)
-        print(f"{prefix}method={report.method} clean={_fmt(report.final_clean)} "
-              f"robust={_fmt(report.final_robust)} r_bwt={bwt} "
+        print(f"{prefix}method={report.method} clean={_fmt(report.final_clean_acc)} "
+              f"robust={_fmt(report.final_robust_acc)} r_bwt={bwt} "
               f"-> {sub.output_dir}")
     return EXIT_OK
 
@@ -115,25 +130,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attack", choices=("pgd20", "aa-proxy"), default="pgd20")
     p.add_argument("--epsilon", default="8/255")
     p.add_argument("--step", default=None)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_eval)
 
     p = sub.add_parser("landscape", help="export a 2-D loss-landscape grid")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--index", type=int, required=True)
-    p.add_argument("--extent", type=float, required=True)
+    p.add_argument("--extent", type=_finite, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--epsilon", default="8/255")
     p.add_argument("--out", default="landscape.csv")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_landscape)
 
     p = sub.add_parser("flatness", help="gradient/Hessian drift across checkpoints")
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--datasets", required=True)
     p.add_argument("--subsample", type=int, default=64)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_flatness)
     return parser
 

@@ -15,9 +15,8 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
-from typing import Any
 
 import numpy as np
 
@@ -247,6 +246,10 @@ def parse_config_text(text: str) -> ExperimentConfig:
             f"capacity {capacity}; the capacity must be positive exactly when the "
             "kind is not 'none'")
     grid = {key: values for key, values in c["grid"].items() if values is not None}
+    lacking = [key for key in grid if getattr(method, key) is None]
+    if lacking:
+        raise ConfigurationError(f"method {method.name!r} has no setting "
+                                 f"{' or '.join(lacking)}")
     return ExperimentConfig(
         seed=c["seed"], output_dir=c["output_dir"], dataset=c["dataset"], **tasks,
         **c["model"], method=method, eval_attack=AttackConfig(**eval_attack),
@@ -270,8 +273,8 @@ def config_from_dict(d: dict) -> ExperimentConfig:
 
 def expand_grid(cfg: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
     """Enumerate (tag, config) pairs over the configured alpha/beta grid; each
-    tag names every weight the method has (`alpha_0.5_beta_2`, `alpha_6`), and
-    a grid over a weight it lacks fails to parse here, before any run."""
+    tag names every weight the method has (`alpha_0.5_beta_2`, `alpha_6`). A
+    grid over a weight the method lacks never gets here: parsing rejects it."""
     if not cfg.grid:
         return [("single", cfg)]
     out = []
@@ -365,20 +368,25 @@ def load_checkpoint(path: str) -> Network:
 
 @dataclass
 class RunReport:
+    """One run's results, with report.json's keys in file order as fields; None
+    where a crash, a single task or `network.HESSIAN_DIM_CAP` (HF) left no value."""
     version: str
     config_sha256: str
     method: str
     seed: int
-    clean_matrix: AccuracyMatrix
-    robust_matrix: AccuracyMatrix
+    final_clean_acc: float | None
+    final_robust_acc: float | None
     r_bwt: float | None
-    flatness: FlatnessReport | None
-    final_clean: float | None
-    final_robust: float | None
+    gf: float | None
+    hf: float | None
+    per_task_gf: tuple[float, ...] | None
+    per_task_hf: tuple[float, ...] | None
+    clean_matrix: list[list[float | None]]   # AccuracyMatrix.to_rows()
+    robust_matrix: list[list[float | None]]
     buffer_capacity: int
     buffer_stored_per_task: list[int]
     task_logs: list[dict]
-    config_text: str
+    config_echo: str
     wall_clock_sec: float
 
 
@@ -399,53 +407,27 @@ def _atomic_write_bytes(path: str, payload: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _matrix_csv(matrix: AccuracyMatrix) -> str:
-    lines = []
-    for row in matrix.to_rows():
-        lines.append(",".join("" if v is None else f"{v:.6g}" for v in row))
-    return "\n".join(lines) + "\n"
+def _csv(header: tuple[str, ...] | None, rows) -> bytes:
+    """`header` (if any), then one line per row: floats at %.6g, None empty."""
+    lines = [] if header is None else [",".join(header)]
+    lines += [",".join("" if v is None else f"{v:.6g}" if isinstance(v, float)
+                       else str(v) for v in row) for row in rows]
+    return ("\n".join(lines) + "\n").encode()
 
 
 def emit_report(report: RunReport, out_dir: str) -> None:
     """Write report.json plus matrix and log CSVs, atomically."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    flat = report.flatness
-    payload: dict[str, Any] = {
-        "version": report.version,
-        "config_sha256": report.config_sha256,
-        "method": report.method,
-        "seed": report.seed,
-        "final_clean_acc": report.final_clean,
-        "final_robust_acc": report.final_robust,
-        "r_bwt": report.r_bwt,
-        "gf": None if flat is None else flat.gf,
-        "hf": None if flat is None or flat.hf is None else flat.hf,
-        "per_task_gf": None if flat is None else list(flat.per_task_gf),
-        "per_task_hf": None if flat is None or flat.per_task_hf is None
-                       else list(flat.per_task_hf),
-        "clean_matrix": report.clean_matrix.to_rows(),
-        "robust_matrix": report.robust_matrix.to_rows(),
-        "buffer_capacity": report.buffer_capacity,
-        "buffer_stored_per_task": report.buffer_stored_per_task,
-        "task_logs": report.task_logs,
-        "config_echo": report.config_text,
-        "wall_clock_sec": report.wall_clock_sec,
-    }
-    rounded = {k: (_round6(v) if k != "wall_clock_sec" else v)
-               for k, v in payload.items()}
+    payload = _round6(asdict(report))
+    payload["wall_clock_sec"] = report.wall_clock_sec
     _atomic_write_bytes(str(out / _REPORT_FILE),
-                        (json.dumps(rounded, indent=2) + "\n").encode())
-    _atomic_write_bytes(str(out / "ca_matrix.csv"),
-                        _matrix_csv(report.clean_matrix).encode())
-    _atomic_write_bytes(str(out / "ra_matrix.csv"),
-                        _matrix_csv(report.robust_matrix).encode())
-    log_lines = ["task,epoch,train_loss,clean_acc,robust_acc"]
-    for row in report.task_logs:
-        log_lines.append(f"{row['task']},{row['epoch']},{row['train_loss']:.6g},"
-                         f"{row['clean_acc']:.6g},{row['robust_acc']:.6g}")
-    _atomic_write_bytes(str(out / "task_logs.csv"),
-                        ("\n".join(log_lines) + "\n").encode())
+                        (json.dumps(payload, indent=2) + "\n").encode())
+    _atomic_write_bytes(str(out / "ca_matrix.csv"), _csv(None, report.clean_matrix))
+    _atomic_write_bytes(str(out / "ra_matrix.csv"), _csv(None, report.robust_matrix))
+    header = ("task", "epoch", "train_loss", "clean_acc", "robust_acc")
+    logs = ([row[k] for k in header] for row in report.task_logs)
+    _atomic_write_bytes(str(out / "task_logs.csv"), _csv(header, logs))
 
 
 # ---------------------------------------------------------------------------
@@ -512,32 +494,31 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     logs: list[dict] = []
     stored_per_task: list[int] = []
     snapshots: list[Network] = []
-    net: Network | None = None
-    teacher: Network | None = None
     bwt: float | None = None
-    flat: FlatnessReport | None = None
+    drift = dict.fromkeys(f.name for f in fields(FlatnessReport))  # not yet measured
 
     def report(complete: bool) -> RunReport:
         return RunReport(
             version=__version__, config_sha256=cfg.sha256, method=cfg.method.name,
-            seed=cfg.seed, clean_matrix=clean_m, robust_matrix=robust_m,
-            r_bwt=bwt, flatness=flat,
-            final_clean=clean_m.final_row_mean() if complete else None,
-            final_robust=robust_m.final_row_mean() if complete else None,
-            buffer_capacity=cfg.buffer_capacity,
+            seed=cfg.seed,
+            final_clean_acc=clean_m.final_row_mean() if complete else None,
+            final_robust_acc=robust_m.final_row_mean() if complete else None,
+            r_bwt=bwt, **drift, clean_matrix=clean_m.to_rows(),
+            robust_matrix=robust_m.to_rows(), buffer_capacity=cfg.buffer_capacity,
             buffer_stored_per_task=stored_per_task, task_logs=logs,
-            config_text=cfg.raw_text, wall_clock_sec=time.time() - start)
+            config_echo=cfg.raw_text, wall_clock_sec=time.time() - start)
 
     input_dim = train_tasks[0].input_dim
     try:
         for t in range(t_count):
-            if net is None:
+            # the teacher is the last task's frozen model; the student widens it
+            teacher = snapshots[-1] if snapshots else None
+            if teacher is None:
                 net = Network.init_mlp(input_dim, cfg.hidden, cfg.classes_per_task,
                                        activation=cfg.activation,
                                        seed=derive_seed(cfg.seed, 0, 0, "model-init"))
             else:
-                teacher = snapshot(net)
-                net = expand_head(net, cfg.classes_per_task,
+                net = expand_head(teacher, cfg.classes_per_task,
                                   seed=derive_seed(cfg.seed, t, 0, "head-init"))
             if info.reg is not None:
                 reg = RegState.zeros(net) if reg is None else reg.expand_to(net)
@@ -562,10 +543,10 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 robust_m.set(t, j, robust_accuracy(snap, test_tasks[j], atk))
         if t_count >= 2:
             bwt = r_bwt(robust_m)
-            flat = flatness_forgetting(snapshots, test_tasks[:t_count - 1],
-                                       scalar_def=cfg.flatness_scalar,
-                                       subsample=cfg.flatness_subsample,
-                                       seed=cfg.seed)
+            drift = vars(flatness_forgetting(snapshots, test_tasks[:t_count - 1],
+                                             scalar_def=cfg.flatness_scalar,
+                                             subsample=cfg.flatness_subsample,
+                                             seed=cfg.seed))
     except Exception:
         # flush whatever is complete so a crashed run still leaves evidence
         emit_report(report(complete=False), cfg.output_dir)

@@ -338,9 +338,9 @@ def desk_scale_runs(tmp_path_factory):
 def _means(reports):
     return {
         "r_bwt": float(np.mean([r.r_bwt for r in reports])),
-        "robust": float(np.mean([r.final_robust for r in reports])),
-        "gf": float(np.mean([r.flatness.gf for r in reports])),
-        "hf": float(np.mean([r.flatness.hf for r in reports])),
+        "robust": float(np.mean([r.final_robust_acc for r in reports])),
+        "gf": float(np.mean([r.gf for r in reports])),
+        "hf": float(np.mean([r.hf for r in reports])),
     }
 
 
@@ -393,7 +393,7 @@ def test_criterion_7e_final_robust_accuracy_under_restarts(desk_scale_runs):
     for tag in ("flair", "pgd-at"):
         accs = []
         for report in results[tag]:
-            cfg = rc.runner.parse_config_text(report.config_text)
+            cfg = rc.runner.parse_config_text(report.config_echo)
             _, test_tasks = rc.runner._build_streams(cfg)
             final = rc.load_checkpoint(
                 str(Path(cfg.output_dir) / "checkpoints" / f"task_{cfg.n_tasks:03d}"))

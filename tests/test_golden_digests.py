@@ -1,9 +1,9 @@
-"""Byte-identity gate: every method's report and checkpoints against a golden file.
+"""Byte-identity gate: each method's report, checkpoints and CSVs against a golden file.
 
 `golden_digests.txt` holds the output of `tools/report_digests.py` at the
-seeds its `# --seed N` lines name. A change that moves a report or a
-checkpoint on purpose regenerates the file (keeping its header and seed
-lines), so the moved digests show up in that change's diff.
+seeds its `# --seed N` lines name. A change that moves a report, a
+checkpoint or a CSV on purpose regenerates the file (keeping its header and
+seed lines), so the moved digests show up in that change's diff.
 """
 import difflib
 import subprocess

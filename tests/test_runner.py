@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -287,6 +288,16 @@ def test_cli_grid_values_sharing_an_output_tag_exit_2(tmp_path, capsys, alphas):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("method,grid", [
+    ("trades", {"beta": [1.0]}), ("pgd-at", {"alpha": [0.5]}),
+    ("i-ard", {"alpha": [1.0], "beta": [1.0]})],
+    ids=["trades-beta", "pgd-at-alpha", "i-ard-alpha"])
+def test_parse_rejects_a_grid_over_a_weight_the_method_lacks(tmp_path, method, grid):
+    # a library caller that runs the parsed config must not train a bad grid
+    with pytest.raises(ConfigurationError, match="has no setting"):
+        rc.config_from_dict(tiny_config(tmp_path, method={"name": method}, grid=grid))
+
+
 @pytest.mark.parametrize("overrides", [
     {"method": {"name": "pgd-at", "alpha": 1.0}},
     {"method": {"name": "r-lwf", "fpd_metric": "kl"}},
@@ -338,7 +349,7 @@ def test_bce_newslice_attack_run_completes(tmp_path):
                                   "objective": "bce-newslice"}))
     assert cfg.method.attack.objective == "bce-newslice"
     report = rc.run_experiment(cfg)
-    assert report.final_robust is not None and report.r_bwt is not None
+    assert report.final_robust_acc is not None and report.r_bwt is not None
     assert (tmp_path / "bce" / "report.json").exists()
 
 
@@ -484,6 +495,23 @@ def test_task_log_csv_schema(tiny_run):
     assert len(lines) == 1 + 4                   # 2 tasks x 2 epochs
 
 
+def test_report_keys_are_the_run_report_fields(tiny_run):
+    _, _, out = tiny_run
+    payload = json.loads((out / "report.json").read_text())
+    assert list(payload) == [f.name for f in dataclasses.fields(rc.RunReport)]
+
+
+def test_report_csvs_hold_the_report_rows(tiny_run):
+    _, report, out = tiny_run
+    for name, matrix in (("ca_matrix.csv", report.clean_matrix),
+                         ("ra_matrix.csv", report.robust_matrix)):
+        rows = [",".join("" if v is None else f"{v:.6g}" for v in row) for row in matrix]
+        assert (out / name).read_text().splitlines() == rows
+    logs = report.task_logs
+    rows = [",".join(f"{v:.6g}" for v in row.values()) for row in logs]
+    assert (out / "task_logs.csv").read_text().splitlines() == [",".join(logs[0]), *rows]
+
+
 def test_report_numbers_have_six_significant_digits(tiny_run):
     _, _, out = tiny_run
     payload = json.loads((out / "report.json").read_text())
@@ -578,6 +606,36 @@ def test_cli_flatness_rejects_zero_subsample(tmp_path, capsys):
     assert cli_main(["flatness", "--checkpoints", str(ckpt_dir),
                      "--datasets", str(data_dir), "--subsample", "0"]) == 2
     assert "subsample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("eval", ["--seed", "-1"]), ("landscape", ["--seed", "-1"]),
+    ("flatness", ["--seed", "-1"]), ("landscape", ["--extent", "nan"]),
+    ("landscape", ["--extent", "inf"])],
+    ids=["eval-negative-seed", "landscape-negative-seed", "flatness-negative-seed",
+         "landscape-nan-extent", "landscape-infinite-extent"])
+def test_cli_bad_number_exits_2(tmp_path, capsys, command, flags):
+    ckpt_dir, data_dir = tmp_path / "ckpt", tmp_path / "data"
+    ckpt_dir.mkdir()
+    data_dir.mkdir()
+    for t in (1, 2):
+        net = rc.Network.init_mlp(6, [5], 2, activation="tanh", seed=t)
+        rc.save_checkpoint(net, str(ckpt_dir / f"task_{t:03d}"))
+    dataset = str(data_dir / "task_001.csv")
+    save_csv_dataset(rc.gen_gaussian_tasks(2, 6, 10.0, 8, seed=6), dataset)
+    ckpt = str(ckpt_dir / "task_002")
+    argv = {"eval": ["--checkpoint", ckpt, "--dataset", dataset, "--epsilon", "1/20"],
+            "landscape": ["--checkpoint", ckpt, "--dataset", dataset, "--index", "0",
+                          "--extent", "0.1", "--n", "3", "--epsilon", "1/20",
+                          "--out", str(tmp_path / "grid.csv")],
+            "flatness": ["--checkpoints", str(ckpt_dir), "--datasets", str(data_dir),
+                         "--subsample", "4"]}[command]
+    # argparse reports a bad value by exiting 2 itself
+    with pytest.raises(SystemExit) as exc:
+        cli_main([command, *argv, *flags])
+    assert exc.value.code == 2
+    assert "Traceback" not in capsys.readouterr().err
+    assert not (tmp_path / "grid.csv").exists()
 
 
 def test_cli_exit_code_2_on_config_error(tmp_path, capsys):

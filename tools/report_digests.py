@@ -9,13 +9,14 @@ pgd-at, trades and flair also run with each other hidden activation,
 a few methods run with method settings that reach loss branches their
 defaults skip, and two herding runs use a capacity below the class count,
 so the later tasks' quotas reach zero. Each line reads
-`method/buffer[+augment][@activation][:key=value] <report> <checkpoints>`:
-two sha256 prefixes, one of `report.json` with `wall_clock_sec` removed
-and one of every file under `checkpoints/` (name, manifest and blob
-bytes, in name order).
+`method/buffer[+augment][@activation][:key=value] <report> <checkpoints> <csvs>`:
+three sha256 prefixes, one of `report.json` with `wall_clock_sec` removed,
+one of every file under `checkpoints/` (name, manifest and blob bytes, in
+name order) and one of `ca_matrix.csv`, `ra_matrix.csv` and
+`task_logs.csv` (name and bytes, in that order).
 
 Run it against two source trees and diff the output to check that a
-refactor leaves reports and checkpoints byte-identical:
+refactor leaves reports, checkpoints and CSVs byte-identical:
 
     python3 tools/report_digests.py > after.txt
     python3 tools/report_digests.py --src ../parent/src > before.txt
@@ -41,6 +42,7 @@ DEFAULT_SRC = Path(__file__).resolve().parent.parent / "src"
 
 BUFFER_KINDS = ("none", "herding", "reservoir", "reservoir-with-logits")
 CAPACITY = 20        # buffer capacity of every run not listed in CAPACITIES
+CSVS = ("ca_matrix.csv", "ra_matrix.csv", "task_logs.csv")   # in digest order
 
 # (method, buffer kind) pairs that also run with augmentation on
 AUGMENTED = [("pgd-at", "none"), ("trades", "herding"), ("i-rslad", "herding"),
@@ -97,17 +99,23 @@ def accepted_kinds(rc, name: str) -> list[str]:
     return kinds
 
 
-def run_digests(rc, cfg: dict) -> tuple[str, str]:
-    """(report digest, checkpoint digest) of one run."""
+def files_digest(paths) -> str:
+    """sha256 prefix over each file's name and bytes, in the given order."""
+    digest = hashlib.sha256()
+    for path in paths:
+        digest.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
+    return digest.hexdigest()[:16]
+
+
+def run_digests(rc, cfg: dict) -> tuple[str, str, str]:
+    """(report digest, checkpoint digest, CSV digest) of one run."""
     rc.runner.run_experiment(rc.config_from_dict(cfg))
     out = Path(cfg["output_dir"])
     text = (out / "report.json").read_text(encoding="utf-8")
     text = re.sub(r'\n  "wall_clock_sec": [^\n]*', "", text)
-    ckpt = hashlib.sha256()
-    for path in sorted((out / "checkpoints").iterdir()):
-        ckpt.update(path.name.encode("utf-8") + b"\0" + path.read_bytes())
     return (hashlib.sha256(text.encode("utf-8")).hexdigest()[:16],
-            ckpt.hexdigest()[:16])
+            files_digest(sorted((out / "checkpoints").iterdir())),
+            files_digest(out / name for name in CSVS))
 
 
 def main(argv=None) -> int:
@@ -133,12 +141,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name, kind, augment, act, settings, cap in runs:
-            report, ckpt = run_digests(rc, tiny_config(name, kind, augment, act,
-                                                         args.seed, settings, cap))
+            digests = run_digests(rc, tiny_config(name, kind, augment, act,
+                                                  args.seed, settings, cap))
             tag = (("+augment" if augment else "") + ("" if act == "relu" else f"@{act}")
                    + "".join(f":{k}={v}" for k, v in settings.items())
                    + ("" if cap == CAPACITY else f":capacity={cap}"))
-            print(f"{name}/{kind}{tag} {report} {ckpt}", flush=True)
+            print(f"{name}/{kind}{tag}", *digests, flush=True)
     return 0
 
 
