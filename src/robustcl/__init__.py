@@ -16,6 +16,6 @@ from .metrics import (AccuracyMatrix, FlatnessReport, accuracy,
                       robust_accuracy)
 from .network import (Layer, Network, Passes, expand_head, grad_input,
                       grad_params, hessian_input, sgd_step, snapshot)
-from .runner import (ExperimentConfig, RunReport, config_from_dict,
-                     emit_report, expand_grid, load_checkpoint, load_config,
+from .runner import (ExperimentConfig, RunReport, config_from_dict, emit_report,
+                     evaluate_row, expand_grid, load_checkpoint, load_config,
                      run_experiment, save_checkpoint)

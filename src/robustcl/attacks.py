@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import losses
-from .errors import ArgumentError, ConfigurationError, ContractError, DimensionError
+from .errors import ArgumentError, ConfigurationError, DimensionError
 from .network import Network
 
 Array = np.ndarray
@@ -164,8 +164,8 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig, *,
         parts: Sequence[tuple[int, int]] | None = None) -> Array:
     """Projected gradient ascent inside the L-inf epsilon ball around `x`.
 
-    Returns, per example, the visited point with the highest objective
-    value; with several restarts, the best point across restarts.
+    Returns, per example, the visited point with the highest objective value
+    (the best across restarts, when several). It only reads `model`, live or not.
 
     `parts` stacks several attacks in one call: `(rows, seed)` pairs that
     tile `x` in order, each with at least one row. Part p draws its random
@@ -175,8 +175,6 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig, *,
     which the sign steps absorb in practice). The default is one part:
     all of `x` with `cfg.seed`.
     """
-    if not model.frozen:
-        raise ContractError("attacks require a frozen model; use snapshot() first")
     x = model._check_input(x)
     y = np.asarray(y)
     if y.shape != (len(x),):

@@ -22,7 +22,9 @@ from .data import Dataset, augment
 from .errors import (ArgumentError, ConfigurationError, ContractError,
                      DimensionError, LabelError, NumericError)
 from .methods import MethodConfig, RegState
-from .network import Network, Passes, sgd_step, snapshot
+from .metrics import accuracy
+# snapshot is kept as a module name: perfbench/tracer.py wraps it here
+from .network import Network, Passes, sgd_step, snapshot  # noqa: F401
 from .seeding import derive_rng, derive_seed
 
 Array = np.ndarray
@@ -277,7 +279,6 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
                 if method_cfg.augment:
                     x = augment(x, clamp, derive_rng(root_seed, task_index, epoch,
                                                      "augment", extra=b))
-                frozen = snapshot(student)
                 atk = replace(attack_base, seed=derive_seed(root_seed, task_index,
                                                             epoch, "attack", b))
                 replay = None
@@ -287,11 +288,11 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
                     # part with its own seed and batch mean
                     parts = ((len(x), atk.seed), (len(xb), derive_seed(
                         root_seed, task_index, epoch, "attack-buffer", b)))
-                    both = pgd(frozen, np.concatenate([x, xb]),
+                    both = pgd(student, np.concatenate([x, xb]),
                                np.concatenate([y, yb]), atk, parts=parts)
                     x_adv, replay = both[:len(x)], (both[len(x):], yb, zb)
                 else:
-                    x_adv = pgd(frozen, x, y, atk)
+                    x_adv = pgd(student, x, y, atk)
 
                 passes = Passes(student)
                 loss, terms = methods.build_training_loss(
@@ -335,15 +336,12 @@ def _epoch_eval(student: Network, task_data: Dataset, attack: AttackConfig,
                 root_seed: int, task_index: int, epoch: int) -> dict:
     n = len(task_data)
     rng = derive_rng(root_seed, task_index, epoch, "log-subsample")
-    idx = rng.choice(n, size=min(LOG_SUBSAMPLE, n), replace=False)
-    x, y = task_data.inputs[idx], task_data.labels[idx]
-    frozen = snapshot(student)
-    clean = float(np.mean(np.argmax(frozen.forward(x), axis=1) == y) * 100.0)
+    sub = task_data.subset(rng.choice(n, size=min(LOG_SUBSAMPLE, n), replace=False))
     atk = replace(attack, objective="ce",
                   seed=derive_seed(root_seed, task_index, epoch, "eval-attack"))
-    x_adv = pgd(frozen, x, y, atk)
-    robust = float(np.mean(np.argmax(frozen.forward(x_adv), axis=1) == y) * 100.0)
-    return {"clean_acc": clean, "robust_acc": robust}
+    x_adv = pgd(student, sub.inputs, sub.labels, atk)
+    return {"clean_acc": accuracy(student, sub),
+            "robust_acc": accuracy(student, replace(sub, inputs=x_adv))}
 
 
 def _refresh_fisher(student: Network, task_data: Dataset, attack: AttackConfig,
@@ -352,12 +350,11 @@ def _refresh_fisher(student: Network, task_data: Dataset, attack: AttackConfig,
     rng = derive_rng(root_seed, task_index, 0, "fisher-attack")
     n = len(task_data)
     idx = rng.choice(n, size=min(FISHER_EXAMPLES, n), replace=False)
-    frozen = snapshot(student)
     batches = []
     for start in range(0, idx.size, batch_size):
         part = idx[start:start + batch_size]
         x, y = task_data.inputs[part], task_data.labels[part]
         atk = replace(attack, seed=derive_seed(root_seed, task_index, 0,
                                                "fisher-attack", extra=start + 1))
-        batches.append((pgd(frozen, x, y, atk), y))
+        batches.append((pgd(student, x, y, atk), y))
     methods.refresh_fisher(reg, student, batches)

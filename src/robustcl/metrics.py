@@ -24,9 +24,9 @@ from .attacks import AttackConfig, pgd
 from .data import Dataset
 from .errors import ArgumentError, ContractError, UndefinedValueError
 from .network import (HESSIAN_DIM_CAP, HESSIAN_STEP, Network, fd_hessian, fd_probes,
-                      grad_input, snapshot)
-# kept as a module name: perfbench/tracer.py counts calls made through it
-from .network import hessian_input  # noqa: F401
+                      grad_input)
+# kept as module names: perfbench/tracer.py wraps each name it traces here
+from .network import hessian_input, snapshot  # noqa: F401
 from .seeding import derive_rng, derive_seed
 
 Array = np.ndarray
@@ -50,8 +50,6 @@ def robust_accuracy(model: Network, dataset: Dataset, attack_cfg: AttackConfig) 
         raise UndefinedValueError("robust accuracy is undefined on an empty dataset")
     if attack_cfg.n_steps < 1:
         raise ArgumentError("robust accuracy needs at least one attack step")
-    if not model.frozen:
-        model = snapshot(model)
     x, y = dataset.inputs, dataset.labels
     correct = np.ones(len(dataset), dtype=bool)
     base = replace(attack_cfg, n_restarts=1)
@@ -212,8 +210,6 @@ def landscape_grid(model: Network, x: Array, y: int, attack_cfg: AttackConfig,
     """
     if n < 2:
         raise ArgumentError("grid needs n >= 2")
-    if not model.frozen:
-        model = snapshot(model)
     x = np.asarray(x, dtype=np.float64)
     y_arr = np.asarray([int(y)])
     x_adv = pgd(model, x[None, :], y_arr, attack_cfg)[0]

@@ -354,8 +354,8 @@ def load_checkpoint(path: str) -> Network:
     if digest != hashlib.sha256(blob).hexdigest():
         raise IntegrityError(f"checkpoint blob {path}.blob does not match its "
                              "manifest's SHA-256")
-    if shapes[-1][0][1] != boundaries[-1]:
-        raise IntegrityError("manifest head_boundaries disagree with layer shapes")
+    if not shapes or shapes[-1][0][1] != boundaries[-1]:
+        raise IntegrityError(f"manifest {path} lists no layers or a mismatched head")
     layers = [Layer(np.empty(shape), np.empty(shape[1]), act) for shape, act in shapes]
     net = Network(layers, boundaries, input_dim, seed=seed)
     net.load_params(np.frombuffer(blob, dtype="<f8"))
@@ -473,6 +473,18 @@ def _make_buffer(cfg: ExperimentConfig):
                            seed=derive_seed(cfg.seed, purpose="reservoir"))
 
 
+def evaluate_row(cfg: ExperimentConfig, model: Network,
+                 test_tasks: list[Dataset]) -> tuple[list[float], list[float]]:
+    """Row `model.n_tasks` of both accuracy matrices: clean and robust accuracy on
+    each task learned, under `cfg.eval_attack` seeded by (row, task)."""
+    t = model.n_tasks
+    return ([accuracy(model, task) for task in test_tasks[:t]],
+            [robust_accuracy(model, task, replace(
+                cfg.eval_attack, clamp_range=task.value_range,
+                seed=derive_seed(cfg.seed, t, 0, "eval-attack", extra=j)))
+             for j, task in enumerate(test_tasks[:t])])
+
+
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full task loop; writes checkpoints and the report into output_dir."""
     start = time.time()
@@ -531,16 +543,12 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                 buffer = buffer_update_herding(buffer, net, train_tasks[t],
                                                cfg.buffer_capacity)
             stored_per_task.append(len(buffer) if buffer is not None else 0)
-            snap = snapshot(net)
-            snapshots.append(snap)
-            save_checkpoint(snap, str(ckpt_dir / f"task_{t + 1:03d}"))
-            for j in range(t + 1):
-                clean_m.set(t, j, accuracy(snap, test_tasks[j]))
-                atk = replace(cfg.eval_attack,
-                              clamp_range=test_tasks[j].value_range,
-                              seed=derive_seed(cfg.seed, t + 1, 0, "eval-attack",
-                                               extra=j))
-                robust_m.set(t, j, robust_accuracy(snap, test_tasks[j], atk))
+            snapshots.append(snapshot(net))
+            save_checkpoint(snapshots[-1], str(ckpt_dir / f"task_{t + 1:03d}"))
+            for matrix, row in zip((clean_m, robust_m),
+                                   evaluate_row(cfg, snapshots[-1], test_tasks)):
+                for j, value in enumerate(row):
+                    matrix.set(t, j, value)
         if t_count >= 2:
             bwt = r_bwt(robust_m)
             drift = vars(flatness_forgetting(snapshots, test_tasks[:t_count - 1],

@@ -19,7 +19,6 @@ from robustcl import autodiff as ad
 from robustcl.errors import IntegrityError
 from robustcl.metrics import AccuracyMatrix
 from robustcl.network import split
-from robustcl.seeding import derive_seed
 
 from conftest import attack_values
 
@@ -386,22 +385,19 @@ def test_criterion_7d_fpd_ablation_raises_gf(desk_scale_runs):
 
 
 def test_criterion_7e_final_robust_accuracy_under_restarts(desk_scale_runs):
-    # re-attack each run's final checkpoint as its last accuracy-matrix row
-    # did (same test tasks, same per-task seeds), with five restarts
+    # re-score each run's final checkpoint as its last accuracy-matrix row
+    # (same test tasks, same per-task seeds), with five restarts per attack
     results, _ = desk_scale_runs
     means = {}
     for tag in ("flair", "pgd-at"):
         accs = []
         for report in results[tag]:
             cfg = rc.runner.parse_config_text(report.config_echo)
+            cfg = replace(cfg, eval_attack=replace(cfg.eval_attack, n_restarts=5))
             _, test_tasks = rc.runner._build_streams(cfg)
             final = rc.load_checkpoint(
                 str(Path(cfg.output_dir) / "checkpoints" / f"task_{cfg.n_tasks:03d}"))
-            for j, task in enumerate(test_tasks):
-                seed = derive_seed(cfg.seed, cfg.n_tasks, 0, "eval-attack", extra=j)
-                atk = replace(cfg.eval_attack, n_restarts=5,
-                              clamp_range=task.value_range, seed=seed)
-                accs.append(rc.robust_accuracy(final, task, atk))
+            accs += rc.evaluate_row(cfg, final, test_tasks)[1]
         means[tag] = float(np.mean(accs))
     report_line("7e", "mean final robust accuracy under 5 restarts above plain AT",
                 means["flair"] > means["pgd-at"],

@@ -10,8 +10,8 @@ import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl import losses
 from robustcl.attacks import OBJECTIVES, _make_head, _values_and_grad, parse_rational
-from robustcl.errors import (ArgumentError, ConfigurationError, ContractError,
-                             DimensionError, LabelError)
+from robustcl.errors import (ArgumentError, ConfigurationError, DimensionError,
+                             LabelError)
 from robustcl.network import ACTIVATIONS
 
 from conftest import attack_values
@@ -166,9 +166,21 @@ def test_restarts_return_best_objective(frozen_tanh):
     assert np.all(v4 >= v1)
 
 
-def test_requires_frozen_model(small_tanh_net):
-    with pytest.raises(ContractError):
-        rc.pgd(small_tanh_net, np.zeros((1, 4)), [0], cfg())
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_pgd_reads_a_live_model_without_writing_it(objective):
+    # a network in training is attacked as it stands: the same bits as on
+    # its frozen snapshot, and its parameters untouched
+    live = rc.expand_head(rc.Network.init_mlp(4, [8, 8], 2, activation="tanh",
+                                              seed=3), 2, seed=4)
+    rng = np.random.default_rng(11)
+    x = rng.uniform(size=(6, 4))
+    y = rng.integers(0, 4, size=6)
+    c = cfg(objective=objective, n_restarts=2, clamp_range=(0.0, 1.0))
+    before = live.flatten().tobytes()
+    out = rc.pgd(live, x, y, c)
+    assert not live.frozen
+    assert live.flatten().tobytes() == before
+    assert out.tobytes() == rc.pgd(rc.snapshot(live), x, y, c).tobytes()
 
 
 def test_rejects_input_outside_clamp_range(frozen_tanh):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -414,6 +415,23 @@ def test_checkpoint_boundary_mismatch(tmp_path):
         rc.load_checkpoint(str(stem))
 
 
+@pytest.mark.parametrize("n_layers", [0, -1])
+def test_checkpoint_without_layers_exits_2(tmp_path, capsys, n_layers):
+    # an empty blob matches a manifest that lists no layers in length and digest
+    stem = tmp_path / "ckpt"
+    (tmp_path / "ckpt.manifest").write_text(
+        f"format_version=1\ninput_dim=6\nseed=\nhead_boundaries=2\n"
+        f"n_layers={n_layers}\nblob_len=0\nblob_sha256={hashlib.sha256().hexdigest()}\n")
+    (tmp_path / "ckpt.blob").write_bytes(b"")
+    with pytest.raises(IntegrityError, match="no layers"):
+        rc.load_checkpoint(str(stem))
+    test_csv = tmp_path / "test.csv"
+    save_csv_dataset(rc.gen_gaussian_tasks(2, 6, 10.0, 4, seed=5), str(test_csv))
+    assert cli_main(["eval", "--checkpoint", str(stem), "--dataset",
+                     str(test_csv)]) == 2
+    assert "no layers" in capsys.readouterr().err
+
+
 def test_checkpoint_version_mismatch(tmp_path):
     net = rc.Network.init_mlp(4, [6], 2, seed=1)
     stem = tmp_path / "ckpt"
@@ -545,6 +563,36 @@ def test_rerun_is_byte_identical_modulo_wall_clock(tmp_path):
     rc.run_experiment(cfg)
     second = strip_wall_clock((tmp_path / "det" / "report.json").read_text())
     assert first == second
+
+
+@pytest.mark.parametrize("method, capacity", [
+    ({"name": "flair"}, 0),
+    ({"name": "r-der++", "buffer_kind": "reservoir-with-logits"}, 12),
+    ({"name": "pgd-at", "buffer_kind": "herding"}, 12),
+], ids=["flair", "r-der++", "pgd-at-herding"])
+def test_report_replays_from_its_checkpoints(tmp_path, method, capacity):
+    # what report.json derives from the models follows from its checkpoints
+    # and config_echo alone, without retraining
+    out = tmp_path / "run"
+    rc.run_experiment(rc.config_from_dict(
+        tiny_config(out, method=method, buffer={"capacity": capacity})))
+    payload = json.loads((out / "report.json").read_text())
+    cfg = rc.runner.parse_config_text(payload["config_echo"])
+    _, test_tasks = rc.runner._build_streams(cfg)
+    models = [rc.load_checkpoint(str(out / "checkpoints" / f"task_{t:03d}"))
+              for t in range(1, cfg.n_tasks + 1)]
+    clean, robust = rc.AccuracyMatrix(cfg.n_tasks), rc.AccuracyMatrix(cfg.n_tasks)
+    for t, model in enumerate(models):
+        for matrix, row in zip((clean, robust), rc.evaluate_row(cfg, model, test_tasks)):
+            for j, value in enumerate(row):
+                matrix.set(t, j, value)
+    drift = rc.flatness_forgetting(models, test_tasks[:-1],
+                                   scalar_def=cfg.flatness_scalar,
+                                   subsample=cfg.flatness_subsample, seed=cfg.seed)
+    replayed = {"clean_matrix": clean.to_rows(), "robust_matrix": robust.to_rows(),
+                "r_bwt": rc.r_bwt(robust), **vars(drift)}
+    assert set(vars(drift)) == {"gf", "hf", "per_task_gf", "per_task_hf"}
+    assert rc.runner._round6(replayed) == {key: payload[key] for key in replayed}
 
 
 # ---------------------------------------------------------------------------
