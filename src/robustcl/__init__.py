@@ -11,9 +11,8 @@ from .losses import (ace, bce_multilabel, ce, kl_div, mse, one_hot,
 from .methods import (MethodConfig, RegState, build_training_loss,
                       flatness_distill_loss, make_method_config, refresh_fisher,
                       si_consolidate, si_step)
-from .metrics import (AccuracyMatrix, FlatnessReport, accuracy,
-                      flatness_forgetting, landscape_grid, r_bwt,
-                      robust_accuracy)
+from .metrics import (FlatnessReport, accuracy, flatness_forgetting, landscape_grid,
+                      r_bwt, robust_accuracy)
 from .network import (Layer, Network, Passes, expand_head, grad_input,
                       grad_params, hessian_input, sgd_step, snapshot)
 from .runner import (ExperimentConfig, RunReport, config_from_dict, emit_report,

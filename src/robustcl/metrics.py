@@ -22,7 +22,7 @@ from . import autodiff as ad
 from . import losses
 from .attacks import AttackConfig, pgd
 from .data import Dataset
-from .errors import ArgumentError, ContractError, UndefinedValueError
+from .errors import ArgumentError, UndefinedValueError
 from .network import (HESSIAN_DIM_CAP, HESSIAN_STEP, Network, fd_hessian, fd_probes,
                       grad_input)
 # kept as module names: perfbench/tracer.py wraps each name it traces here
@@ -62,48 +62,15 @@ def robust_accuracy(model: Network, dataset: Dataset, attack_cfg: AttackConfig) 
 
 
 # ---------------------------------------------------------------------------
-# accuracy matrix and backward transfer
+# backward transfer
 
 
-class AccuracyMatrix:
-    """Lower-triangular matrix of accuracies; entry [i][j] is written once."""
-
-    def __init__(self, n_tasks: int):
-        if n_tasks < 1:
-            raise ArgumentError("need at least one task")
-        self.n_tasks = n_tasks
-        self.values = np.full((n_tasks, n_tasks), np.nan)
-
-    def set(self, i: int, j: int, value: float) -> None:
-        if not (0 <= j <= i < self.n_tasks):
-            raise ArgumentError("only the lower triangle is defined")
-        if not np.isnan(self.values[i, j]):
-            raise ContractError(f"entry ({i}, {j}) was already written")
-        if not 0.0 <= value <= 100.0:
-            raise ArgumentError("accuracies are percentages in [0, 100]")
-        self.values[i, j] = value
-
-    def get(self, i: int, j: int) -> float:
-        v = self.values[i, j]
-        if np.isnan(v):
-            raise UndefinedValueError(f"entry ({i}, {j}) was never written")
-        return float(v)
-
-    def final_row_mean(self) -> float:
-        return float(np.nanmean(self.values[self.n_tasks - 1, :]))
-
-    def to_rows(self) -> list[list[float | None]]:
-        return [[None if np.isnan(v) else float(v) for v in row]
-                for row in self.values]
-
-
-def r_bwt(matrix: AccuracyMatrix) -> float:
-    """Robust backward transfer: mean over past tasks of (final - when-learned)."""
-    t_final = matrix.n_tasks - 1
-    if matrix.n_tasks < 2:
+def r_bwt(rows: Sequence[Sequence[float]]) -> float:
+    """Robust backward transfer from the complete robust accuracy-matrix rows
+    (row i holds tasks 0..i): mean over past tasks of (final - when-learned)."""
+    if len(rows) < 2:
         raise UndefinedValueError("backward transfer needs at least two tasks")
-    diffs = [matrix.get(t_final, j) - matrix.get(j, j) for j in range(t_final)]
-    return float(np.mean(diffs))
+    return float(np.mean([rows[-1][j] - rows[j][j] for j in range(len(rows) - 1)]))
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,8 @@ from .continual import (ReservoirBuffer, Schedule, buffer_update_herding,
 from .data import Dataset, gen_gaussian_tasks, load_csv_dataset
 from .errors import ArgumentError, ConfigurationError, IntegrityError
 from .methods import MethodConfig, RegState, make_method_config
-from .metrics import (FLATNESS_SCALARS, AccuracyMatrix, FlatnessReport, accuracy,
-                      flatness_forgetting, r_bwt, robust_accuracy)
+from .metrics import (FLATNESS_SCALARS, FlatnessReport, accuracy, flatness_forgetting,
+                      r_bwt, robust_accuracy)
 from .network import ACTIVATIONS, Layer, Network, expand_head, snapshot
 from .seeding import derive_seed
 
@@ -346,6 +346,8 @@ def load_checkpoint(path: str) -> Network:
             shapes.append(((int(fan_in), int(fan_out)), act))
     except (KeyError, ValueError) as exc:
         raise IntegrityError(f"malformed checkpoint manifest {path}") from exc
+    if any(min(dims) < 1 for dims, _ in shapes):
+        raise IntegrityError(f"manifest {path} lists a layer dimension below 1")
     expected = sum(fi * fo + fo for (fi, fo), _ in shapes)
     if expected != blob_len or len(blob) != 8 * blob_len:
         raise IntegrityError(
@@ -381,7 +383,7 @@ class RunReport:
     hf: float | None
     per_task_gf: tuple[float, ...] | None
     per_task_hf: tuple[float, ...] | None
-    clean_matrix: list[list[float | None]]   # AccuracyMatrix.to_rows()
+    clean_matrix: list[list[float | None]]   # n_tasks x n_tasks, None where unset
     robust_matrix: list[list[float | None]]
     buffer_capacity: int
     buffer_stored_per_task: list[int]
@@ -501,22 +503,26 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     info = cfg.method.info
     reg = None
 
-    clean_m = AccuracyMatrix(t_count)
-    robust_m = AccuracyMatrix(t_count)
+    clean_rows: list[list[float]] = []      # row t: tasks 0..t after task t
+    robust_rows: list[list[float]] = []
     logs: list[dict] = []
     stored_per_task: list[int] = []
     snapshots: list[Network] = []
     bwt: float | None = None
     drift = dict.fromkeys(f.name for f in fields(FlatnessReport))  # not yet measured
 
+    def square(rows: list[list[float]]) -> list[list[float | None]]:
+        padded = rows + [[]] * (t_count - len(rows))
+        return [row + [None] * (t_count - len(row)) for row in padded]
+
     def report(complete: bool) -> RunReport:
         return RunReport(
             version=__version__, config_sha256=cfg.sha256, method=cfg.method.name,
             seed=cfg.seed,
-            final_clean_acc=clean_m.final_row_mean() if complete else None,
-            final_robust_acc=robust_m.final_row_mean() if complete else None,
-            r_bwt=bwt, **drift, clean_matrix=clean_m.to_rows(),
-            robust_matrix=robust_m.to_rows(), buffer_capacity=cfg.buffer_capacity,
+            final_clean_acc=float(np.mean(clean_rows[-1])) if complete else None,
+            final_robust_acc=float(np.mean(robust_rows[-1])) if complete else None,
+            r_bwt=bwt, **drift, clean_matrix=square(clean_rows),
+            robust_matrix=square(robust_rows), buffer_capacity=cfg.buffer_capacity,
             buffer_stored_per_task=stored_per_task, task_logs=logs,
             config_echo=cfg.raw_text, wall_clock_sec=time.time() - start)
 
@@ -545,12 +551,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             stored_per_task.append(len(buffer) if buffer is not None else 0)
             snapshots.append(snapshot(net))
             save_checkpoint(snapshots[-1], str(ckpt_dir / f"task_{t + 1:03d}"))
-            for matrix, row in zip((clean_m, robust_m),
-                                   evaluate_row(cfg, snapshots[-1], test_tasks)):
-                for j, value in enumerate(row):
-                    matrix.set(t, j, value)
+            clean_row, robust_row = evaluate_row(cfg, snapshots[-1], test_tasks)
+            clean_rows.append(clean_row)
+            robust_rows.append(robust_row)
         if t_count >= 2:
-            bwt = r_bwt(robust_m)
+            bwt = r_bwt(robust_rows)
             drift = vars(flatness_forgetting(snapshots, test_tasks[:t_count - 1],
                                              scalar_def=cfg.flatness_scalar,
                                              subsample=cfg.flatness_subsample,

@@ -17,7 +17,6 @@ import pytest
 import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl.errors import IntegrityError
-from robustcl.metrics import AccuracyMatrix
 from robustcl.network import split
 
 from conftest import attack_values
@@ -245,14 +244,8 @@ def test_criterion_5_herding_oracle():
 
 
 def test_criterion_6_formula_checks(tmp_path):
-    m = AccuracyMatrix(3)
-    m.set(0, 0, 60.0)
-    m.set(1, 0, 55.0)
-    m.set(1, 1, 50.0)
-    m.set(2, 0, 40.0)
-    m.set(2, 1, 45.0)
-    m.set(2, 2, 80.0)
-    bwt_ok = rc.r_bwt(m) == pytest.approx(-12.5)
+    rows = [[60.0], [55.0, 50.0], [40.0, 45.0, 80.0]]
+    bwt_ok = rc.r_bwt(rows) == pytest.approx(-12.5)
 
     net = rc.snapshot(rc.Network.init_mlp(4, [8], 2, activation="tanh", seed=1))
     ds = rc.gen_gaussian_tasks(2, 4, 8.0, 10, seed=1)

@@ -4,8 +4,7 @@ import pytest
 import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl import losses
-from robustcl.errors import ArgumentError, ContractError, UndefinedValueError
-from robustcl.metrics import AccuracyMatrix
+from robustcl.errors import ArgumentError, UndefinedValueError
 from robustcl.network import HESSIAN_DIM_CAP
 from robustcl.seeding import derive_rng
 
@@ -95,45 +94,22 @@ def test_robust_accuracy_needs_steps():
 
 
 # ---------------------------------------------------------------------------
-# accuracy matrix and backward transfer
-
-
-def test_matrix_write_once_and_bounds():
-    m = AccuracyMatrix(3)
-    m.set(0, 0, 60.0)
-    with pytest.raises(ContractError):
-        m.set(0, 0, 61.0)
-    with pytest.raises(ArgumentError):
-        m.set(0, 1, 10.0)
-    with pytest.raises(ArgumentError):
-        m.set(1, 0, 101.0)
+# backward transfer
 
 
 def test_r_bwt_zero_without_forgetting():
-    m = AccuracyMatrix(3)
-    for i in range(3):
-        for j in range(i + 1):
-            m.set(i, j, 70.0)
-    assert rc.r_bwt(m) == 0.0
+    assert rc.r_bwt([[70.0] * (i + 1) for i in range(3)]) == 0.0
 
 
 def test_r_bwt_hand_computed_fixture():
     # tasks 1..3: RA[1][1]=60, RA[3][1]=40, RA[2][2]=50, RA[3][2]=45
-    m = AccuracyMatrix(3)
-    m.set(0, 0, 60.0)
-    m.set(1, 0, 55.0)
-    m.set(1, 1, 50.0)
-    m.set(2, 0, 40.0)
-    m.set(2, 1, 45.0)
-    m.set(2, 2, 80.0)
-    assert rc.r_bwt(m) == pytest.approx(-12.5)
+    rows = [[60.0], [55.0, 50.0], [40.0, 45.0, 80.0]]
+    assert rc.r_bwt(rows) == pytest.approx(-12.5)
 
 
 def test_r_bwt_undefined_for_single_task():
-    m = AccuracyMatrix(1)
-    m.set(0, 0, 50.0)
     with pytest.raises(UndefinedValueError):
-        rc.r_bwt(m)
+        rc.r_bwt([[50.0]])
 
 
 # ---------------------------------------------------------------------------

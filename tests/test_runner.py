@@ -432,6 +432,29 @@ def test_checkpoint_without_layers_exits_2(tmp_path, capsys, n_layers):
     assert "no layers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("layers, n_params", [
+    (["-1x2,identity"], 0), (["6x0,tanh", "0x2,identity"], 2)],
+    ids=["negative", "zero-width-hidden"])
+def test_checkpoint_with_a_layer_narrower_than_1_exits_2(tmp_path, capsys, layers,
+                                                         n_params):
+    # the blob matches the manifest in length and digest
+    stem = tmp_path / "ckpt"
+    blob = bytes(8 * n_params)
+    (tmp_path / "ckpt.manifest").write_text(
+        f"format_version=1\ninput_dim=6\nseed=\nhead_boundaries=2\n"
+        f"n_layers={len(layers)}\n"
+        + "".join(f"layer{i}={layer}\n" for i, layer in enumerate(layers))
+        + f"blob_len={n_params}\nblob_sha256={hashlib.sha256(blob).hexdigest()}\n")
+    (tmp_path / "ckpt.blob").write_bytes(blob)
+    with pytest.raises(IntegrityError, match="dimension below 1"):
+        rc.load_checkpoint(str(stem))
+    test_csv = tmp_path / "test.csv"
+    save_csv_dataset(rc.gen_gaussian_tasks(2, 6, 10.0, 4, seed=5), str(test_csv))
+    assert cli_main(["eval", "--checkpoint", str(stem), "--dataset",
+                     str(test_csv)]) == 2
+    assert "dimension below 1" in capsys.readouterr().err
+
+
 def test_checkpoint_version_mismatch(tmp_path):
     net = rc.Network.init_mlp(4, [6], 2, seed=1)
     stem = tmp_path / "ckpt"
@@ -581,15 +604,18 @@ def test_report_replays_from_its_checkpoints(tmp_path, method, capacity):
     _, test_tasks = rc.runner._build_streams(cfg)
     models = [rc.load_checkpoint(str(out / "checkpoints" / f"task_{t:03d}"))
               for t in range(1, cfg.n_tasks + 1)]
-    clean, robust = rc.AccuracyMatrix(cfg.n_tasks), rc.AccuracyMatrix(cfg.n_tasks)
-    for t, model in enumerate(models):
-        for matrix, row in zip((clean, robust), rc.evaluate_row(cfg, model, test_tasks)):
-            for j, value in enumerate(row):
-                matrix.set(t, j, value)
+    clean, robust = [], []
+    for model in models:
+        clean_row, robust_row = rc.evaluate_row(cfg, model, test_tasks)
+        clean.append(clean_row)
+        robust.append(robust_row)
     drift = rc.flatness_forgetting(models, test_tasks[:-1],
                                    scalar_def=cfg.flatness_scalar,
                                    subsample=cfg.flatness_subsample, seed=cfg.seed)
-    replayed = {"clean_matrix": clean.to_rows(), "robust_matrix": robust.to_rows(),
+
+    def square(rows):  # report.json pads each row to n_tasks entries with null
+        return [row + [None] * (cfg.n_tasks - len(row)) for row in rows]
+    replayed = {"clean_matrix": square(clean), "robust_matrix": square(robust),
                 "r_bwt": rc.r_bwt(robust), **vars(drift)}
     assert set(vars(drift)) == {"gf", "hf", "per_task_gf", "per_task_hf"}
     assert rc.runner._round6(replayed) == {key: payload[key] for key in replayed}
@@ -731,6 +757,33 @@ def test_flatness_failure_flushes_partial_report(tmp_path, monkeypatch):
         assert all(rows[i][j] is not None for i in range(2) for j in range(i + 1))
     assert payload["r_bwt"] is not None
     assert payload["gf"] is None and payload["final_robust_acc"] is None
+
+
+def test_crashed_run_pads_unfinished_rows_with_null(tmp_path, monkeypatch):
+    from robustcl.errors import NumericError
+    calls = []
+
+    def crash_on_second_task(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise NumericError("task 2 diverged")
+        return train_task(*args, **kwargs)
+    train_task = rc.runner.run_task
+    monkeypatch.setattr(rc.runner, "run_task", crash_on_second_task)
+    out = tmp_path / "crash"
+    cfg = tiny_config(out, tasks={"n_tasks": 3, "classes_per_task": 2})
+    cfg["dataset"]["n_classes"] = 6
+    with pytest.raises(NumericError, match="task 2 diverged"):
+        rc.run_experiment(rc.config_from_dict(cfg))
+    payload = json.loads((out / "report.json").read_text())
+    for key, csv in (("clean_matrix", "ca_matrix.csv"),
+                     ("robust_matrix", "ra_matrix.csv")):
+        # 3 rows of 3 entries, of which only [0][0] is set
+        unset = [[value is None for value in row] for row in payload[key]]
+        assert unset == [[False, True, True], [True] * 3, [True] * 3]
+        assert len((out / csv).read_text().splitlines()) == 3
+    for key in ("final_clean_acc", "final_robust_acc", "r_bwt"):
+        assert payload[key] is None
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -9,7 +9,9 @@ alternates too, so neither always runs on a cooler or warmer machine).
 Every invocation is a fresh process. For each end-to-end metric of
 `BENCHMARK.json` it prints each side's median and quartiles and the
 number of pairs in which this checkout did better, and it writes every
-run and the summary to `BENCH_<tag>.json` in this checkout's root.
+run and the summary to `BENCH_<tag>.json` in this checkout's root. It
+stops at the first run that reads `"correct": false` or a nonzero
+`failed`, naming its checkout, workload, seed and pair.
 
 `--setup-pairs N` also times set-up alone, the benchmark's `setup_s`: N
 alternating pairs of calls to each checkout's own `perfbench/run.py`
@@ -141,6 +143,12 @@ def main(argv=None) -> int:
             for i in range(args.pairs):
                 pair = {side: bench_once(sides[side], workload, seed, seconds)
                         for side in pair_order(i)}
+                for side, run in pair.items():
+                    if not run["correct"] or run["failed"]:
+                        raise SystemExit(
+                            f"{sides[side]}: {workload} seed {seed} pair {i + 1} read "
+                            f"correct={run['correct']} and failed={run['failed']} of "
+                            f"{run['attempted']}; its timings are not comparable")
                 pairs.append(pair)
                 print(f"{workload} seed {seed} pair {i + 1}: " + ", ".join(
                     f"{side} {pair[side]['metrics']['run_cpu_s']:.3f}"
