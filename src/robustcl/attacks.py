@@ -1,9 +1,9 @@
 """L-infinity PGD attacks with pluggable objectives.
 
-The solver ascends the sign of the objective's input gradient, projects
-back into the epsilon ball (and the data range, when declared), and
-tracks the best-objective iterate per example. With several restarts it
-keeps, per example, the restart point with the highest objective value.
+The solver ascends the sign of the objective's input gradient from one
+start, projects back into the epsilon ball (and the data range, when
+declared), and tracks the best-objective iterate per example. Restarts are
+an evaluation device: `metrics.robust_accuracy` runs one attack per start.
 Everything is deterministic given the config seed. One call can also
 attack several batches stacked in `x` (`pgd`'s `parts`): each keeps its
 own seed and batch mean, so its rows come out as a call of their own
@@ -135,46 +135,36 @@ def _keep_best(best_x: Array, best_v: Array, x: Array, values: Array) -> None:
 
 
 def _start(x: Array, lo: Array, hi: Array, cfg: AttackConfig,
-           parts: Sequence[tuple[int, int]], restart: int) -> Array:
-    """A restart's first iterate; each part draws its own random start."""
+           parts: Sequence[tuple[int, int]]) -> Array:
+    """The first iterate; each part draws its own random start."""
     if not cfg.random_start:
         return x.copy()
     noise = np.concatenate([
-        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(restart,)))
+        np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(0,)))
         .uniform(-cfg.epsilon, cfg.epsilon, size=(rows, x.shape[1]))
         for rows, seed in parts])
     return np.clip(x + noise, lo, hi)
-
-
-def _restart_attack(model: Network, head: Head, x_cur: Array, lo: Array, hi: Array,
-                    cfg: AttackConfig) -> tuple[Array, Array]:
-    """One restart from `x_cur`; returns (best points, best per-example values)."""
-    best_x = x_cur.copy()
-    best_v = np.full(x_cur.shape[0], -np.inf)
-    for _ in range(cfg.n_steps):
-        values, grad = _values_and_grad(model, head, x_cur)
-        _keep_best(best_x, best_v, x_cur, values)
-        x_cur = np.clip(x_cur + cfg.step_size * np.sign(grad), lo, hi)
-    # the last iterate's input gradient would go unused
-    _keep_best(best_x, best_v, x_cur, head(model.input_vjp(x_cur)[0])[0])
-    return best_x, best_v
 
 
 def pgd(model: Network, x: Array, y, cfg: AttackConfig, *,
         parts: Sequence[tuple[int, int]] | None = None) -> Array:
     """Projected gradient ascent inside the L-inf epsilon ball around `x`.
 
-    Returns, per example, the visited point with the highest objective value
-    (the best across restarts, when several). It only reads `model`, live or not.
+    Returns, per example, the visited point with the highest objective value.
+    It only reads `model`, live or not. It attacks from one start: restarts
+    go through `metrics.robust_accuracy`, so `cfg.n_restarts` must be 1.
 
     `parts` stacks several attacks in one call: `(rows, seed)` pairs that
     tile `x` in order, each with at least one row. Part p draws its random
-    starts from `seed_p` in place of `cfg.seed`, and its objective is the
+    start from `seed_p` in place of `cfg.seed`, and its objective is the
     mean over its own rows, so its rows equal those of a separate call
     with that seed (up to the rounding of the stacked matrix products,
     which the sign steps absorb in practice). The default is one part:
     all of `x` with `cfg.seed`.
     """
+    if cfg.n_restarts != 1:
+        raise ArgumentError(f"pgd attacks from one start, got n_restarts="
+                            f"{cfg.n_restarts}; robust_accuracy runs restarts")
     x = model._check_input(x)
     y = np.asarray(y)
     if y.shape != (len(x),):
@@ -196,9 +186,12 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig, *,
         return x.copy()
     w = np.concatenate([np.full(rows, 1.0 / rows) for rows, _ in parts])
     head = _make_head(model, x, y, cfg, w)
-    best_x, best_v = _restart_attack(model, head, _start(x, lo, hi, cfg, parts, 0),
-                                     lo, hi, cfg)
-    for restart in range(1, cfg.n_restarts):
-        _keep_best(best_x, best_v, *_restart_attack(
-            model, head, _start(x, lo, hi, cfg, parts, restart), lo, hi, cfg))
+    x_cur = _start(x, lo, hi, cfg, parts)
+    best_x, best_v = x_cur.copy(), np.full(len(x), -np.inf)
+    for _ in range(cfg.n_steps):
+        values, grad = _values_and_grad(model, head, x_cur)
+        _keep_best(best_x, best_v, x_cur, values)
+        x_cur = np.clip(x_cur + cfg.step_size * np.sign(grad), lo, hi)
+    # the last iterate's input gradient would go unused
+    _keep_best(best_x, best_v, x_cur, head(model.input_vjp(x_cur)[0])[0])
     return best_x

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import gzip
 import io
+import zlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -105,33 +106,37 @@ def _open_text(path: str):
 
 
 def load_csv_dataset(path: str) -> Dataset:
-    """Load `label,f0,f1,...` rows; values validated into [0, 1]."""
-    with _open_text(path) as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: missing header row") from None
-        if not header or header[0] != "label" or len(header) < 2:
-            raise ParseError(f"{path}: header must be 'label,f0,f1,...'")
-        width = len(header) - 1
-        labels: list[int] = []
-        rows: list[list[float]] = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != width + 1:
-                raise ParseError(f"{path}:{lineno}: expected {width + 1} columns, "
-                                 f"got {len(row)}")
+    """Load `label,f0,f1,...` rows; values validated into [0, 1]. A file that
+    cannot be opened, decompressed or decoded raises `ParseError` too."""
+    try:
+        with _open_text(path) as fh:
+            reader = csv.reader(fh)
             try:
-                label = int(row[0])
-                feats = [float(v) for v in row[1:]]
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: non-numeric cell") from None
-            if label < 0:
-                raise ParseError(f"{path}:{lineno}: negative label")
-            if any(not np.isfinite(v) or v < 0.0 or v > 1.0 for v in feats):
-                raise ParseError(f"{path}:{lineno}: feature outside [0, 1]")
-            labels.append(label)
-            rows.append(feats)
+                header = next(reader)
+            except StopIteration:
+                raise ParseError(f"{path}: missing header row") from None
+            if not header or header[0] != "label" or len(header) < 2:
+                raise ParseError(f"{path}: header must be 'label,f0,f1,...'")
+            width = len(header) - 1
+            labels: list[int] = []
+            rows: list[list[float]] = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) != width + 1:
+                    raise ParseError(f"{path}:{lineno}: expected {width + 1} columns, "
+                                     f"got {len(row)}")
+                try:
+                    label = int(row[0])
+                    feats = [float(v) for v in row[1:]]
+                except ValueError:
+                    raise ParseError(f"{path}:{lineno}: non-numeric cell") from None
+                if label < 0:
+                    raise ParseError(f"{path}:{lineno}: negative label")
+                if any(not np.isfinite(v) or v < 0.0 or v > 1.0 for v in feats):
+                    raise ParseError(f"{path}:{lineno}: feature outside [0, 1]")
+                labels.append(label)
+                rows.append(feats)
+    except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
+        raise ParseError(f"{path}: cannot read: {exc}") from exc
     inputs = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
     labels_arr = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels_arr.max()) + 1 if labels_arr.size else 0

@@ -126,22 +126,14 @@ class RegState:
         return cls(np.zeros(n), np.zeros(n), net.flatten(), net.layout())
 
     def expand_to(self, net: Network) -> "RegState":
-        """Re-shape state after a head expansion; new slots are zero (the
-        caller re-anchors at each task start)."""
-        new_layout = net.layout()
-        if new_layout == self.layout:
-            return self
-
-        def grow(vec: Array) -> Array:
-            out = []
-            for old, shape in zip(split(vec, self.layout), new_layout):
-                padded = np.zeros(shape)
-                padded[tuple(slice(0, n) for n in old.shape)] = old
-                out.append(padded.ravel())
-            return np.concatenate(out)
-
-        return RegState(grow(self.importance), grow(self.si_path), grow(self.anchor),
-                        new_layout)
+        """The state the next task starts from on the widened `net`: the
+        importance grown into `net.layout()` (new slots zero), a zero SI
+        path and the anchor at `net`'s parameters."""
+        state = RegState.zeros(net)
+        for old, new in zip(split(self.importance, self.layout),
+                            split(state.importance, state.layout)):
+            new[tuple(slice(0, n) for n in old.shape)] = old
+        return state
 
 
 def refresh_fisher(reg: RegState, student: Network,

@@ -25,7 +25,7 @@ from .attacks import AttackConfig, parse_rational
 from .continual import (ReservoirBuffer, Schedule, buffer_update_herding,
                         run_task, split_dataset, split_order)
 from .data import Dataset, gen_gaussian_tasks, load_csv_dataset
-from .errors import ArgumentError, ConfigurationError, IntegrityError
+from .errors import ArgumentError, ConfigurationError, DimensionError, IntegrityError
 from .methods import MethodConfig, RegState, make_method_config
 from .metrics import (FLATNESS_SCALARS, FlatnessReport, accuracy, flatness_forgetting,
                       r_bwt, robust_accuracy)
@@ -174,11 +174,11 @@ def _fields(value, where: str, rows: dict) -> dict:
     return out
 
 
-def _attack_rows(epsilon, n_steps: int, min_steps: int) -> dict:
+def _attack_rows(epsilon, n_steps: int, min_steps: int, **extra) -> dict:
     # a None radius or step is filled in by `parse_config_text`
     return {"epsilon": (parse_rational, epsilon), "step_size": (parse_rational, None),
             "n_steps": (_int, n_steps, min_steps), "random_start": (_bool, True),
-            "objective": (_str, "ce"), "n_restarts": (_int, 1, 1)}
+            **extra}
 
 
 # key -> (parser, default or _REQUIRED, further parser arguments); each parser
@@ -204,8 +204,10 @@ _SCHEMA = {
     "method": {"name": (_str, _REQUIRED), "alpha": (_or_null(_float), None),
                "beta": (_or_null(_float), None), "buffer_kind": (_or_null(_str), None),
                "fpd_metric": (_str, None)},
-    "attack": _attack_rows(_REQUIRED, 10, 0),
-    "eval_attack": _attack_rows(None, 20, 1),  # robust accuracy needs a step
+    # training attacks from one start, with the method's objective unless named;
+    # robust accuracy is CE for every method and needs a step
+    "attack": _attack_rows(_REQUIRED, 10, 0, objective=(_str, "ce")),
+    "eval_attack": _attack_rows(None, 20, 1, n_restarts=(_int, 1, 1)),
     "training": {"epochs": (_int, _REQUIRED, 1), "lr": (_float, _REQUIRED, 0),
                  "batch_size": (_int, _REQUIRED, 1), "weight_decay": (_float, 1e-5, 0),
                  "milestones": (_or_null(_ints), None)},
@@ -359,7 +361,10 @@ def load_checkpoint(path: str) -> Network:
     if not shapes or shapes[-1][0][1] != boundaries[-1]:
         raise IntegrityError(f"manifest {path} lists no layers or a mismatched head")
     layers = [Layer(np.empty(shape), np.empty(shape[1]), act) for shape, act in shapes]
-    net = Network(layers, boundaries, input_dim, seed=seed)
+    try:
+        net = Network(layers, boundaries, input_dim, seed=seed)
+    except (ArgumentError, DimensionError) as exc:
+        raise IntegrityError(f"manifest {path} lists an invalid network: {exc}") from exc
     net.load_params(np.frombuffer(blob, dtype="<f8"))
     return net
 
@@ -540,7 +545,6 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
                                   seed=derive_seed(cfg.seed, t, 0, "head-init"))
             if info.reg is not None:
                 reg = RegState.zeros(net) if reg is None else reg.expand_to(net)
-                reg.anchor = net.flatten()
             net, task_log = run_task(net, teacher, train_tasks[t], buffer,
                                      cfg.method, cfg.schedule, reg=reg,
                                      root_seed=cfg.seed, task_index=t + 1)

@@ -1,7 +1,11 @@
+import gzip
+import zlib
+
 import numpy as np
 import pytest
 
 import robustcl as rc
+from robustcl.cli import main as cli_main
 from robustcl.data import AUGMENT_MAGNITUDE, AUGMENT_OPS
 from robustcl.errors import ArgumentError, ParseError
 from robustcl.seeding import derive_rng
@@ -106,6 +110,33 @@ def test_csv_missing_header(tmp_path):
     path.write_text("0,0.1,0.2\n")
     with pytest.raises(ParseError):
         rc.load_csv_dataset(str(path))
+
+
+GOOD_GZ = gzip.compress(b"label,f0\n0,0.5\n1,0.25\n", mtime=0)
+
+
+@pytest.mark.parametrize("name, content, cause", [
+    ("dir.csv", None, IsADirectoryError),
+    ("plain.csv.gz", b"label,f0\n0,0.5\n", gzip.BadGzipFile),
+    ("truncated.csv.gz", GOOD_GZ[:-12], EOFError),
+    ("latin1.csv", b"label,f0\n0,0.5\xff\n", UnicodeDecodeError),
+    # deflate block type 3 is reserved
+    ("bad-block.csv.gz", GOOD_GZ[:10] + b"\xff" * 8, zlib.error),
+], ids=["directory", "not-gzip", "truncated-gzip", "not-utf8", "corrupt-deflate"])
+def test_unreadable_csv_raises_parse_error_naming_the_path(tmp_path, capsys, name,
+                                                            content, cause):
+    path = tmp_path / name
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_bytes(content)
+    with pytest.raises(ParseError, match=str(path)) as info:
+        rc.load_csv_dataset(str(path))
+    assert isinstance(info.value.__cause__, cause)
+    stem = tmp_path / "ckpt"
+    rc.save_checkpoint(rc.Network.init_mlp(1, [2], 2, seed=1), str(stem))
+    assert cli_main(["eval", "--checkpoint", str(stem), "--dataset", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

@@ -131,6 +131,8 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
     ("dataset", {"kind": "gaussian", "n_classes": 4, "dim": 6, "train_per_class": 0}),
     ("buffer", {"capacity": 5}),
     ("training", {"epochs": 0, "lr": 0.2, "batch_size": 16}),
+    ("attack", {"epsilon": "1/20", "n_steps": 3, "n_restarts": 1}),
+    ("eval_attack", {"n_steps": 5, "objective": "ce"}),
 ], ids=["nested-typo", "string-bool", "float-int", "bool-int", "fractional-int",
         "tasks-typo", "zero-width", "activation", "dataset-typo", "float-capacity",
         "string-augment", "method-typo", "grid-typo", "string-lr", "bool-lr",
@@ -141,7 +143,8 @@ def test_parse_rejects_bad_flatness_settings(tmp_path, flatness):
         "nan-grid-value", "negative-lr", "negative-weight-decay", "empty-grid",
         "scalar-hidden", "scalar-milestones", "int-dataset", "bool-dataset",
         "null-dataset", "no-test-examples", "no-train-examples",
-        "capacity-without-buffer", "zero-epochs"])
+        "capacity-without-buffer", "zero-epochs", "training-attack-restarts",
+        "eval-attack-objective"])
 def test_parse_rejects_bad_nested_values(tmp_path, section, values):
     with pytest.raises(ConfigurationError):
         rc.config_from_dict(tiny_config(tmp_path, **{section: values}))
@@ -150,13 +153,14 @@ def test_parse_rejects_bad_nested_values(tmp_path, section, values):
 def full_tiny_config():
     """`tiny_config` with every optional key filled in."""
     attack = {"epsilon": "1/20", "step_size": "1/80", "n_steps": 3,
-              "random_start": True, "objective": "ce", "n_restarts": 1}
+              "random_start": True}
     return tiny_config(
         "unused-output-dir",
         tasks={"n_tasks": 2, "classes_per_task": 2, "class_order": [1, 0, 3, 2]},
         method={"name": "flair", "alpha": 0.5, "beta": 0.5, "buffer_kind": "none",
                 "fpd_metric": "kl"},
-        attack=attack, eval_attack={**attack, "n_steps": 5},
+        attack={**attack, "objective": "ce"},
+        eval_attack={**attack, "n_steps": 5, "n_restarts": 1},
         training={"epochs": 2, "lr": 0.2, "batch_size": 16, "weight_decay": 1e-5,
                   "milestones": [1]},
         augment={"enabled": False}, flatness={"subsample": 4, "scalar": "ce"},
@@ -453,6 +457,28 @@ def test_checkpoint_with_a_layer_narrower_than_1_exits_2(tmp_path, capsys, layer
     assert cli_main(["eval", "--checkpoint", str(stem), "--dataset",
                      str(test_csv)]) == 2
     assert "dimension below 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line, edited", [
+    ("input_dim=6", "input_dim=5"), ("head_boundaries=2", "head_boundaries=3,2"),
+    ("layer0=6x4,tanh", "layer0=6x4,bogus")],
+    ids=["input-dim", "boundaries-not-increasing", "activation"])
+def test_checkpoint_the_network_rejects_exits_2(tmp_path, capsys, line, edited):
+    # one manifest field changes; the blob still matches it in length and digest
+    stem = tmp_path / "ckpt"
+    rc.save_checkpoint(rc.Network.init_mlp(6, [4], 2, activation="tanh", seed=1),
+                       str(stem))
+    manifest = (tmp_path / "ckpt.manifest").read_text()
+    assert f"\n{line}\n" in manifest
+    (tmp_path / "ckpt.manifest").write_text(manifest.replace(f"\n{line}\n",
+                                                             f"\n{edited}\n"))
+    with pytest.raises(IntegrityError, match="invalid network"):
+        rc.load_checkpoint(str(stem))
+    test_csv = tmp_path / "test.csv"
+    save_csv_dataset(rc.gen_gaussian_tasks(4, 6, 10.0, 4, seed=5), str(test_csv))
+    assert cli_main(["eval", "--checkpoint", str(stem), "--dataset",
+                     str(test_csv)]) == 2
+    assert "invalid network" in capsys.readouterr().err
 
 
 def test_checkpoint_version_mismatch(tmp_path):

@@ -7,8 +7,10 @@ capacity 20, flatness subsample 4) with relu hidden layers.
 A few non-flair methods also run with augmentation switched on,
 pgd-at, trades and flair also run with each other hidden activation,
 a few methods run with method settings that reach loss branches their
-defaults skip, and two herding runs use a capacity below the class count,
-so the later tasks' quotas reach zero. Each line reads
+defaults skip, two herding runs use a capacity below the class count,
+so the later tasks' quotas reach zero, and pgd-at and flair also run
+their robust accuracy over three restarts, at an evaluation radius (1/5)
+where the restarts move the robust matrix. Each line reads
 `method/buffer[+augment][@activation][:key=value] <report> <checkpoints> <csvs>`:
 three sha256 prefixes, one of `report.json` with `wall_clock_sec` removed,
 one of every file under `checkpoints/` (name, manifest and blob bytes, in
@@ -62,10 +64,15 @@ SETTINGS = [("i-rslad", "none", {"alpha": 0.5}), ("i-adaad", "none", {"alpha": 0
 # (method, buffer kind, buffer capacity): herding quotas below one per class
 CAPACITIES = [("pgd-at", "herding", 3), ("r-icarl", "herding", 3)]
 
+# (method, buffer kind, eval_attack keys): robust accuracy over several starts
+EVAL_ATTACKS = [("pgd-at", "none", {"epsilon": "1/5", "n_restarts": 3}),
+                ("flair", "none", {"epsilon": "1/5", "n_restarts": 3})]
+
 
 def tiny_config(method: str, buffer_kind: str, augment: bool,
                 activation: str = "relu", seed: int = 1,
-                settings: dict | None = None, capacity: int = CAPACITY) -> dict:
+                settings: dict | None = None, capacity: int = CAPACITY,
+                eval_attack: dict | None = None) -> dict:
     cfg = {
         "seed": seed,
         "output_dir": "run",
@@ -76,7 +83,7 @@ def tiny_config(method: str, buffer_kind: str, augment: bool,
         "model": {"hidden": [16, 16], "activation": activation},
         "method": {"name": method, "buffer_kind": buffer_kind, **(settings or {})},
         "attack": {"epsilon": "1/20", "n_steps": 3},
-        "eval_attack": {"n_steps": 3},
+        "eval_attack": {"n_steps": 3, **(eval_attack or {})},
         "training": {"epochs": 2, "lr": 0.1, "batch_size": 16},
         "buffer": {"capacity": 0 if buffer_kind == "none" else capacity},
         "flatness": {"subsample": 4},
@@ -130,22 +137,25 @@ def main(argv=None) -> int:
     if Path(rc.__file__).resolve().parent != Path(args.src, "robustcl").resolve():
         raise SystemExit(f"robustcl imported from {rc.__file__}, not {args.src}")
 
-    runs = [(name, kind, False, "relu", {}, CAPACITY)
+    runs = [(name, kind, False, "relu", {}, CAPACITY, {})
             for name in rc.methods.REGISTRY for kind in accepted_kinds(rc, name)]
-    runs += [(name, kind, True, "relu", {}, CAPACITY) for name, kind in AUGMENTED]
-    runs += [(name, "none", False, act, {}, CAPACITY) for act in OTHER_ACTIVATIONS
+    runs += [(name, kind, True, "relu", {}, CAPACITY, {}) for name, kind in AUGMENTED]
+    runs += [(name, "none", False, act, {}, CAPACITY, {}) for act in OTHER_ACTIVATIONS
              for name in ACTIVATION_METHODS]
-    runs += [(name, kind, False, "relu", settings, CAPACITY)
+    runs += [(name, kind, False, "relu", settings, CAPACITY, {})
              for name, kind, settings in SETTINGS]
-    runs += [(name, kind, False, "relu", {}, cap) for name, kind, cap in CAPACITIES]
+    runs += [(name, kind, False, "relu", {}, cap, {}) for name, kind, cap in CAPACITIES]
+    runs += [(name, kind, False, "relu", {}, CAPACITY, keys)
+             for name, kind, keys in EVAL_ATTACKS]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, kind, augment, act, settings, cap in runs:
-            digests = run_digests(rc, tiny_config(name, kind, augment, act,
-                                                  args.seed, settings, cap))
+        for name, kind, augment, act, settings, cap, eval_keys in runs:
+            digests = run_digests(rc, tiny_config(name, kind, augment, act, args.seed,
+                                                  settings, cap, eval_keys))
             tag = (("+augment" if augment else "") + ("" if act == "relu" else f"@{act}")
                    + "".join(f":{k}={v}" for k, v in settings.items())
-                   + ("" if cap == CAPACITY else f":capacity={cap}"))
+                   + ("" if cap == CAPACITY else f":capacity={cap}")
+                   + "".join(f":eval_{k}={v}" for k, v in eval_keys.items()))
             print(f"{name}/{kind}{tag}", *digests, flush=True)
     return 0
 
