@@ -3,7 +3,9 @@
 The op set covers what logit-space losses and parameter penalties need
 (broadcasting add/mul, `pointwise`, a stabilized log-softmax, column,
 row-slice and per-row gathers, reductions) plus `matmul` for the reference
-graph of `network.Network.forward_graph`. Graphs are built per evaluation
+graph of `network.Network.forward_graph`. Every op is a named function;
+a node's only operators are ``weight * node`` and ``node / weight`` for a
+plain number, which scale a loss term. Graphs are built per evaluation
 and discarded afterwards. A leaf built with ``Node(value)`` is a variable
 and keeps the gradient of the last `backward` call; a raw value wrapped by
 `lift` (as ops do with array operands) is a constant. A derived node
@@ -45,22 +47,8 @@ class Node:
         self._parents: tuple[Node, ...] = parents
         self._vjps: tuple[Callable[[Array], Array], ...] = vjps
 
-    def __repr__(self) -> str:
-        return f"Node(shape={self.value.shape})"
-
-    def __float__(self) -> float:
-        if self.value.size != 1:
-            raise DimensionError("only size-1 nodes convert to float")
-        return float(self.value)
-
-    # operator sugar; the right-hand side may be a plain array or scalar
-    def __add__(self, other): return add(self, other)
-    def __radd__(self, other): return add(other, self)
-    def __sub__(self, other): return sub(self, other)
-    def __rsub__(self, other): return sub(other, self)
-    def __mul__(self, other): return mul(self, other)
+    # `weight * node` and `node / weight` scale a loss term by a plain number
     def __rmul__(self, other): return mul(other, self)
-    def __neg__(self): return neg(self)
 
     def __truediv__(self, other):
         if isinstance(other, Node):

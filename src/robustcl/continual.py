@@ -245,7 +245,9 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
     training pool; a reservoir gives each batch a separate replay batch,
     attacked in the batch's own PGD call. Returns the trained network and
     per-epoch rows (task, epoch, train_loss, clean_acc, robust_acc).
-    The teacher is never touched; this is checked by hashing.
+    The teacher is never touched; this is checked by hashing. A non-finite
+    loss, or a numpy fault trapped by `np.errstate` (`run_experiment` traps
+    them), raises `NumericError` naming the task, epoch and batch.
     """
     if len(task_data) == 0:
         raise ArgumentError(f"task {task_index} has no training examples")
@@ -299,21 +301,21 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
                     method_cfg, passes, teacher, x, y, x_adv, replay, reg)
                 if not np.isfinite(float(loss.value)):
                     raise NumericError(f"non-finite loss; terms {terms}")
-            except NumericError as exc:
+                ad.backward(loss)
+                grads = passes.grads()
+                before = passes.params.value
+                after = sgd_step(before, grads, lr, schedule.weight_decay)
+                student.load_params(after)
+                if info.reg == "si" and reg is not None:
+                    methods.si_step(reg, grads, after - before)
+                if (epoch == 0 and isinstance(buffer, ReservoirBuffer)):
+                    z_batch = student.forward(x) if buffer.with_logits else None
+                    for i in range(x.shape[0]):
+                        reservoir_update(buffer, (x[i], int(y[i])),
+                                         None if z_batch is None else z_batch[i])
+            except (NumericError, FloatingPointError) as exc:
                 raise NumericError(f"task {task_index} epoch {epoch} "
                                    f"batch {b}: {exc}") from exc
-            ad.backward(loss)
-            grads = passes.grads()
-            before = passes.params.value
-            after = sgd_step(before, grads, lr, schedule.weight_decay)
-            student.load_params(after)
-            if info.reg == "si" and reg is not None:
-                methods.si_step(reg, grads, after - before)
-            if (epoch == 0 and isinstance(buffer, ReservoirBuffer)):
-                z_batch = student.forward(x) if buffer.with_logits else None
-                for i in range(x.shape[0]):
-                    reservoir_update(buffer, (x[i], int(y[i])),
-                                     None if z_batch is None else z_batch[i])
             epoch_losses.append(float(loss.value))
 
         row = {"task": task_index, "epoch": epoch, "train_loss": float(np.mean(epoch_losses))}

@@ -2,13 +2,13 @@
 
 Robust accuracy attacks every example with PGD; with several restarts an
 example only counts as correct when it survives all of them. Gradient and
-Hessian forgetting compare input-space derivatives of the final model
-against each per-task model on that task's test data. Their losses are
-row sums of a per-row scalar, so each row's input gradient is that
-example's own: the gradients of a whole subsample come from one
-`grad_input` call, and each input Hessian batches its 2d probes, at
-`HESSIAN_STEP` and up to `HESSIAN_DIM_CAP` inputs, into one call per
-point. Landscape grids sweep the loss along an adversarial direction and
+Hessian forgetting compare input-space derivatives of the cross-entropy
+at the true label, of the final model against each per-task model, on
+that task's test data. The loss is a row sum of per-example CE, so each
+row's input gradient is that example's own: the gradients of a whole
+subsample come from one `grad_input` call, and each input Hessian batches
+its 2d probes, at `HESSIAN_STEP` and up to `HESSIAN_DIM_CAP` inputs, into
+one call per point. Landscape grids sweep the loss along an adversarial direction and
 a random sign direction.
 """
 from __future__ import annotations
@@ -86,47 +86,29 @@ class FlatnessReport:
 
 
 def _ce_row_sum(z, y):
+    # a row sum of per-example CE: row k's input gradient is example k's own,
+    # so one call serves a whole batch
     return ad.sum_all(losses.ce_rows(z, y))
 
 
-def _logit_row_sum(z, c):
-    return ad.sum_all(ad.take_per_row(z, c))
-
-
-# Row sums of a per-row scalar: the input gradient of row k is then exactly
-# the gradient of example k's own scalar, so one call serves a whole batch.
-# "ce" is the cross-entropy at the true label; "max-logit" pins each row's
-# class to the model's argmax at the center point and sums those logits,
-# which keeps finite differences smooth.
-_ROW_SUM_LOSSES = {"ce": _ce_row_sum, "max-logit": _logit_row_sum}
-FLATNESS_SCALARS = tuple(_ROW_SUM_LOSSES)
-
-
-def _center_aux(model: Network, scalar_def: str, x: Array, y: Array) -> Array:
-    """Per-row aux of the flatness scalar: labels, or argmax classes at x."""
-    return y if scalar_def == "ce" else np.argmax(model.forward(x), axis=1)
-
-
-def _probe_hessian(model: Network, loss, x_row: Array, aux) -> Array:
-    """Input Hessian at one point from a single gradient over its 2d probes."""
+def _probe_hessian(model: Network, x_row: Array, label) -> Array:
+    """Input Hessian of the CE at one point from one gradient over its 2d probes."""
     probes = fd_probes(x_row, HESSIAN_STEP)
-    return fd_hessian(grad_input(model, loss, probes, np.full(len(probes), aux)),
-                      HESSIAN_STEP)
+    return fd_hessian(grad_input(model, _ce_row_sum, probes,
+                                 np.full(len(probes), label)), HESSIAN_STEP)
 
 
 def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Dataset],
-                        scalar_def: str = "ce", subsample: int = 64,
-                        seed: int = 0) -> FlatnessReport:
+                        subsample: int = 64, seed: int = 0) -> FlatnessReport:
     """Mean input-gradient and input-Hessian drift of the final model.
 
     For each past task i, draws a seeded subsample of its test set and
-    averages ||grad_x s_T(x) - grad_x s_i(x)||_2; the Hessian counterpart
-    uses the Frobenius norm. Hessians are skipped (hf=None) above
-    `HESSIAN_DIM_CAP`. Per model, the gradients take one `grad_input` call
-    over the whole subsample and each Hessian one over its point's probes.
+    averages ||grad_x CE_T(x, y) - grad_x CE_i(x, y)||_2 at the true label;
+    the Hessian counterpart uses the Frobenius norm. Hessians are skipped
+    (hf=None) above `HESSIAN_DIM_CAP`. Per model, the gradients take one
+    `grad_input` call over the whole subsample and each Hessian one over
+    its point's probes.
     """
-    if scalar_def not in _ROW_SUM_LOSSES:
-        raise ArgumentError(f"unknown scalar definition {scalar_def!r}")
     if subsample < 1:
         raise ArgumentError(f"flatness subsample must be at least 1, got {subsample}")
     if len(models) < 2:
@@ -138,7 +120,6 @@ def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Datas
     if any(m.input_dim != input_dim for m in models):
         raise ArgumentError("all models must share input_dim")
     hf_ok = input_dim <= HESSIAN_DIM_CAP
-    loss = _ROW_SUM_LOSSES[scalar_def]
     gf_per: list[float] = []
     hf_per: list[float] = []
     for i, past in enumerate(models[:-1]):
@@ -148,15 +129,13 @@ def flatness_forgetting(models: Sequence[Network], task_testsets: Sequence[Datas
         rng = derive_rng(seed, task=i, purpose="subsample")
         idx = rng.choice(len(ds), size=min(subsample, len(ds)), replace=False)
         x, y = ds.inputs[idx], ds.labels[idx]
-        aux_f = _center_aux(final, scalar_def, x, y)
-        aux_p = _center_aux(past, scalar_def, x, y)
-        g_drift = np.linalg.norm(grad_input(final, loss, x, aux_f)
-                                 - grad_input(past, loss, x, aux_p), axis=1)
+        g_drift = np.linalg.norm(grad_input(final, _ce_row_sum, x, y)
+                                 - grad_input(past, _ce_row_sum, x, y), axis=1)
         gf_per.append(float(np.mean(g_drift)))
         if hf_ok:
-            h_drift = [np.linalg.norm(_probe_hessian(final, loss, x_row, a_f)
-                                      - _probe_hessian(past, loss, x_row, a_p), ord="fro")
-                       for x_row, a_f, a_p in zip(x, aux_f, aux_p)]
+            h_drift = [np.linalg.norm(_probe_hessian(final, x_row, label)
+                                      - _probe_hessian(past, x_row, label), ord="fro")
+                       for x_row, label in zip(x, y)]
             hf_per.append(float(np.mean(h_drift)))
     gf = float(np.mean(gf_per))
     hf = float(np.mean(hf_per)) if hf_ok else None

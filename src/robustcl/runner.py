@@ -25,10 +25,11 @@ from .attacks import AttackConfig, parse_rational
 from .continual import (ReservoirBuffer, Schedule, buffer_update_herding,
                         run_task, split_dataset, split_order)
 from .data import Dataset, gen_gaussian_tasks, load_csv_dataset
-from .errors import ArgumentError, ConfigurationError, DimensionError, IntegrityError
+from .errors import (ArgumentError, ConfigurationError, DimensionError, IntegrityError,
+                     NumericError)
 from .methods import MethodConfig, RegState, make_method_config
-from .metrics import (FLATNESS_SCALARS, FlatnessReport, accuracy, flatness_forgetting,
-                      r_bwt, robust_accuracy)
+from .metrics import (FlatnessReport, accuracy, flatness_forgetting, r_bwt,
+                      robust_accuracy)
 from .network import ACTIVATIONS, Layer, Network, expand_head, snapshot
 from .seeding import derive_seed
 
@@ -70,7 +71,6 @@ class ExperimentConfig:
     schedule: Schedule
     buffer_capacity: int
     flatness_subsample: int
-    flatness_scalar: str
     raw_text: str
     sha256: str
     grid: dict | None = None
@@ -213,8 +213,8 @@ _SCHEMA = {
                  "milestones": (_or_null(_ints), None)},
     "buffer": {"capacity": (_int, 0)},
     "augment": {"enabled": (_or_null(_bool), None)},
-    "flatness": {"subsample": (_int, 64, 1),
-                 "scalar": (_one_of, "ce", FLATNESS_SCALARS)},
+    # GF/HF measure the CE at the true label; "scalar" names it for the record
+    "flatness": {"subsample": (_int, 64, 1), "scalar": (_one_of, "ce", ("ce",))},
     "grid": {"alpha": (_grid_values, None), "beta": (_grid_values, None)},
 }
 
@@ -256,8 +256,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         seed=c["seed"], output_dir=c["output_dir"], dataset=c["dataset"], **tasks,
         **c["model"], method=method, eval_attack=AttackConfig(**eval_attack),
         schedule=Schedule(**c["training"]), buffer_capacity=capacity,
-        flatness_subsample=c["flatness"]["subsample"],
-        flatness_scalar=c["flatness"]["scalar"], raw_text=text,
+        flatness_subsample=c["flatness"]["subsample"], raw_text=text,
         sha256=hashlib.sha256(text.encode("utf-8")).hexdigest(), grid=grid or None)
 
 
@@ -492,8 +491,15 @@ def evaluate_row(cfg: ExperimentConfig, model: Network,
              for j, task in enumerate(test_tasks[:t])])
 
 
+@np.errstate(over="raise", invalid="raise", divide="raise")
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
-    """Full task loop; writes checkpoints and the report into output_dir."""
+    """Full task loop; writes checkpoints and the report into output_dir.
+
+    Numpy overflow, invalid-value and divide-by-zero faults raise where they
+    start (underflow stays quiet). In the task loop and the flatness stage
+    each one surfaces as a `NumericError` that names the task, epoch and
+    batch, or else the task or the flatness stage.
+    """
     start = time.time()
     train_tasks, test_tasks = _build_streams(cfg)
     # only after the split succeeded: a bad split leaves no output behind
@@ -534,6 +540,7 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     input_dim = train_tasks[0].input_dim
     try:
         for t in range(t_count):
+            stage = f"task {t + 1}"
             # the teacher is the last task's frozen model; the student widens it
             teacher = snapshots[-1] if snapshots else None
             if teacher is None:
@@ -559,14 +566,16 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             clean_rows.append(clean_row)
             robust_rows.append(robust_row)
         if t_count >= 2:
+            stage = "flatness"
             bwt = r_bwt(robust_rows)
             drift = vars(flatness_forgetting(snapshots, test_tasks[:t_count - 1],
-                                             scalar_def=cfg.flatness_scalar,
                                              subsample=cfg.flatness_subsample,
                                              seed=cfg.seed))
-    except Exception:
+    except Exception as exc:
         # flush whatever is complete so a crashed run still leaves evidence
         emit_report(report(complete=False), cfg.output_dir)
+        if isinstance(exc, FloatingPointError):
+            raise NumericError(f"{stage}: {exc}") from exc
         raise
     final = report(complete=True)
     emit_report(final, cfg.output_dir)

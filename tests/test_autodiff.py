@@ -147,12 +147,6 @@ def test_backward_requires_scalar_root():
         ad.backward(ad.Node(np.ones(3)))
 
 
-def test_operator_sugar_matches_ops():
-    a = ad.Node(np.array([1.0, 2.0]))
-    out = (-a) * 3.0 + 1.0 - a / 2.0
-    assert np.allclose(out.value, [-3 + 1 - 0.5, -6 + 1 - 1.0])
-
-
 def test_shared_leaf_across_two_passes_accumulates():
     w = ad.Node(np.array([[2.0]]))
     x1 = ad.Node(np.array([[3.0]]))

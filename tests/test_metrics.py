@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 import robustcl as rc
-from robustcl import autodiff as ad
 from robustcl import losses
 from robustcl.errors import ArgumentError, UndefinedValueError
 from robustcl.network import HESSIAN_DIM_CAP
@@ -179,27 +178,19 @@ def test_flatness_hf_unavailable_above_cap():
     assert report.gf > 0
 
 
-def test_flatness_max_logit_scalar_runs():
-    net1 = rc.snapshot(rc.Network.init_mlp(3, [6], 2, activation="tanh", seed=3))
-    net2 = rc.snapshot(rc.Network.init_mlp(3, [6], 2, activation="tanh", seed=4))
-    ds = balanced_dataset(k=2, d=3)
-    report = rc.flatness_forgetting([net1, net2], [ds], scalar_def="max-logit",
-                                    subsample=4)
-    assert np.isfinite(report.gf) and np.isfinite(report.hf)
-
-
 def test_flatness_rejects_unknown_scalar_and_empty_subsample():
     net1 = rc.snapshot(rc.Network.init_mlp(3, [6], 2, seed=3))
     net2 = rc.snapshot(rc.Network.init_mlp(3, [6], 2, seed=4))
     ds = balanced_dataset(k=2, d=3)
-    with pytest.raises(ArgumentError):
-        rc.flatness_forgetting([net1, net2], [ds], scalar_def="typo")
+    # the scalar is the CE at the true label; there is no other to choose
+    with pytest.raises(TypeError):
+        rc.flatness_forgetting([net1, net2], [ds], scalar_def="max-logit")
     with pytest.raises(ArgumentError):
         rc.flatness_forgetting([net1, net2], [ds], subsample=0)
 
 
-def per_point_flatness(models, testsets, scalar_def, subsample, seed):
-    """Oracle: one single-row gradient graph and one hessian_input per example."""
+def per_point_flatness(models, testsets, subsample, seed):
+    """Oracle: one single-row CE graph and one hessian_input per example."""
     final = models[-1]
     gf_per, hf_per = [], []
     for i, past in enumerate(models[:-1]):
@@ -209,15 +200,9 @@ def per_point_flatness(models, testsets, scalar_def, subsample, seed):
         g_drift, h_drift = [], []
         for k in idx:
             x = ds.inputs[k]
-            derivs = []
-            for m in (final, past):
-                if scalar_def == "ce":
-                    loss, aux = (lambda z, a: losses.ce(z, a)), np.array([ds.labels[k]])
-                else:
-                    loss = lambda z, a: ad.mean_all(ad.take_per_row(z, a))
-                    aux = np.array([np.argmax(m.forward(x[None, :])[0])])
-                derivs.append((rc.grad_input(m, loss, x[None, :], aux)[0],
-                               rc.hessian_input(m, loss, x, aux)))
+            y = np.array([ds.labels[k]])
+            derivs = [(rc.grad_input(m, losses.ce, x[None, :], y)[0],
+                       rc.hessian_input(m, losses.ce, x, y)) for m in (final, past)]
             (g_f, h_f), (g_p, h_p) = derivs
             g_drift.append(np.linalg.norm(g_f - g_p))
             h_drift.append(np.linalg.norm(h_f - h_p, ord="fro"))
@@ -226,16 +211,16 @@ def per_point_flatness(models, testsets, scalar_def, subsample, seed):
     return gf_per, hf_per
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh", "softplus"])
-@pytest.mark.parametrize("scalar_def", ["ce", "max-logit"])
-def test_flatness_batched_graphs_match_per_point_oracle(scalar_def, activation):
+# each id names the scalar too: the CE at the true label
+@pytest.mark.parametrize("activation", ["relu", "tanh", "softplus"],
+                         ids=lambda activation: f"ce-{activation}")
+def test_flatness_batched_graphs_match_per_point_oracle(activation):
     # d = 5 gives 10 probes per Hessian; an odd subsample of 7 out of 15
     models = [rc.snapshot(rc.Network.init_mlp(5, [7], 3, activation=activation,
                                               seed=20 + s)) for s in range(3)]
     testsets = [balanced_dataset(k=3, d=5, seed=30 + s) for s in range(2)]
-    report = rc.flatness_forgetting(models, testsets, scalar_def=scalar_def,
-                                    subsample=7, seed=4)
-    gf_per, hf_per = per_point_flatness(models, testsets, scalar_def, 7, seed=4)
+    report = rc.flatness_forgetting(models, testsets, subsample=7, seed=4)
+    gf_per, hf_per = per_point_flatness(models, testsets, 7, seed=4)
     np.testing.assert_allclose(report.per_task_gf, gf_per, rtol=1e-9)
     np.testing.assert_allclose(report.per_task_hf, hf_per, rtol=1e-9)
     assert report.gf == pytest.approx(np.mean(gf_per), rel=1e-9)

@@ -5,8 +5,6 @@ import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl.errors import (ArgumentError, CapacityError, ContractError,
                              DimensionError, NumericError)
-
-from robustcl.metrics import _ROW_SUM_LOSSES, FLATNESS_SCALARS
 from robustcl.network import ACTIVATIONS
 
 from conftest import finite_difference_input_grad, finite_difference_param_grad
@@ -121,7 +119,12 @@ def test_grad_input_matches_finite_differences(small_tanh_net):
     assert np.max(np.abs(g - fd)) / max(np.max(np.abs(fd)), 1e-12) < 1e-4
 
 
-@pytest.mark.parametrize("scalar", FLATNESS_SCALARS)
+# row sums of a per-row scalar: the CE of GF/HF, and each row's largest logit
+ROW_SUM_LOSSES = {"ce": lambda z, y: ad.sum_all(rc.losses.ce_rows(z, y)),
+                  "max-logit": lambda z, c: ad.sum_all(ad.take_per_row(z, c))}
+
+
+@pytest.mark.parametrize("scalar", ROW_SUM_LOSSES)
 @pytest.mark.parametrize("activation", ACTIVATIONS)
 def test_grad_input_equals_the_graph_bit_for_bit(activation, scalar):
     # reference: the whole graph from an input node through forward_graph
@@ -129,7 +132,7 @@ def test_grad_input_equals_the_graph_bit_for_bit(activation, scalar):
                                              seed=3), 2, seed=4)
     rng = np.random.default_rng(12)
     x = rng.uniform(size=(6, 4))
-    loss = _ROW_SUM_LOSSES[scalar]
+    loss = ROW_SUM_LOSSES[scalar]
     aux = rng.integers(0, 4, size=6) if scalar == "ce" else \
         np.argmax(net.forward(x), axis=1)
     xn = ad.Node(x)

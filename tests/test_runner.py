@@ -2,6 +2,8 @@ import dataclasses
 import hashlib
 import json
 import re
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +15,8 @@ from robustcl.cli import main as cli_main
 from robustcl.errors import ConfigurationError, IntegrityError
 
 from conftest import save_csv_dataset
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def tiny_config(out_dir, **overrides):
@@ -75,6 +79,18 @@ def test_buffer_method_needs_capacity(tmp_path):
     cfg = tiny_config(tmp_path, method={"name": "r-er"})
     with pytest.raises(ConfigurationError):
         rc.config_from_dict(cfg)
+
+
+def test_shipped_and_benchmark_configs_parse():
+    # the benchmark's configs are read in place, never imported as a package:
+    # a schema change that rejects them fails here before any benchmark run
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    assert set(workloads) == {"flair-desk", "der-replay", "wide-herding"}
+    for workload in workloads.values():
+        cfg = rc.config_from_dict(workload.config(1))
+        assert cfg.seed == 1 and cfg.method.name == workload.config(1)["method"]["name"]
+    cfg = rc.load_config(str(ROOT / "configs" / "flair.json"))
+    assert cfg.method.name == "flair" and cfg.flatness_subsample == 64
 
 
 @pytest.mark.parametrize("flatness", [{"scalar": "typo"}, {"subsample": 0},
@@ -318,12 +334,14 @@ def test_cli_setting_the_method_lacks_exits_2_before_creating_output(tmp_path, c
 
 
 def test_cli_bad_flatness_scalar_exits_2_before_training(tmp_path, capsys):
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out",
-                                               flatness={"scalar": "typo"})))
-    assert cli_main(["run", "--config", str(cfg_path)]) == 2
-    assert "flatness scalar" in capsys.readouterr().err
-    assert not (tmp_path / "out").exists()
+    # GF/HF measure the CE only: "max-logit" is as unknown as a typo
+    for scalar in ("typo", "max-logit"):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(tiny_config(tmp_path / "out",
+                                                   flatness={"scalar": scalar})))
+        assert cli_main(["run", "--config", str(cfg_path)]) == 2
+        assert "flatness scalar" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 def test_cli_zero_step_eval_attack_exits_2_before_creating_output(tmp_path, capsys):
@@ -636,7 +654,6 @@ def test_report_replays_from_its_checkpoints(tmp_path, method, capacity):
         clean.append(clean_row)
         robust.append(robust_row)
     drift = rc.flatness_forgetting(models, test_tasks[:-1],
-                                   scalar_def=cfg.flatness_scalar,
                                    subsample=cfg.flatness_subsample, seed=cfg.seed)
 
     def square(rows):  # report.json pads each row to n_tasks entries with null
@@ -783,6 +800,23 @@ def test_flatness_failure_flushes_partial_report(tmp_path, monkeypatch):
         assert all(rows[i][j] is not None for i in range(2) for j in range(i + 1))
     assert payload["r_bwt"] is not None
     assert payload["gf"] is None and payload["final_robust_acc"] is None
+
+
+# each stand-in overflows or takes log(0), which run_experiment's traps turn into errors
+@pytest.mark.parametrize("owner,name,fault,stage", [
+    ("continual", "sgd_step", lambda *args: np.float64(1e308) * 10.0,
+     r"task 1 epoch 0 batch 0: overflow"),
+    ("runner", "flatness_forgetting", lambda *args, **kwargs: np.log(np.zeros(1)),
+     r"flatness: divide by zero")], ids=["training", "flatness"])
+def test_numpy_fault_raises_where_it_starts_as_numeric_error(tmp_path, monkeypatch,
+                                                             owner, name, fault, stage):
+    from robustcl.errors import NumericError
+    monkeypatch.setattr(getattr(rc, owner), name, fault)
+    out = tmp_path / "fault"
+    with pytest.raises(NumericError, match=stage) as info:
+        rc.run_experiment(rc.config_from_dict(tiny_config(out)))
+    assert isinstance(info.value.__cause__, FloatingPointError)
+    assert json.loads((out / "report.json").read_text())["final_robust_acc"] is None
 
 
 def test_crashed_run_pads_unfinished_rows_with_null(tmp_path, monkeypatch):

@@ -8,9 +8,10 @@ A few non-flair methods also run with augmentation switched on,
 pgd-at, trades and flair also run with each other hidden activation,
 a few methods run with method settings that reach loss branches their
 defaults skip, two herding runs use a capacity below the class count,
-so the later tasks' quotas reach zero, and pgd-at and flair also run
+so the later tasks' quotas reach zero, pgd-at and flair also run
 their robust accuracy over three restarts, at an evaluation radius (1/5)
-where the restarts move the robust matrix. Each line reads
+where the restarts move the robust matrix, and flair also trains on the
+`bce-newslice` attack objective. Each line reads
 `method/buffer[+augment][@activation][:key=value] <report> <checkpoints> <csvs>`:
 three sha256 prefixes, one of `report.json` with `wall_clock_sec` removed,
 one of every file under `checkpoints/` (name, manifest and blob bytes, in
@@ -68,11 +69,14 @@ CAPACITIES = [("pgd-at", "herding", 3), ("r-icarl", "herding", 3)]
 EVAL_ATTACKS = [("pgd-at", "none", {"epsilon": "1/5", "n_restarts": 3}),
                 ("flair", "none", {"epsilon": "1/5", "n_restarts": 3})]
 
+# (method, buffer kind, training attack keys): objectives no method defaults to
+TRAIN_ATTACKS = [("flair", "none", {"objective": "bce-newslice"})]
 
-def tiny_config(method: str, buffer_kind: str, augment: bool,
+
+def tiny_config(method: str, buffer_kind: str, augment: bool = False,
                 activation: str = "relu", seed: int = 1,
                 settings: dict | None = None, capacity: int = CAPACITY,
-                eval_attack: dict | None = None) -> dict:
+                eval_attack: dict | None = None, attack: dict | None = None) -> dict:
     cfg = {
         "seed": seed,
         "output_dir": "run",
@@ -82,7 +86,7 @@ def tiny_config(method: str, buffer_kind: str, augment: bool,
         "tasks": {"n_tasks": 3, "classes_per_task": 2},
         "model": {"hidden": [16, 16], "activation": activation},
         "method": {"name": method, "buffer_kind": buffer_kind, **(settings or {})},
-        "attack": {"epsilon": "1/20", "n_steps": 3},
+        "attack": {"epsilon": "1/20", "n_steps": 3, **(attack or {})},
         "eval_attack": {"n_steps": 3, **(eval_attack or {})},
         "training": {"epochs": 2, "lr": 0.1, "batch_size": 16},
         "buffer": {"capacity": 0 if buffer_kind == "none" else capacity},
@@ -125,6 +129,46 @@ def run_digests(rc, cfg: dict) -> tuple[str, str, str]:
             files_digest(out / name for name in CSVS))
 
 
+def label(method: str, buffer_kind: str, augment: bool = False,
+          activation: str = "relu", settings: dict | None = None,
+          capacity: int = CAPACITY, eval_attack: dict | None = None,
+          attack: dict | None = None) -> str:
+    """`method/buffer[+augment][@activation][:key=value]` of one run."""
+    return (f"{method}/{buffer_kind}" + ("+augment" if augment else "")
+            + ("" if activation == "relu" else f"@{activation}")
+            + "".join(f":{k}={v}" for k, v in (settings or {}).items())
+            + ("" if capacity == CAPACITY else f":capacity={capacity}")
+            + "".join(f":eval_{k}={v}" for k, v in (eval_attack or {}).items())
+            + "".join(f":attack_{k}={v}" for k, v in (attack or {}).items()))
+
+
+def all_runs(rc, seed: int) -> list[tuple[str, dict]]:
+    """(label, config) of every run, in output order."""
+    runs = [dict(method=name, buffer_kind=kind)
+            for name in rc.methods.REGISTRY for kind in accepted_kinds(rc, name)]
+    runs += [dict(method=name, buffer_kind=kind, augment=True) for name, kind in AUGMENTED]
+    runs += [dict(method=name, buffer_kind="none", activation=act)
+             for act in OTHER_ACTIVATIONS for name in ACTIVATION_METHODS]
+    runs += [dict(method=name, buffer_kind=kind, settings=settings)
+             for name, kind, settings in SETTINGS]
+    runs += [dict(method=name, buffer_kind=kind, capacity=cap)
+             for name, kind, cap in CAPACITIES]
+    runs += [dict(method=name, buffer_kind=kind, eval_attack=keys)
+             for name, kind, keys in EVAL_ATTACKS]
+    runs += [dict(method=name, buffer_kind=kind, attack=keys)
+             for name, kind, keys in TRAIN_ATTACKS]
+    return [(label(**run), tiny_config(**run, seed=seed)) for run in runs]
+
+
+def import_robustcl(src: str):
+    """The robustcl package of source tree `src`, checked to come from there."""
+    sys.path.insert(0, str(Path(src).resolve()))
+    import robustcl as rc
+    if Path(rc.__file__).resolve().parent != Path(src, "robustcl").resolve():
+        raise SystemExit(f"robustcl imported from {rc.__file__}, not {src}")
+    return rc
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", default=str(DEFAULT_SRC),
@@ -132,31 +176,11 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1,
                         help="experiment seed of every run (default 1)")
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(Path(args.src).resolve()))
-    import robustcl as rc
-    if Path(rc.__file__).resolve().parent != Path(args.src, "robustcl").resolve():
-        raise SystemExit(f"robustcl imported from {rc.__file__}, not {args.src}")
-
-    runs = [(name, kind, False, "relu", {}, CAPACITY, {})
-            for name in rc.methods.REGISTRY for kind in accepted_kinds(rc, name)]
-    runs += [(name, kind, True, "relu", {}, CAPACITY, {}) for name, kind in AUGMENTED]
-    runs += [(name, "none", False, act, {}, CAPACITY, {}) for act in OTHER_ACTIVATIONS
-             for name in ACTIVATION_METHODS]
-    runs += [(name, kind, False, "relu", settings, CAPACITY, {})
-             for name, kind, settings in SETTINGS]
-    runs += [(name, kind, False, "relu", {}, cap, {}) for name, kind, cap in CAPACITIES]
-    runs += [(name, kind, False, "relu", {}, CAPACITY, keys)
-             for name, kind, keys in EVAL_ATTACKS]
+    rc = import_robustcl(args.src)
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, kind, augment, act, settings, cap, eval_keys in runs:
-            digests = run_digests(rc, tiny_config(name, kind, augment, act, args.seed,
-                                                  settings, cap, eval_keys))
-            tag = (("+augment" if augment else "") + ("" if act == "relu" else f"@{act}")
-                   + "".join(f":{k}={v}" for k, v in settings.items())
-                   + ("" if cap == CAPACITY else f":capacity={cap}")
-                   + "".join(f":eval_{k}={v}" for k, v in eval_keys.items()))
-            print(f"{name}/{kind}{tag}", *digests, flush=True)
+        for name, cfg in all_runs(rc, args.seed):
+            print(name, *run_digests(rc, cfg), flush=True)
     return 0
 
 
