@@ -7,7 +7,7 @@ from .continual import (ReservoirBuffer, Schedule, buffer_update_herding,
                         herding_select, reservoir_update, run_task, split_dataset)
 from .data import Dataset, augment, gen_gaussian_tasks, load_csv_dataset
 from .losses import (ace, bce_multilabel, ce, kl_div, mse, one_hot,
-                     one_hot_in_slice, sigmoid, slice_bounds)
+                     one_hot_in_slice, sigmoid)
 from .methods import (MethodConfig, RegState, build_training_loss,
                       flatness_distill_loss, make_method_config, refresh_fisher,
                       si_consolidate, si_step)

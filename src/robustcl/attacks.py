@@ -1,8 +1,8 @@
 """L-infinity PGD attacks with pluggable objectives.
 
 The solver ascends the sign of the objective's input gradient from one
-start, projects back into the epsilon ball (and the data range, when
-declared), and tracks the best-objective iterate per example. Restarts are
+start, projects back into the epsilon ball (and the clamp range, when
+set), and tracks the best-objective iterate per example. Restarts are
 an evaluation device: `metrics.robust_accuracy` runs one attack per start.
 Everything is deterministic given the config seed. One call can also
 attack several batches stacked in `x` (`pgd`'s `parts`): each keeps its
@@ -101,10 +101,8 @@ def _graph_head(rows_of: Callable[[ad.Node], ad.Node], w: Array) -> Head:
 
 
 def _make_head(model: Network, x_clean: Array, y: Array, cfg: AttackConfig,
-               w: Array | None = None) -> Head:
-    """The objective's head; row weights `w` default to one batch mean."""
-    if w is None:
-        w = np.full(len(y), 1.0 / len(y))
+               w: Array) -> Head:
+    """The objective's head, each row's value weighted by `w`."""
     if cfg.objective == "ce":
         return _ce_head(losses._check_labels(y, model.out_dim), w)
 
@@ -114,7 +112,8 @@ def _make_head(model: Network, x_clean: Array, y: Array, cfg: AttackConfig,
 
     # bce-newslice: multilabel BCE on the newest task's columns, which on a
     # single-task head are the whole head
-    start, end = losses.slice_bounds(model.head_boundaries, model.n_tasks - 1, model.n_tasks)
+    start = model.head_boundaries[-2] if model.n_tasks > 1 else 0
+    end = model.out_dim
     targets = losses.one_hot_in_slice(y, start, end)
     return _graph_head(lambda z: losses.bce_rows(ad.take_cols(z, slice(start, end)),
                                                  targets), w)

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .attacks import AttackConfig, parse_rational
-from .data import load_csv_dataset
+from .data import VALUE_RANGE, load_csv_dataset
 from .errors import (ArgumentError, ConfigurationError, Error, IntegrityError,
                      NumericError, ParseError)
 from .metrics import accuracy, flatness_forgetting, landscape_grid, robust_accuracy
@@ -55,19 +55,19 @@ def _cmd_run(args) -> int:
     return EXIT_OK
 
 
-def _eval_attack(args, clamp) -> AttackConfig:
+def _eval_attack(args) -> AttackConfig:
     epsilon = parse_rational(args.epsilon)
     step = parse_rational(args.step) if args.step is not None else epsilon / 4.0
     restarts = 5 if args.attack == "aa-proxy" else 1
     return AttackConfig(epsilon=epsilon, step_size=step, n_steps=20,
-                        random_start=True, clamp_range=clamp,
+                        random_start=True, clamp_range=VALUE_RANGE,
                         n_restarts=restarts, seed=args.seed)
 
 
 def _cmd_eval(args) -> int:
     net = load_checkpoint(args.checkpoint)
     ds = load_csv_dataset(args.dataset)
-    cfg = _eval_attack(args, ds.value_range)
+    cfg = _eval_attack(args)
     clean = accuracy(net, ds)
     robust = robust_accuracy(net, ds, cfg)
     print(f"clean_acc={_fmt(clean)}")
@@ -82,7 +82,7 @@ def _cmd_landscape(args) -> int:
         raise ArgumentError(f"example index {args.index} outside dataset of {len(ds)}")
     epsilon = parse_rational(args.epsilon)
     cfg = AttackConfig(epsilon=epsilon, step_size=epsilon / 4.0, n_steps=20,
-                       random_start=True, clamp_range=ds.value_range,
+                       random_start=True, clamp_range=VALUE_RANGE,
                        seed=args.seed)
     grid = landscape_grid(net, ds.inputs[args.index], int(ds.labels[args.index]),
                           cfg, args.extent, args.n)

@@ -18,7 +18,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses, methods
 from .attacks import AttackConfig, pgd
-from .data import Dataset, augment
+from .data import VALUE_RANGE, Dataset, augment
 from .errors import (ArgumentError, ConfigurationError, ContractError,
                      DimensionError, LabelError, NumericError)
 from .methods import MethodConfig, RegState
@@ -68,8 +68,7 @@ def split_dataset(dataset: Dataset, n_tasks: int, classes_per_task: int,
         idx = np.nonzero((new_labels >= lo) & (new_labels < hi))[0]
         rng = derive_rng(seed, task=t, purpose="shuffle")
         idx = idx[rng.permutation(idx.size)]
-        tasks.append(Dataset(dataset.inputs[idx], new_labels[idx], n_classes,
-                             value_range=dataset.value_range))
+        tasks.append(Dataset(dataset.inputs[idx], new_labels[idx], n_classes))
     return tasks
 
 
@@ -128,8 +127,7 @@ def buffer_update_herding(exemplars: Dataset | None, model: Network,
         elif exemplars is not None:
             parts.append(exemplars.subset(exemplars.class_indices(c)[:quota]))
     kept = Dataset(np.concatenate([p.inputs for p in parts]),
-                   np.concatenate([p.labels for p in parts]), task_dataset.n_classes,
-                   value_range=task_dataset.value_range)
+                   np.concatenate([p.labels for p in parts]), task_dataset.n_classes)
     if len(kept) > capacity:
         raise ContractError("herding exemplars exceeded their capacity")
     return kept
@@ -140,7 +138,8 @@ def buffer_update_herding(exemplars: Dataset | None, model: Network,
 
 
 class ReservoirBuffer:
-    """Classic reservoir sampler over a stream, optionally pinning logits."""
+    """Classic reservoir sampler over a stream, optionally pinning logits.
+    Each stored row is one `(x, y, logits)` tuple, logits None when unpinned."""
 
     def __init__(self, capacity: int, with_logits: bool = False, seed: int = 0):
         if capacity < 1:
@@ -148,22 +147,19 @@ class ReservoirBuffer:
         self.capacity = int(capacity)
         self.with_logits = with_logits
         self.seen_count = 0
-        self._xs: list[Array] = []
-        self._ys: list[int] = []
-        self._zs: list[Array | None] = []
+        self._rows: list[tuple[Array, int, Array | None]] = []
         self._rng = derive_rng(seed, purpose="reservoir")
 
     def __len__(self) -> int:
-        return len(self._xs)
+        return len(self._rows)
 
     def sample_batch(self, n: int, rng: np.random.Generator
                      ) -> tuple[Array, Array, list[Array | None]]:
-        k = min(n, len(self._xs))
-        idx = rng.choice(len(self._xs), size=k, replace=False)
-        xs = np.stack([self._xs[i] for i in idx]) if k else np.zeros((0, 0))
-        ys = np.asarray([self._ys[i] for i in idx], dtype=np.int64)
-        zs = [self._zs[i] for i in idx]
-        return xs, ys, zs
+        k = min(n, len(self._rows))
+        rows = [self._rows[i] for i in rng.choice(len(self._rows), size=k, replace=False)]
+        xs = np.stack([x for x, _, _ in rows]) if k else np.zeros((0, 0))
+        ys = np.asarray([y for _, y, _ in rows], dtype=np.int64)
+        return xs, ys, [z for _, _, z in rows]
 
 
 def reservoir_update(buffer: ReservoirBuffer, sample: tuple[Array, int],
@@ -171,24 +167,20 @@ def reservoir_update(buffer: ReservoirBuffer, sample: tuple[Array, int],
     """Offer one stream element; retention follows capacity/seen_count."""
     x, y = sample
     x = np.asarray(x, dtype=np.float64).copy()
-    if buffer._xs and x.shape != buffer._xs[0].shape:
+    if buffer._rows and x.shape != buffer._rows[0][0].shape:
         raise DimensionError(f"row shape {x.shape} != stored shape "
-                             f"{buffer._xs[0].shape}")
+                             f"{buffer._rows[0][0].shape}")
     y = int(losses._integer_labels([y])[0])
     z = None if logits is None else np.asarray(logits, dtype=np.float64).copy()
     if buffer.with_logits and z is None:
         raise ConfigurationError("this reservoir stores logits; none were given")
     buffer.seen_count += 1
     if len(buffer) < buffer.capacity:
-        buffer._xs.append(x)
-        buffer._ys.append(y)
-        buffer._zs.append(z)
+        buffer._rows.append((x, y, z))
         return buffer
     j = int(buffer._rng.integers(0, buffer.seen_count))
     if j < buffer.capacity:
-        buffer._xs[j] = x
-        buffer._ys[j] = y
-        buffer._zs[j] = z
+        buffer._rows[j] = (x, y, z)
     return buffer
 
 
@@ -263,10 +255,9 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
         pool_x = np.concatenate([pool_x, buffer.inputs])
         pool_y = np.concatenate([pool_y, buffer.labels])
     n_pool = pool_x.shape[0]
-    clamp = task_data.value_range
     attack_base = method_cfg.attack
-    if attack_base.clamp_range is None and clamp is not None:
-        attack_base = replace(attack_base, clamp_range=clamp)
+    if attack_base.clamp_range is None:
+        attack_base = replace(attack_base, clamp_range=VALUE_RANGE)
 
     log: list[dict] = []
     for epoch in range(schedule.epochs):
@@ -279,8 +270,8 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
             x, y = pool_x[idx], pool_y[idx]
             try:
                 if method_cfg.augment:
-                    x = augment(x, clamp, derive_rng(root_seed, task_index, epoch,
-                                                     "augment", extra=b))
+                    x = augment(x, derive_rng(root_seed, task_index, epoch,
+                                              "augment", extra=b))
                 atk = replace(attack_base, seed=derive_seed(root_seed, task_index,
                                                             epoch, "attack", b))
                 replay = None

@@ -2,9 +2,11 @@
 
 Synthetic class-incremental streams come from seeded Gaussian blobs whose
 means sit on a sphere; real data loads from a small CSV format
-(`label,f0,f1,...`, optionally gzipped). Augmentation applies one op per
-example, drawn from `AUGMENT_OPS` at the fixed magnitude
-`AUGMENT_MAGNITUDE`, and clamps its output into the declared value range.
+(`label,f0,f1,...`, optionally gzipped). Every dataset's inputs lie in
+`VALUE_RANGE`, [0, 1]: the Gaussian sample is mapped into it, CSV loading
+rejects values outside it, and attacks and augmentation clamp to it.
+Augmentation applies one op per example, drawn from `AUGMENT_OPS` at the
+fixed magnitude `AUGMENT_MAGNITUDE`.
 """
 from __future__ import annotations
 
@@ -21,6 +23,7 @@ from .seeding import derive_rng
 
 Array = np.ndarray
 
+VALUE_RANGE = (0.0, 1.0)   # the input domain of every dataset
 AUGMENT_OPS = ("gaussian-noise", "scale")
 AUGMENT_MAGNITUDE = 0.5
 
@@ -30,7 +33,6 @@ class Dataset:
     inputs: Array                       # (n, d) float64
     labels: Array                       # (n,) int64
     n_classes: int
-    value_range: tuple[float, float] | None = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=np.float64)
@@ -41,10 +43,10 @@ class Dataset:
             raise ArgumentError("labels must align with inputs")
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ArgumentError("labels outside the declared class count")
-        if self.value_range is not None and self.inputs.size:
-            lo, hi = self.value_range
-            if self.inputs.min() < lo - 1e-12 or self.inputs.max() > hi + 1e-12:
-                raise ArgumentError("inputs outside the declared value range")
+        lo, hi = VALUE_RANGE
+        if self.inputs.size and (self.inputs.min() < lo - 1e-12
+                                 or self.inputs.max() > hi + 1e-12):
+            raise ArgumentError(f"inputs outside the value range {VALUE_RANGE}")
 
     def __len__(self) -> int:
         return self.inputs.shape[0]
@@ -92,7 +94,7 @@ def gen_gaussian_tasks(n_classes: int, d: int, separation: float,
     hi = inputs.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     inputs = (inputs - lo) / span
-    return Dataset(inputs, np.concatenate(ys), n_classes, value_range=(0.0, 1.0))
+    return Dataset(inputs, np.concatenate(ys), n_classes)
 
 
 # ---------------------------------------------------------------------------
@@ -106,8 +108,8 @@ def _open_text(path: str):
 
 
 def load_csv_dataset(path: str) -> Dataset:
-    """Load `label,f0,f1,...` rows; values validated into [0, 1]. A file that
-    cannot be opened, decompressed or decoded raises `ParseError` too."""
+    """Load `label,f0,f1,...` rows; values validated into `VALUE_RANGE`. A file
+    that cannot be opened, decompressed or decoded raises `ParseError` too."""
     try:
         with _open_text(path) as fh:
             reader = csv.reader(fh)
@@ -118,6 +120,7 @@ def load_csv_dataset(path: str) -> Dataset:
             if not header or header[0] != "label" or len(header) < 2:
                 raise ParseError(f"{path}: header must be 'label,f0,f1,...'")
             width = len(header) - 1
+            lo, hi = VALUE_RANGE
             labels: list[int] = []
             rows: list[list[float]] = []
             for lineno, row in enumerate(reader, start=2):
@@ -131,8 +134,8 @@ def load_csv_dataset(path: str) -> Dataset:
                     raise ParseError(f"{path}:{lineno}: non-numeric cell") from None
                 if label < 0:
                     raise ParseError(f"{path}:{lineno}: negative label")
-                if any(not np.isfinite(v) or v < 0.0 or v > 1.0 for v in feats):
-                    raise ParseError(f"{path}:{lineno}: feature outside [0, 1]")
+                if not all(lo <= v <= hi for v in feats):   # NaN fails too
+                    raise ParseError(f"{path}:{lineno}: feature outside [{lo:g}, {hi:g}]")
                 labels.append(label)
                 rows.append(feats)
     except (OSError, EOFError, UnicodeDecodeError, zlib.error) as exc:
@@ -140,27 +143,24 @@ def load_csv_dataset(path: str) -> Dataset:
     inputs = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
     labels_arr = np.asarray(labels, dtype=np.int64)
     n_classes = int(labels_arr.max()) + 1 if labels_arr.size else 0
-    return Dataset(inputs, labels_arr, max(n_classes, 1) if labels_arr.size else 0,
-                   value_range=(0.0, 1.0))
+    return Dataset(inputs, labels_arr, max(n_classes, 1) if labels_arr.size else 0)
 
 
 # ---------------------------------------------------------------------------
 # augmentation
 
 
-def augment(x: Array, value_range: tuple[float, float] | None,
-            rng: np.random.Generator) -> Array:
+def augment(x: Array, rng: np.random.Generator) -> Array:
     """Apply one uniformly drawn op to each row of the (n, d) batch `x`;
-    clamp to the range.
+    clamp to `VALUE_RANGE`.
 
     Per row, `rng` draws the op index, then that op's own randomness:
     gaussian-noise adds N(0, (0.1 * m * span)^2) noise, scale stretches
     the row around the range midpoint by 1 + U(-1, 1) * 0.5 * m, where m
-    is `AUGMENT_MAGNITUDE` and span is the width of the value range
-    ([0, 1] when none is declared).
+    is `AUGMENT_MAGNITUDE` and span is the width of the value range.
     """
     x = np.asarray(x, dtype=np.float64)
-    lo, hi = value_range if value_range is not None else (0.0, 1.0)
+    lo, hi = VALUE_RANGE
     mid = (lo + hi) / 2.0
     out = np.empty_like(x)
     for i, row in enumerate(x):
@@ -171,6 +171,4 @@ def augment(x: Array, value_range: tuple[float, float] | None,
         else:
             factor = 1.0 + rng.uniform(-1.0, 1.0) * 0.5 * AUGMENT_MAGNITUDE
             out[i] = mid + (row - mid) * factor
-    if value_range is not None:
-        out = np.clip(out, value_range[0], value_range[1])
-    return out
+    return np.clip(out, lo, hi)

@@ -8,7 +8,7 @@ log-sum-exp stabilized and stay finite for logit magnitudes up to 1e4.
 """
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -20,14 +20,6 @@ from .network import _ACTIVATIONS
 Array = np.ndarray
 Logits = Union[Node, Array]
 _SOFTPLUS = _ACTIVATIONS["softplus"]
-
-
-def slice_bounds(boundaries: Sequence[int], i: int, j: int) -> tuple[int, int]:
-    """Column range covering tasks i+1..j of a head with cumulative `boundaries`."""
-    if not 0 <= i < j <= len(boundaries):
-        raise ArgumentError(f"bad slice range ({i}, {j}) for {len(boundaries)} tasks")
-    start = 0 if i == 0 else int(boundaries[i - 1])
-    return start, int(boundaries[j - 1])
 
 
 def _width(x: Logits) -> int:

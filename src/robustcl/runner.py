@@ -24,7 +24,7 @@ from . import __version__
 from .attacks import AttackConfig, parse_rational
 from .continual import (ReservoirBuffer, Schedule, buffer_update_herding,
                         run_task, split_dataset, split_order)
-from .data import Dataset, gen_gaussian_tasks, load_csv_dataset
+from .data import VALUE_RANGE, Dataset, gen_gaussian_tasks, load_csv_dataset
 from .errors import (ArgumentError, ConfigurationError, DimensionError, IntegrityError,
                      NumericError)
 from .methods import MethodConfig, RegState, make_method_config
@@ -45,22 +45,10 @@ _REQUIRED = object()   # the default of a config key that must be given
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
-    kind: str                          # gaussian | csv
-    n_classes: int | None              # gaussian keys; None for csv
-    dim: int | None
-    separation: float | None
-    train_per_class: int | None
-    test_per_class: int | None
-    train_path: str | None             # csv keys; None for gaussian
-    test_path: str | None
-
-
-@dataclass(frozen=True)
 class ExperimentConfig:
     seed: int
     output_dir: str
-    dataset: DatasetSpec
+    dataset: dict                      # the dataset section's keys, defaults filled in
     n_tasks: int
     classes_per_task: int
     class_order: tuple[int, ...] | None
@@ -139,7 +127,7 @@ def _grid_values(value, what: str) -> list[float]:
     return values
 
 
-def _dataset(value, what: str, kinds: dict) -> DatasetSpec:
+def _dataset(value, what: str, kinds: dict) -> dict:
     """A dataset object, read by the rows of its `kind`."""
     if not isinstance(value, dict):
         raise ConfigurationError(f"{what} must be a JSON object")
@@ -149,8 +137,7 @@ def _dataset(value, what: str, kinds: dict) -> DatasetSpec:
         for path in (d["train"], d["test"]):
             if not Path(path).exists():
                 raise ConfigurationError(f"dataset file does not exist: {path}")
-        return DatasetSpec("csv", None, None, None, None, None, d["train"], d["test"])
-    return DatasetSpec(**d, train_path=None, test_path=None)
+    return d
 
 
 def _fields(value, where: str, rows: dict) -> dict:
@@ -226,9 +213,9 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raise ConfigurationError(f"config is not valid JSON: {exc}") from exc
     c = _fields(raw, "config", _SCHEMA)
     tasks, attack, eval_attack = c["tasks"], c["attack"], c["eval_attack"]
-    if c["dataset"].kind == "gaussian":  # CSV class counts are known once read
+    if c["dataset"]["kind"] == "gaussian":  # CSV class counts are known once read
         try:
-            split_order(c["dataset"].n_classes, tasks["n_tasks"],
+            split_order(c["dataset"]["n_classes"], tasks["n_tasks"],
                         tasks["classes_per_task"], tasks["class_order"])
         except ArgumentError as exc:
             raise ConfigurationError(str(exc)) from exc
@@ -441,21 +428,22 @@ def emit_report(report: RunReport, out_dir: str) -> None:
 
 
 def _build_streams(cfg: ExperimentConfig) -> tuple[list[Dataset], list[Dataset]]:
-    if cfg.dataset.kind == "gaussian":
-        per_class = cfg.dataset.train_per_class + cfg.dataset.test_per_class
-        pool = gen_gaussian_tasks(cfg.dataset.n_classes, cfg.dataset.dim,
-                                  cfg.dataset.separation, per_class,
+    d = cfg.dataset
+    if d["kind"] == "gaussian":
+        n_train = d["train_per_class"]
+        pool = gen_gaussian_tasks(d["n_classes"], d["dim"], d["separation"],
+                                  n_train + d["test_per_class"],
                                   seed=derive_seed(cfg.seed, purpose="data"))
         train_idx, test_idx = [], []
-        for c in range(cfg.dataset.n_classes):
+        for c in range(d["n_classes"]):
             idx = pool.class_indices(c)
-            train_idx.append(idx[:cfg.dataset.train_per_class])
-            test_idx.append(idx[cfg.dataset.train_per_class:])
+            train_idx.append(idx[:n_train])
+            test_idx.append(idx[n_train:])
         train = pool.subset(np.concatenate(train_idx))
         test = pool.subset(np.concatenate(test_idx))
     else:
-        train = load_csv_dataset(cfg.dataset.train_path)
-        test = load_csv_dataset(cfg.dataset.test_path)
+        train = load_csv_dataset(d["train"])
+        test = load_csv_dataset(d["test"])
         if train.n_classes != test.n_classes:
             raise ConfigurationError("train/test class counts disagree")
     train_stream = split_dataset(train, cfg.n_tasks, cfg.classes_per_task,
@@ -486,7 +474,7 @@ def evaluate_row(cfg: ExperimentConfig, model: Network,
     t = model.n_tasks
     return ([accuracy(model, task) for task in test_tasks[:t]],
             [robust_accuracy(model, task, replace(
-                cfg.eval_attack, clamp_range=task.value_range,
+                cfg.eval_attack, clamp_range=VALUE_RANGE,
                 seed=derive_seed(cfg.seed, t, 0, "eval-attack", extra=j)))
              for j, task in enumerate(test_tasks[:t])])
 
@@ -496,12 +484,15 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full task loop; writes checkpoints and the report into output_dir.
 
     Numpy overflow, invalid-value and divide-by-zero faults raise where they
-    start (underflow stays quiet). In the task loop and the flatness stage
-    each one surfaces as a `NumericError` that names the task, epoch and
-    batch, or else the task or the flatness stage.
+    start (underflow stays quiet). Each one surfaces as a `NumericError` that
+    names the task, epoch and batch, or else the task, the flatness stage or
+    the data it was building (then before any output is written).
     """
     start = time.time()
-    train_tasks, test_tasks = _build_streams(cfg)
+    try:
+        train_tasks, test_tasks = _build_streams(cfg)
+    except FloatingPointError as exc:
+        raise NumericError(f"data: {exc}") from exc
     # only after the split succeeded: a bad split leaves no output behind
     ckpt_dir = Path(cfg.output_dir) / "checkpoints"
     try:

@@ -42,11 +42,17 @@ def finite_difference_param_grad(net, loss_value_fn, step=1e-4):
     return fd
 
 
+def batch_mean_head(model, x, y, cfg):
+    """`cfg`'s objective head around clean `x`, weighting rows by one batch
+    mean as a single-part `pgd` call does."""
+    return _make_head(model, x, np.asarray(y, dtype=np.int64), cfg,
+                      np.full(len(y), 1.0 / len(y)))
+
+
 def attack_values(model, points, x, y, cfg):
     """Per-example values of `cfg`'s objective at `points`, around clean `x`:
     the evaluation `pgd` applies to its last iterate."""
-    head = _make_head(model, x, np.asarray(y, dtype=np.int64), cfg)
-    return head(model.input_vjp(points)[0])[0]
+    return batch_mean_head(model, x, y, cfg)(model.input_vjp(points)[0])[0]
 
 
 def finite_difference_input_grad(net, loss_value_fn, x, step=1e-4):

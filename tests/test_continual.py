@@ -18,7 +18,7 @@ def make_dataset(n_classes=10, per_class=6, d=4, seed=0):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(size=(n_classes * per_class, d))
     ys = np.repeat(np.arange(n_classes), per_class)
-    return rc.Dataset(xs, ys, n_classes, value_range=(0.0, 1.0))
+    return rc.Dataset(xs, ys, n_classes)
 
 
 def test_split_identity_order_pairs_up_classes():
@@ -57,21 +57,6 @@ def test_split_relabels_under_permutation():
 def test_split_rejects_indivisible_class_count():
     with pytest.raises(ArgumentError):
         rc.split_dataset(make_dataset(), 3, 3)
-
-
-def test_slice_logits_examples():
-    # The head columns of tasks i..j-1 are logits[:, start:end], and start is
-    # the class offset of the slice.
-    logits = np.array([[1.0, 2.0, 3.0, 4.0]])
-
-    def cols(i, j):
-        start, end = rc.slice_bounds([2, 4], i, j)
-        return logits[:, start:end]
-
-    assert np.array_equal(cols(0, 1), [[1.0, 2.0]])
-    assert np.array_equal(cols(1, 2), [[3.0, 4.0]])
-    assert np.array_equal(cols(0, 2), logits)
-    assert rc.slice_bounds([2, 4], 1, 2)[0] == 2
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +127,7 @@ def class_counts(exemplars, n_classes):
 
 def task_of(dataset, classes):
     keep = np.isin(dataset.labels, classes)
-    return rc.Dataset(dataset.inputs[keep], dataset.labels[keep], dataset.n_classes,
-                      value_range=(0, 1))
+    return rc.Dataset(dataset.inputs[keep], dataset.labels[keep], dataset.n_classes)
 
 
 def test_quota_arithmetic():
@@ -226,7 +210,7 @@ def test_reservoir_replacement_probability_monte_carlo():
         buf = ReservoirBuffer(cap, seed=trial)
         for i in range(cap + 1):
             rc.reservoir_update(buf, (np.full(2, float(i)), 0))
-        if any(x[0] == float(cap) for x in buf._xs):
+        if any(x[0] == float(cap) for x, _, _ in buf._rows):
             hits += 1
     freq = hits / trials
     assert abs(freq - cap / (cap + 1)) < 0.02
@@ -237,7 +221,7 @@ def test_reservoir_stored_logits_are_snapshots():
     z = np.array([1.0, 2.0])
     rc.reservoir_update(buf, (np.zeros(2), 0), z)
     z[:] = 99.0
-    assert np.array_equal(buf._zs[0], [1.0, 2.0])
+    assert np.array_equal(buf._rows[0][2], [1.0, 2.0])
 
 
 def test_reservoir_requires_logits_when_configured():
@@ -252,7 +236,7 @@ def test_reservoir_rejects_non_integer_labels(label):
     with pytest.raises(LabelError):
         rc.reservoir_update(buf, (np.zeros(2), label))
     rc.reservoir_update(buf, (np.zeros(2), 1.0))      # an integral float is a label
-    assert buf._ys == [1] and buf.seen_count == 1
+    assert [y for _, y, _ in buf._rows] == [1] and buf.seen_count == 1
 
 
 def test_reservoir_rejects_rows_of_another_shape():
@@ -363,7 +347,7 @@ def test_run_task_never_mutates_teacher():
     before = teacher.flatten()
     ds = rc.gen_gaussian_tasks(4, 4, 10.0, 20, seed=1)
     keep = np.isin(ds.labels, [2, 3])
-    task = rc.Dataset(ds.inputs[keep], ds.labels[keep], 4, value_range=(0, 1))
+    task = rc.Dataset(ds.inputs[keep], ds.labels[keep], 4)
     cfg = methods.make_method_config("flair", ATTACK)
     rc.run_task(student, teacher, task, None, cfg,
                 Schedule(epochs=1, lr=0.2, batch_size=16), root_seed=2)

@@ -6,7 +6,7 @@ import pytest
 
 import robustcl as rc
 from robustcl.cli import main as cli_main
-from robustcl.data import AUGMENT_MAGNITUDE, AUGMENT_OPS
+from robustcl.data import AUGMENT_MAGNITUDE, AUGMENT_OPS, VALUE_RANGE
 from robustcl.errors import ArgumentError, ParseError
 from robustcl.seeding import derive_rng
 
@@ -59,7 +59,6 @@ def test_csv_roundtrip(tmp_path):
     loaded = rc.load_csv_dataset(str(path))
     assert np.array_equal(loaded.inputs, ds.inputs)
     assert np.array_equal(loaded.labels, ds.labels)
-    assert loaded.value_range == (0.0, 1.0)
 
 
 def test_csv_gzip_roundtrip(tmp_path):
@@ -95,6 +94,14 @@ def test_csv_out_of_range_value(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("label,f0\n0,1.5\n")
     with pytest.raises(ParseError, match=":2:"):
+        rc.load_csv_dataset(str(path))
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_csv_non_finite_value_names_line(tmp_path, cell):
+    path = tmp_path / "nonfinite.csv"
+    path.write_text(f"label,f0\n0,0.5\n1,{cell}\n")
+    with pytest.raises(ParseError, match=":3: feature outside"):
         rc.load_csv_dataset(str(path))
 
 
@@ -147,39 +154,45 @@ def test_output_stays_in_range_over_random_draws():
     rng = np.random.default_rng(5)
     for trial in range(50):
         x = rng.uniform(size=(20, 5))
-        out = rc.augment(x, (0.0, 1.0), np.random.default_rng(trial))
+        out = rc.augment(x, np.random.default_rng(trial))
         assert out.min() >= 0.0 and out.max() <= 1.0
         assert out.shape == x.shape
 
 
 def test_augment_determinism_under_fixed_seed():
     x = np.random.default_rng(2).uniform(size=(5, 6))
-    a = rc.augment(x, (0, 1), derive_rng(11, purpose="augment"))
-    b = rc.augment(x, (0, 1), derive_rng(11, purpose="augment"))
+    a = rc.augment(x, derive_rng(11, purpose="augment"))
+    b = rc.augment(x, derive_rng(11, purpose="augment"))
     assert np.array_equal(a, b)
 
 
 def test_augment_draws_op_then_its_own_randomness_per_row():
     # reports depend on this draw order, so it is pinned here
     x = np.random.default_rng(3).uniform(0.2, 0.8, size=(40, 5))
-    out = rc.augment(x, (0.0, 2.0), np.random.default_rng(4))
+    out = rc.augment(x, np.random.default_rng(4))
     rng = np.random.default_rng(4)
     ops = set()
     for row, got in zip(x, out):
         op = AUGMENT_OPS[int(rng.integers(0, 2))]
         ops.add(op)
         if op == "gaussian-noise":
-            expected = row + rng.normal(0.0, 0.1 * AUGMENT_MAGNITUDE * 2.0,
-                                        size=row.shape)
+            expected = row + rng.normal(0.0, 0.1 * AUGMENT_MAGNITUDE, size=row.shape)
         else:
             factor = 1.0 + rng.uniform(-1.0, 1.0) * 0.5 * AUGMENT_MAGNITUDE
-            expected = 1.0 + (row - 1.0) * factor
-        assert np.array_equal(got, np.clip(expected, 0.0, 2.0))
+            expected = 0.5 + (row - 0.5) * factor
+        assert np.array_equal(got, np.clip(expected, 0.0, 1.0))
     assert ops == set(AUGMENT_OPS)
 
 
 def test_dataset_validation():
     with pytest.raises(ArgumentError):
         rc.Dataset(np.zeros((2, 3)), np.array([0, 5]), 2)
-    with pytest.raises(ArgumentError):
-        rc.Dataset(np.full((2, 3), 2.0), np.array([0, 1]), 2, value_range=(0, 1))
+    # rounding just past an end of the value range is tolerated
+    rc.Dataset(np.array([[-1e-13, 1.0 + 1e-13]]), np.array([0]), 1)
+
+
+@pytest.mark.parametrize("value", [2.0, -0.5, 1.0 + 1e-9])
+def test_every_dataset_lies_in_the_value_range(value):
+    assert VALUE_RANGE == (0.0, 1.0)
+    with pytest.raises(ArgumentError, match="value range"):
+        rc.Dataset(np.full((2, 3), value), np.array([0, 1]), 2)

@@ -179,14 +179,6 @@ def test_no_nan_or_inf_up_to_1e4_magnitude():
 # slicing
 
 
-def test_slice_bounds_convention():
-    assert losses.slice_bounds([2, 4], 0, 1) == (0, 2)
-    assert losses.slice_bounds([2, 4], 1, 2) == (2, 4)
-    assert losses.slice_bounds([2, 4], 0, 2) == (0, 4)
-    with pytest.raises(ArgumentError):
-        losses.slice_bounds([2, 4], 1, 1)
-
-
 @pytest.mark.parametrize("y", [[0.5, 1.7, 0.2], [0.0, np.nan, 1.0]],
                          ids=["fraction", "nan"])
 def test_one_hot_in_slice_rejects_non_integer_labels(y):

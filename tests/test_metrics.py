@@ -21,7 +21,7 @@ def balanced_dataset(k=4, per_class=5, d=3, seed=0):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(size=(k * per_class, d))
     ys = np.repeat(np.arange(k), per_class)
-    return rc.Dataset(xs, ys, k, value_range=(0.0, 1.0))
+    return rc.Dataset(xs, ys, k)
 
 
 # ---------------------------------------------------------------------------
@@ -31,8 +31,7 @@ def balanced_dataset(k=4, per_class=5, d=3, seed=0):
 def test_accuracy_perfect_predictor():
     # logits = one-hot embedding of the input's argmax coordinate
     net = linear_net(np.eye(3))
-    ds = rc.Dataset(np.eye(3) * 0.9 + 0.05, np.array([0, 1, 2]), 3,
-                    value_range=(0, 1))
+    ds = rc.Dataset(np.eye(3) * 0.9 + 0.05, np.array([0, 1, 2]), 3)
     assert rc.accuracy(net, ds) == 100.0
 
 
@@ -45,7 +44,7 @@ def test_accuracy_constant_model_counting_oracle():
 
 def test_accuracy_single_example_is_0_or_100():
     net = linear_net(np.eye(2))
-    one = rc.Dataset(np.array([[0.9, 0.1]]), np.array([0]), 2, value_range=(0, 1))
+    one = rc.Dataset(np.array([[0.9, 0.1]]), np.array([0]), 2)
     assert rc.accuracy(net, one) in (0.0, 100.0)
 
 

@@ -773,7 +773,6 @@ def exploding_config(out_dir):
                                           "batch_size": 16})
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_carries_task_context_and_flushes_partial(tmp_path):
     from robustcl.errors import NumericError
     out = tmp_path / "boom"
@@ -846,9 +845,21 @@ def test_crashed_run_pads_unfinished_rows_with_null(tmp_path, monkeypatch):
         assert payload[key] is None
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_cli_exit_code_3_on_numeric_abort(tmp_path, capsys):
     cfg_path = tmp_path / "boom.json"
     cfg_path.write_text(json.dumps(exploding_config(tmp_path / "boom")))
     assert cli_main(["run", "--config", str(cfg_path)]) == 3
     assert "numeric abort" in capsys.readouterr().err
+
+
+def test_overflow_while_building_the_data_exits_3_before_any_output(tmp_path, capsys):
+    # the Gaussian means sit so far apart that mapping them into [0, 1] overflows
+    out = tmp_path / "far"
+    cfg = tiny_config(out, tasks={"n_tasks": 1, "classes_per_task": 2},
+                      dataset={"kind": "gaussian", "n_classes": 2, "dim": 2,
+                               "separation": 1.7e308})
+    cfg_path = tmp_path / "far.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 3
+    assert "numeric abort: data: overflow" in capsys.readouterr().err
+    assert not out.exists()

@@ -1,21 +1,29 @@
-"""Print every robustcl function that no run and no CLI command enters.
+"""Print every robustcl function, or line, that no run and no CLI command reaches.
 
-Traces, under `sys.setprofile`, every run of `tools/report_digests.py` at
-seed 1 and one call of each CLI command, each with seed 1: `run` with an
-alpha grid on the digest runs' tiny config, read from a CSV file, then
-`eval`, `landscape` and `flatness` on that run's checkpoints. It then
-prints, one per line as `module.qualname`, every function and method
-defined in a robustcl module that none of them entered. Code that only
-tests reach shows up here:
+Traces every run of `tools/report_digests.py` at seed 1 and one call of
+each CLI command, each with seed 1: `run` with an alpha grid on the digest
+runs' tiny config, read from a CSV file, then `eval`, `landscape` and
+`flatness` on that run's checkpoints. Importing robustcl is traced too.
+By default it traces calls under `sys.setprofile` and prints, one per
+line as `module.qualname`, every function and method defined in a
+robustcl module that none of them entered. Code that only tests reach
+shows up here:
 
-    python3 tools/unreached.py
+    python3 tools/unreached.py            # takes a few seconds
 
-Takes a few seconds.
+`--lines` traces lines under `sys.settrace` instead and prints
+`module.py:LINE source` for each executable line that none of them runs,
+leaving out lines inside a `raise` statement or an `except` body:
+
+    python3 tools/unreached.py --lines    # a few seconds more
 """
 from __future__ import annotations
 
+import argparse
+import ast
 import contextlib
 import csv
+import dis
 import importlib
 import inspect
 import io
@@ -49,6 +57,41 @@ def defined_functions(rc) -> dict:
                             and fn.__code__.co_filename == module.__file__):
                         out[fn.__code__] = f"{info.name}.{fn.__qualname__}"
     return out
+
+
+def executable_lines(path: Path) -> dict[int, str]:
+    """line number -> stripped source of each line of `path` that starts some
+    bytecode, leaving out lines inside a `raise` statement or an `except` body."""
+    source = path.read_text(encoding="utf-8")
+    starts, codes = set(), [compile(source, str(path), "exec")]
+    while codes:
+        code = codes.pop()
+        starts.update(line for _, line in dis.findlinestarts(code) if line)
+        codes.extend(c for c in code.co_consts if inspect.iscode(c))
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Raise, ast.ExceptHandler)):
+            starts.difference_update(range(node.lineno, node.end_lineno + 1))
+    text = source.splitlines()
+    return {line: text[line - 1].strip() for line in sorted(starts)}
+
+
+def recorder(hits: set, lines: bool, package: str):
+    """(start, stop) of a tracer that adds to `hits` the code object of each
+    call or, with `lines`, the (file, line) of each line run in `package`."""
+    if not lines:
+        def profile(frame, event, arg):
+            if event == "call":
+                hits.add(frame.f_code)
+        return lambda: sys.setprofile(profile), lambda: sys.setprofile(None)
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits.add((frame.f_code.co_filename, frame.f_lineno))
+        return local
+
+    def trace(frame, event, arg):
+        return local if frame.f_code.co_filename.startswith(package) else None
+    return lambda: sys.settrace(trace), lambda: sys.settrace(None)
 
 
 def write_csv(ds, path: Path) -> None:
@@ -87,23 +130,25 @@ def cli_calls(rc) -> list[list[str]]:
              "--subsample", "4", *seed]]
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--lines", action="store_true",
+                        help="print each executable line nothing runs, not each function")
+    args = parser.parse_args(argv)
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    entered = set()
+    package = str(report_digests.DEFAULT_SRC / "robustcl")
+    hits = set()
+    start, stop = recorder(hits, args.lines, package)
 
-    def hook(frame, event, arg):
-        if event == "call":
-            entered.add(frame.f_code)
-
-    sys.setprofile(hook)  # calls at import time (the config schema's) count too
+    start()  # what runs at import time (the config schema's calls) counts too
     rc = report_digests.import_robustcl(str(report_digests.DEFAULT_SRC))
     from robustcl.cli import main as cli_main
     functions = defined_functions(rc)
-    sys.setprofile(None)
+    stop()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         calls = cli_calls(rc)
-        sys.setprofile(hook)
+        start()
         try:
             for _, cfg in report_digests.all_runs(rc, SEED):
                 rc.run_experiment(rc.config_from_dict(cfg))
@@ -113,8 +158,14 @@ def main() -> int:
                 if code != 0:
                     raise SystemExit(f"robustcl {' '.join(argv)} exited {code}")
         finally:
-            sys.setprofile(None)
-    for name in sorted(name for code, name in functions.items() if code not in entered):
+            stop()
+    if args.lines:
+        for path in sorted(Path(package).glob("*.py")):
+            for line, text in executable_lines(path).items():
+                if (str(path), line) not in hits:
+                    print(f"{path.name}:{line} {text}")
+        return 0
+    for name in sorted(name for code, name in functions.items() if code not in hits):
         print(name)
     return 0
 
