@@ -164,6 +164,18 @@ def log_softmax(a: NodeLike) -> Node:
 # gathers and reductions
 
 
+def _gather(a: Node, index) -> Node:
+    """`a.value[index]`; the VJP scatters `g` into zeros of `a`'s shape."""
+    shape = a.value.shape
+
+    def vjp(g: Array) -> Array:
+        z = np.zeros(shape)
+        z[index] = g
+        return z
+
+    return Node(a.value[index], (a,), (vjp,))
+
+
 def take_cols(a: NodeLike, cols) -> Node:
     """Select columns of a 2-D node; `cols` is a slice or unique index array."""
     a = lift(a)
@@ -173,14 +185,7 @@ def take_cols(a: NodeLike, cols) -> Node:
         cols = np.asarray(cols, dtype=np.intp)
         if cols.size != np.unique(cols).size:
             raise ArgumentError("take_cols requires unique column indices")
-    shape = a.value.shape
-
-    def vjp(g: Array) -> Array:
-        z = np.zeros(shape)
-        z[:, cols] = g
-        return z
-
-    return Node(a.value[:, cols], (a,), (vjp,))
+    return _gather(a, (slice(None), cols))
 
 
 def take_rows(a: NodeLike, rows: slice) -> Node:
@@ -190,14 +195,7 @@ def take_rows(a: NodeLike, rows: slice) -> Node:
         raise DimensionError("take_rows expects a 2-D array")
     if not isinstance(rows, slice):
         raise ArgumentError("take_rows takes a slice")
-    shape = a.value.shape
-
-    def vjp(g: Array) -> Array:
-        z = np.zeros(shape)
-        z[rows] = g
-        return z
-
-    return Node(a.value[rows], (a,), (vjp,))
+    return _gather(a, rows)
 
 
 def take_per_row(a: NodeLike, idx) -> Node:
@@ -211,15 +209,7 @@ def take_per_row(a: NodeLike, idx) -> Node:
         raise DimensionError("index vector must have one entry per row")
     if idx.size and (idx.min() < 0 or idx.max() >= k):
         raise ArgumentError("row index out of range")
-    rows = np.arange(n)
-    shape = a.value.shape
-
-    def vjp(g: Array) -> Array:
-        z = np.zeros(shape)
-        z[rows, idx] = g
-        return z
-
-    return Node(a.value[rows, idx], (a,), (vjp,))
+    return _gather(a, (np.arange(n), idx))
 
 
 def sum_axis1(a: NodeLike) -> Node:

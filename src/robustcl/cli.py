@@ -80,16 +80,15 @@ def _cmd_landscape(args) -> int:
     ds = load_csv_dataset(args.dataset)
     if not 0 <= args.index < len(ds):
         raise ArgumentError(f"example index {args.index} outside dataset of {len(ds)}")
-    epsilon = parse_rational(args.epsilon)
-    cfg = AttackConfig(epsilon=epsilon, step_size=epsilon / 4.0, n_steps=20,
-                       random_start=True, clamp_range=VALUE_RANGE,
-                       seed=args.seed)
     grid = landscape_grid(net, ds.inputs[args.index], int(ds.labels[args.index]),
-                          cfg, args.extent, args.n)
+                          _eval_attack(args), args.extent, args.n)
     lines = [f"# extent={_fmt(args.extent)} n={args.n} direction_seed={args.seed}"]
     for row in grid:
         lines.append(",".join(_fmt(v) for v in row))
-    Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    except OSError as exc:
+        raise ConfigurationError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {args.n}x{args.n} grid -> {args.out}")
     return EXIT_OK
 
@@ -99,7 +98,8 @@ def _cmd_flatness(args) -> int:
     if len(stems) < 2:
         raise ArgumentError("need at least two checkpoints (task_001, task_002, ...)")
     models = [load_checkpoint(str(stem)) for stem in stems]
-    csvs = sorted(Path(args.datasets).glob("*.csv"))
+    datasets = Path(args.datasets)
+    csvs = sorted([*datasets.glob("*.csv"), *datasets.glob("*.csv.gz")])
     if len(csvs) < len(models) - 1:
         raise ArgumentError(f"need {len(models) - 1} per-task datasets, "
                             f"found {len(csvs)}")
@@ -133,7 +133,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_seed, default=0)
     p.set_defaults(fn=_cmd_eval)
 
-    p = sub.add_parser("landscape", help="export a 2-D loss-landscape grid")
+    p = sub.add_parser(
+        "landscape", help="export a 2-D loss-landscape grid",
+        description="Export a 2-D loss-landscape grid around one example. One "
+                    "axis is a random direction and the other the adversarial "
+                    "direction found by the attack of `eval --attack pgd20`.")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--dataset", required=True)
     p.add_argument("--index", type=int, required=True)
@@ -142,9 +146,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", default="8/255")
     p.add_argument("--out", default="landscape.csv")
     p.add_argument("--seed", type=_seed, default=0)
-    p.set_defaults(fn=_cmd_landscape)
+    p.set_defaults(fn=_cmd_landscape, attack="pgd20", step=None)
 
-    p = sub.add_parser("flatness", help="gradient/Hessian drift across checkpoints")
+    p = sub.add_parser(
+        "flatness", help="gradient/Hessian drift across checkpoints",
+        description="Gradient/Hessian drift across checkpoints. Reads every "
+                    "`*.manifest` checkpoint in --checkpoints and every `*.csv` "
+                    "and `*.csv.gz` dataset in --datasets, each sorted by file "
+                    "name: dataset i is the test set of task i. Zero-pad task "
+                    "numbers (task_001, task_002, ...), because task_10 sorts "
+                    "before task_2.")
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--datasets", required=True)
     p.add_argument("--subsample", type=int, default=64)

@@ -219,11 +219,7 @@ class Schedule:
 
 
 def _params_digest(net: Network) -> str:
-    h = hashlib.sha256()
-    for layer in net.layers:
-        h.update(np.ascontiguousarray(layer.weight).tobytes())
-        h.update(np.ascontiguousarray(layer.bias).tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(net.flatten().tobytes()).hexdigest()
 
 
 def run_task(student: Network, teacher: Network | None, task_data: Dataset,
@@ -233,13 +229,16 @@ def run_task(student: Network, teacher: Network | None, task_data: Dataset,
     """Train the (already head-expanded) student on one task.
 
     Per batch: optional augmentation, PGD with the method's attack
-    config, the method loss, one SGD step. A herding `Dataset` joins the
-    training pool; a reservoir gives each batch a separate replay batch,
-    attacked in the batch's own PGD call. Returns the trained network and
-    per-epoch rows (task, epoch, train_loss, clean_acc, robust_acc).
-    The teacher is never touched; this is checked by hashing. A non-finite
-    loss, or a numpy fault trapped by `np.errstate` (`run_experiment` traps
-    them), raises `NumericError` naming the task, epoch and batch.
+    config, the method loss, one SGD step. An attack with `clamp_range`
+    None is clamped to `VALUE_RANGE` all the same: the per-epoch evaluation
+    wraps the attacked points in a `Dataset`, which rejects points outside
+    it. A herding `Dataset` joins the training pool; a reservoir gives each
+    batch a separate replay batch, attacked in the batch's own PGD call.
+    Returns the trained network and per-epoch rows (task, epoch,
+    train_loss, clean_acc, robust_acc). The teacher is never touched; this
+    is checked by hashing. A non-finite loss, or a numpy fault trapped by
+    `np.errstate` (`run_experiment` traps them), raises `NumericError`
+    naming the task, epoch and batch.
     """
     if len(task_data) == 0:
         raise ArgumentError(f"task {task_index} has no training examples")

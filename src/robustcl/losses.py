@@ -48,10 +48,7 @@ def _check_labels(y, width: int) -> Array:
 
 
 def one_hot(y, width: int) -> Array:
-    y = _check_labels(y, width)
-    t = np.zeros((y.size, width))
-    t[np.arange(y.size), y] = 1.0
-    return t
+    return one_hot_in_slice(_check_labels(y, width), 0, width)
 
 
 def one_hot_in_slice(y, start: int, end: int) -> Array:

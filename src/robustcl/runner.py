@@ -274,8 +274,7 @@ def expand_grid(cfg: ExperimentConfig) -> list[tuple[str, ExperimentConfig]]:
             raw.pop("grid", None)
             tag = "_".join(f"{w}_{v:g}" for w, v in weights.items())
             raw["output_dir"] = str(Path(cfg.output_dir) / tag)
-            out.append((tag, parse_config_text(json.dumps(raw, indent=2,
-                                                          sort_keys=True))))
+            out.append((tag, config_from_dict(raw)))
     return out
 
 

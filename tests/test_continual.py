@@ -354,6 +354,27 @@ def test_run_task_never_mutates_teacher():
     assert np.array_equal(teacher.flatten(), before)
 
 
+def test_run_task_detects_a_rebound_teacher_layer(monkeypatch):
+    teacher_net = rc.Network.init_mlp(4, [8], 2, seed=5)
+    teacher = rc.snapshot(teacher_net)
+    student = rc.expand_head(teacher_net, 2, seed=6)
+    ds = rc.gen_gaussian_tasks(4, 4, 10.0, 20, seed=1)
+    keep = np.isin(ds.labels, [2, 3])
+    task = rc.Dataset(ds.inputs[keep], ds.labels[keep], 4)
+    cfg = methods.make_method_config("flair", ATTACK)
+    build = methods.build_training_loss
+
+    def rebinding_build(*args, **kwargs):
+        out = build(*args, **kwargs)
+        teacher.layers[0].weight = teacher.layers[0].weight + 1.0
+        return out
+
+    monkeypatch.setattr(methods, "build_training_loss", rebinding_build)
+    with pytest.raises(ContractError, match="teacher parameters changed during training"):
+        rc.run_task(student, teacher, task, None, cfg,
+                    Schedule(epochs=1, lr=0.2, batch_size=16), root_seed=2)
+
+
 def test_run_task_rejects_frozen_student():
     frozen = rc.snapshot(rc.Network.init_mlp(4, [8], 2, seed=5))
     cfg = methods.make_method_config("pgd-at", ATTACK)

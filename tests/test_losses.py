@@ -186,6 +186,19 @@ def test_one_hot_in_slice_rejects_non_integer_labels(y):
         losses.one_hot_in_slice(np.array(y), 0, 2)
 
 
+@pytest.mark.parametrize("y", [[0, 3], [-1, 1]], ids=["too-large", "negative"])
+def test_one_hot_rejects_labels_outside_the_width(y):
+    with pytest.raises(LabelError):
+        losses.one_hot(np.array(y), 3)
+
+
+def test_one_hot_equals_the_full_width_slice():
+    y = np.array([2, 0, 1, 2, 1])
+    t = losses.one_hot(y, 3)
+    assert np.array_equal(t, losses.one_hot_in_slice(y, 0, 3))
+    assert np.array_equal(t, np.eye(3)[y])
+
+
 def test_one_hot_in_slice_zero_rows_for_outside_labels():
     t = losses.one_hot_in_slice(np.array([0, 2, 3]), 2, 4)
     assert np.array_equal(t, [[0, 0], [1, 0], [0, 1]])

@@ -711,6 +711,41 @@ def test_cli_flatness(tmp_path, capsys):
     assert "gf=" in out and "hf=" in out
 
 
+def test_cli_flatness_reads_gzipped_datasets(tmp_path, capsys):
+    ckpt_dir = tmp_path / "ckpt"
+    ckpt_dir.mkdir()
+    for t in (1, 2, 3):
+        net = rc.Network.init_mlp(6, [5], 2, activation="tanh", seed=t)
+        rc.save_checkpoint(net, str(ckpt_dir / f"task_{t:03d}"))
+    outputs = []
+    for name, suffix in (("plain", ".csv"), ("gzipped", ".csv.gz")):
+        data_dir = tmp_path / name
+        data_dir.mkdir()
+        for t in (1, 2):
+            save_csv_dataset(rc.gen_gaussian_tasks(2, 6, 10.0, 8, seed=5 + t),
+                             str(data_dir / f"task_{t:03d}{suffix}"))
+        assert cli_main(["flatness", "--checkpoints", str(ckpt_dir),
+                         "--datasets", str(data_dir), "--subsample", "4"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and "task 2: gf=" in outputs[0]
+
+
+def test_cli_landscape_into_a_missing_directory_exits_2(tmp_path, capsys):
+    ckpt = tmp_path / "task_001"
+    rc.save_checkpoint(rc.Network.init_mlp(6, [5], 2, activation="tanh", seed=1),
+                       str(ckpt))
+    dataset = str(tmp_path / "test.csv")
+    save_csv_dataset(rc.gen_gaussian_tasks(2, 6, 10.0, 8, seed=6), dataset)
+    out = tmp_path / "missing" / "grid.csv"
+    assert cli_main(["landscape", "--checkpoint", str(ckpt), "--dataset", dataset,
+                     "--index", "0", "--extent", "0.1", "--n", "3",
+                     "--epsilon", "1/20", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(out) in err
+    assert "Traceback" not in err
+    assert not out.parent.exists()
+
+
 def test_cli_flatness_rejects_zero_subsample(tmp_path, capsys):
     ckpt_dir, data_dir = tmp_path / "ckpt", tmp_path / "data"
     ckpt_dir.mkdir()
