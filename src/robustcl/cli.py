@@ -18,7 +18,8 @@ from .data import VALUE_RANGE, load_csv_dataset
 from .errors import (ArgumentError, ConfigurationError, Error, IntegrityError,
                      NumericError, ParseError)
 from .metrics import accuracy, flatness_forgetting, landscape_grid, robust_accuracy
-from .runner import expand_grid, load_checkpoint, load_config, run_experiment
+from .runner import (_atomic_write_bytes, _csv, expand_grid, load_checkpoint,
+                     load_config, run_experiment)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -82,11 +83,9 @@ def _cmd_landscape(args) -> int:
         raise ArgumentError(f"example index {args.index} outside dataset of {len(ds)}")
     grid = landscape_grid(net, ds.inputs[args.index], int(ds.labels[args.index]),
                           _eval_attack(args), args.extent, args.n)
-    lines = [f"# extent={_fmt(args.extent)} n={args.n} direction_seed={args.seed}"]
-    for row in grid:
-        lines.append(",".join(_fmt(v) for v in row))
+    header = f"# extent={_fmt(args.extent)} n={args.n} direction_seed={args.seed}"
     try:
-        Path(args.out).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _atomic_write_bytes(args.out, _csv((header,), grid))
     except OSError as exc:
         raise ConfigurationError(f"cannot write {args.out}: {exc}") from exc
     print(f"wrote {args.n}x{args.n} grid -> {args.out}")

@@ -44,8 +44,8 @@ class Dataset:
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.n_classes):
             raise ArgumentError("labels outside the declared class count")
         lo, hi = VALUE_RANGE
-        if self.inputs.size and (self.inputs.min() < lo - 1e-12
-                                 or self.inputs.max() > hi + 1e-12):
+        if self.inputs.size and not (lo - 1e-12 <= self.inputs.min()    # NaN fails too
+                                     and self.inputs.max() <= hi + 1e-12):
             raise ArgumentError(f"inputs outside the value range {VALUE_RANGE}")
 
     def __len__(self) -> int:
@@ -74,12 +74,11 @@ def gen_gaussian_tasks(n_classes: int, d: int, separation: float,
     if n_per_class < 1:
         raise ArgumentError("n_per_class must be positive")
     rng = derive_rng(seed, purpose="data")
-    gauss = rng.normal(size=(max(n_classes, d), d)) if n_classes <= d else None
-    if gauss is not None:
+    if n_classes <= d:
         # orthonormal directions (seeded rotation) keep every pair of means
         # at distance separation * sqrt(2); falls back to random directions
         # when there are more classes than dimensions
-        q, r = np.linalg.qr(gauss.T)
+        q, r = np.linalg.qr(rng.normal(size=(d, d)).T)
         dirs = (q * np.sign(np.diag(r))).T[:n_classes]
     else:
         dirs = rng.normal(size=(n_classes, d))
@@ -142,8 +141,7 @@ def load_csv_dataset(path: str) -> Dataset:
         raise ParseError(f"{path}: cannot read: {exc}") from exc
     inputs = np.asarray(rows, dtype=np.float64).reshape(len(rows), width)
     labels_arr = np.asarray(labels, dtype=np.int64)
-    n_classes = int(labels_arr.max()) + 1 if labels_arr.size else 0
-    return Dataset(inputs, labels_arr, max(n_classes, 1) if labels_arr.size else 0)
+    return Dataset(inputs, labels_arr, int(labels_arr.max()) + 1 if labels_arr.size else 0)
 
 
 # ---------------------------------------------------------------------------

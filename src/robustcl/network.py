@@ -92,7 +92,7 @@ class Network:
         if input_dim <= 0:
             raise ArgumentError("input_dim must be positive")
         if not layers:
-            raise ArgumentError("network needs at least one layer")
+            raise ArgumentError("network has no layers")
         prev = input_dim
         for i, layer in enumerate(layers):
             if layer.activation not in ACTIVATIONS:
@@ -100,6 +100,9 @@ class Network:
             if layer.weight.ndim != 2 or layer.weight.shape[0] != prev:
                 raise DimensionError(f"layer {i}: weight shape {layer.weight.shape} "
                                      f"does not accept input of width {prev}")
+            if layer.weight.shape[1] == 0:
+                raise DimensionError(f"layer {i}: weight shape {layer.weight.shape} "
+                                     "has a zero dimension")
             if layer.bias.shape != (layer.weight.shape[1],):
                 raise DimensionError(f"layer {i}: bias shape {layer.bias.shape} mismatch")
             prev = layer.weight.shape[1]
@@ -128,7 +131,8 @@ class Network:
         dims = [input_dim, *hidden, n_classes]
         layers = []
         for i, (fan_in, fan_out) in enumerate(zip(dims, dims[1:])):
-            scale = 1.0 / np.sqrt(fan_in)
+            # a zero width draws nothing and reaches the width check in __init__
+            scale = 1.0 / np.sqrt(max(fan_in, 1))
             w = rng.uniform(-scale, scale, size=(fan_in, fan_out))
             b = np.zeros(fan_out)
             act = activation if i < len(dims) - 2 else "identity"

@@ -335,21 +335,20 @@ def load_checkpoint(path: str) -> Network:
         raise IntegrityError(f"malformed checkpoint manifest {path}") from exc
     if any(min(dims) < 1 for dims, _ in shapes):
         raise IntegrityError(f"manifest {path} lists a layer dimension below 1")
-    expected = sum(fi * fo + fo for (fi, fo), _ in shapes)
-    if expected != blob_len or len(blob) != 8 * blob_len:
-        raise IntegrityError(
-            f"checkpoint blob length mismatch: manifest {blob_len}, "
-            f"expected {expected}, blob holds {len(blob) // 8}")
-    if digest != hashlib.sha256(blob).hexdigest():
-        raise IntegrityError(f"checkpoint blob {path}.blob does not match its "
-                             "manifest's SHA-256")
-    if not shapes or shapes[-1][0][1] != boundaries[-1]:
-        raise IntegrityError(f"manifest {path} lists no layers or a mismatched head")
-    layers = [Layer(np.empty(shape), np.empty(shape[1]), act) for shape, act in shapes]
+    # zero-stride placeholders: a manifest that lists huge layers allocates nothing
+    layers = [Layer(np.broadcast_to(0.0, shape), np.broadcast_to(0.0, shape[1]), act)
+              for shape, act in shapes]
     try:
         net = Network(layers, boundaries, input_dim, seed=seed)
     except (ArgumentError, DimensionError) as exc:
         raise IntegrityError(f"manifest {path} lists an invalid network: {exc}") from exc
+    if net.n_params != blob_len or len(blob) != 8 * blob_len:
+        raise IntegrityError(
+            f"checkpoint blob length mismatch: manifest {blob_len}, "
+            f"expected {net.n_params}, blob holds {len(blob) // 8}")
+    if digest != hashlib.sha256(blob).hexdigest():
+        raise IntegrityError(f"checkpoint blob {path}.blob does not match its "
+                             "manifest's SHA-256")
     net.load_params(np.frombuffer(blob, dtype="<f8"))
     return net
 
@@ -394,9 +393,13 @@ def _round6(value):
 
 def _atomic_write_bytes(path: str, payload: bytes) -> None:
     tmp = f"{path}.tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload)
+        os.replace(tmp, path)
+    except OSError:
+        Path(tmp).unlink(missing_ok=True)
+        raise
 
 
 def _csv(header: tuple[str, ...] | None, rows) -> bytes:

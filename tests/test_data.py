@@ -191,7 +191,7 @@ def test_dataset_validation():
     rc.Dataset(np.array([[-1e-13, 1.0 + 1e-13]]), np.array([0]), 1)
 
 
-@pytest.mark.parametrize("value", [2.0, -0.5, 1.0 + 1e-9])
+@pytest.mark.parametrize("value", [2.0, -0.5, 1.0 + 1e-9, np.nan])
 def test_every_dataset_lies_in_the_value_range(value):
     assert VALUE_RANGE == (0.0, 1.0)
     with pytest.raises(ArgumentError, match="value range"):

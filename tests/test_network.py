@@ -39,6 +39,15 @@ def test_forward_zero_network():
     assert np.array_equal(net.forward(x), np.zeros((5, 2)))
 
 
+def test_network_rejects_a_zero_width_layer():
+    # a zero-width hidden layer would leave the head its bias alone
+    with pytest.raises(DimensionError, match="layer 0"):
+        rc.Network([rc.Layer(np.zeros((6, 0)), np.zeros(0), "tanh"),
+                    rc.Layer(np.zeros((0, 2)), np.zeros(2), "identity")], [2], 6)
+    with pytest.raises(DimensionError, match="layer 0"):
+        rc.Network.init_mlp(4, [0], 2)
+
+
 def test_forward_matches_straight_line_reevaluation():
     # independent oracle: re-run the same arithmetic without the class
     net = rc.Network.init_mlp(3, [6], 4, activation="tanh", seed=5)

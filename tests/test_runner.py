@@ -477,6 +477,18 @@ def test_checkpoint_with_a_layer_narrower_than_1_exits_2(tmp_path, capsys, layer
     assert "dimension below 1" in capsys.readouterr().err
 
 
+def test_checkpoint_listing_a_huge_layer_is_rejected_without_allocating_it(tmp_path):
+    # 10^5 x 10^5 float64 weights would take 80 GB; the empty blob is rejected
+    stem = tmp_path / "ckpt"
+    (tmp_path / "ckpt.manifest").write_text(
+        "format_version=1\ninput_dim=100000\nseed=\nhead_boundaries=100000\n"
+        "n_layers=1\nlayer0=100000x100000,identity\n"
+        f"blob_len=0\nblob_sha256={hashlib.sha256().hexdigest()}\n")
+    (tmp_path / "ckpt.blob").write_bytes(b"")
+    with pytest.raises(IntegrityError, match="blob length mismatch"):
+        rc.load_checkpoint(str(stem))
+
+
 @pytest.mark.parametrize("line, edited", [
     ("input_dim=6", "input_dim=5"), ("head_boundaries=2", "head_boundaries=3,2"),
     ("layer0=6x4,tanh", "layer0=6x4,bogus")],
@@ -613,6 +625,15 @@ def test_reemission_overwrites_atomically(tiny_run):
     assert not list(out.glob("*.tmp"))
 
 
+def test_failed_emission_leaves_no_tmp_file(tiny_run, tmp_path):
+    # the rename onto a directory fails after the tmp file is written
+    _, report, _ = tiny_run
+    (tmp_path / "report.json").mkdir()
+    with pytest.raises(OSError):
+        rc.emit_report(report, str(tmp_path))
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_single_task_run_marks_r_bwt_undefined(tmp_path):
     cfg_dict = tiny_config(tmp_path / "one",
                            tasks={"n_tasks": 1, "classes_per_task": 4})
@@ -728,6 +749,46 @@ def test_cli_flatness_reads_gzipped_datasets(tmp_path, capsys):
                          "--datasets", str(data_dir), "--subsample", "4"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] and "task 2: gf=" in outputs[0]
+
+
+def test_cli_landscape_file_is_a_header_then_rows_at_six_digits(tmp_path, capsys):
+    ckpt = tmp_path / "task_001"
+    net = rc.Network.init_mlp(6, [5], 2, activation="tanh", seed=1)
+    rc.save_checkpoint(net, str(ckpt))
+    ds = rc.gen_gaussian_tasks(2, 6, 10.0, 8, seed=6)
+    save_csv_dataset(ds, str(tmp_path / "test.csv"))
+    out = tmp_path / "grid.csv"
+    assert cli_main(["landscape", "--checkpoint", str(ckpt), "--dataset",
+                     str(tmp_path / "test.csv"), "--index", "1", "--extent", "0.1",
+                     "--n", "3", "--epsilon", "1/20", "--seed", "4",
+                     "--out", str(out)]) == 0
+    attack = rc.AttackConfig(epsilon=1 / 20, step_size=1 / 80, n_steps=20,
+                             random_start=True, clamp_range=(0.0, 1.0), seed=4)
+    x = rc.load_csv_dataset(str(tmp_path / "test.csv")).inputs[1]
+    grid = rc.landscape_grid(rc.load_checkpoint(str(ckpt)), x, int(ds.labels[1]),
+                             attack, 0.1, 3)
+    expected = "".join(f"{line}\n" for line in [
+        "# extent=0.1 n=3 direction_seed=4",
+        *(",".join(f"{v:.6g}" for v in row) for row in grid)])
+    assert out.read_bytes() == expected.encode()
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_cli_landscape_onto_a_directory_exits_2_and_leaves_no_file(tmp_path, capsys):
+    ckpt = tmp_path / "task_001"
+    rc.save_checkpoint(rc.Network.init_mlp(6, [5], 2, activation="tanh", seed=1),
+                       str(ckpt))
+    dataset = str(tmp_path / "test.csv")
+    save_csv_dataset(rc.gen_gaussian_tasks(2, 6, 10.0, 8, seed=6), dataset)
+    out = tmp_path / "grid.csv"
+    out.mkdir()
+    assert cli_main(["landscape", "--checkpoint", str(ckpt), "--dataset", dataset,
+                     "--index", "0", "--extent", "0.1", "--n", "3",
+                     "--epsilon", "1/20", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: cannot write {out}")
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "grid.csv", "task_001.blob", "task_001.manifest", "test.csv"]
+    assert not list(out.iterdir())
 
 
 def test_cli_landscape_into_a_missing_directory_exits_2(tmp_path, capsys):
