@@ -7,7 +7,9 @@ an evaluation device: `metrics.robust_accuracy` runs one attack per start.
 Everything is deterministic given the config seed. One call can also
 attack several batches stacked in `x` (`pgd`'s `parts`): each keeps its
 own seed and batch mean, so its rows come out as a call of their own
-would return them.
+would return them. A call runs its steps in one `network.InputVJP`
+workspace and updates its iterate and best point in place, so a step
+allocates only the objective head's temporaries.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .errors import ArgumentError, ConfigurationError, DimensionError
-from .network import Network
+from .network import InputVJP, Network
 
 Array = np.ndarray
 # logits -> (per-example objective values, d sum(w * values) / d logits),
@@ -72,19 +74,27 @@ class AttackConfig:
 
 # ---------------------------------------------------------------------------
 # objectives: heads that map logits to per-example values (maximized) and
-# the gradient of their per-part means w.r.t. the logits. `Network.input_vjp`
+# the gradient of their per-part means w.r.t. the logits. `network.InputVJP`
 # carries that gradient back to the input, so no attack step builds a graph
 # through the network.
 
 
-def _ce_head(y: Array, w: Array) -> Head:
-    """Cross-entropy in closed form: the ops of the graph's VJP chain."""
+def _ce_head(y: Array, w: Array, n_classes: int) -> Head:
+    """Cross-entropy in closed form: the ops of the graph's VJP chain.
+
+    The chain's gradient is `g0 - exp(out) * g0.sum(axis=1)` for the
+    weighted one-hot `g0` (-w at y). Each row of `g0` has one nonzero, so
+    its row sum is exactly -w and the gradient is exactly
+    `exp(out) * w + g0`, with `g0` built once per attack.
+    """
+    rows = np.arange(len(y))
+    g0 = np.zeros((len(y), n_classes))
+    g0[rows, y] = -w
+    w_col = w[:, None]
+
     def head(logits: Array) -> tuple[Array, Array]:
         out = ad._log_softmax(logits)
-        rows = np.arange(logits.shape[0])
-        g = np.zeros(logits.shape)
-        g[rows, y] = -w
-        return -out[rows, y], g - np.exp(out) * g.sum(axis=1, keepdims=True)
+        return -out[rows, y], np.exp(out) * w_col + g0
 
     return head
 
@@ -104,7 +114,7 @@ def _make_head(model: Network, x_clean: Array, y: Array, cfg: AttackConfig,
                w: Array) -> Head:
     """The objective's head, each row's value weighted by `w`."""
     if cfg.objective == "ce":
-        return _ce_head(losses._check_labels(y, model.out_dim), w)
+        return _ce_head(losses._check_labels(y, model.out_dim), w, model.out_dim)
 
     if cfg.objective == "kl-vs-clean":
         clean_logits = model.forward(x_clean)
@@ -119,18 +129,11 @@ def _make_head(model: Network, x_clean: Array, y: Array, cfg: AttackConfig,
                                                  targets), w)
 
 
-def _values_and_grad(model: Network, head: Head, x_cur: Array) -> tuple[Array, Array]:
-    """Per-example objective values and the input gradient of their mean."""
-    logits, vjp = model.input_vjp(x_cur)
-    values, grad = head(logits)
-    return values, vjp(grad)
-
-
 def _keep_best(best_x: Array, best_v: Array, x: Array, values: Array) -> None:
     """Per row, keep (x, values) in place of the best point where higher."""
     improved = values > best_v
-    best_v[improved] = values[improved]
-    best_x[improved] = x[improved]
+    np.copyto(best_v, values, where=improved)
+    np.copyto(best_x, x, where=improved[:, None])
 
 
 def _start(x: Array, lo: Array, hi: Array, cfg: AttackConfig,
@@ -185,12 +188,19 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig, *,
         return x.copy()
     w = np.concatenate([np.full(rows, 1.0 / rows) for rows, _ in parts])
     head = _make_head(model, x, y, cfg, w)
+    kernel = InputVJP(model, len(x))
     x_cur = _start(x, lo, hi, cfg, parts)
     best_x, best_v = x_cur.copy(), np.full(len(x), -np.inf)
     for _ in range(cfg.n_steps):
-        values, grad = _values_and_grad(model, head, x_cur)
+        values, grad = head(kernel.forward(x_cur))
         _keep_best(best_x, best_v, x_cur, values)
-        x_cur = np.clip(x_cur + cfg.step_size * np.sign(grad), lo, hi)
+        # x_cur + step_size * sign(grad), built in the input-gradient
+        # buffer, which the next `vjp` overwrites anyway
+        step = kernel.vjp(grad)
+        np.sign(step, out=step)
+        step *= cfg.step_size
+        step += x_cur
+        np.clip(step, lo, hi, out=x_cur)
     # the last iterate's input gradient would go unused
-    _keep_best(best_x, best_v, x_cur, head(model.input_vjp(x_cur)[0])[0])
+    _keep_best(best_x, best_v, x_cur, head(kernel.forward(x_cur))[0])
     return best_x

@@ -12,8 +12,8 @@ and keeps the gradient of the last `backward` call; a raw value wrapped by
 requires a gradient when a parent does. `backward` works only along paths
 to variables: constants (frozen weights, data, teacher logits) cost it
 nothing and keep ``.grad is None``. Losses are built on logits leaves;
-`network.Network.input_vjp` and `network.Passes` carry a leaf's gradient
-back to the input and the parameters.
+`network.InputVJP` and `network.Passes` carry a leaf's gradient back to
+the input and the parameters.
 
 Gradients are exact (no numerical approximation) and accumulate correctly
 when a node is consumed by several downstream ops, including when the
@@ -145,8 +145,10 @@ def exp(a: NodeLike) -> Node:
 
 
 def _log_softmax(v: Array) -> Array:
-    shifted = v - v.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # the ufunc reductions behind `ndarray.max` and `.sum`, without their
+    # Python wrappers: every attack step pays this call
+    shifted = v - np.maximum.reduce(v, axis=1, keepdims=True)
+    return shifted - np.log(np.add.reduce(np.exp(shifted), axis=1, keepdims=True))
 
 
 def log_softmax(a: NodeLike) -> Node:

@@ -4,10 +4,11 @@ A `Network` is a stack of (weight, bias, activation) layers in float64.
 The final layer emits pre-softmax logits; `head_boundaries` records the
 cumulative class count after each task so losses can slice the head by
 task range. Each activation is one `(fn, deriv)` entry of `_ACTIVATIONS`
-that `forward`, `_backward` and `forward_graph` (via `autodiff.pointwise`)
-all apply. Every exact gradient is a forward walk that keeps each layer's
-activations plus a backward walk through them (`_backward`), to the input
-(`input_vjp`) or to the parameters (`Passes`); only the loss on the
+that `forward`, `InputVJP`, `_backward` and `forward_graph` (via
+`autodiff.pointwise`) all apply. Every exact gradient is a forward walk
+that keeps each layer's activations plus a backward walk through them: to
+the input in `InputVJP`'s buffers, allocated once for a fixed row count, or
+to the parameters (`_backward`, through `Passes`). Only the loss on the
 logits is a graph, and the gradients equal those of `backward` through
 `forward_graph` bit for bit. Input Hessians are central finite
 differences of exact input gradients.
@@ -27,13 +28,17 @@ from .errors import (ArgumentError, CapacityError, ContractError,
 
 Array = np.ndarray
 
-# name -> (fn, deriv(pre-activation, activation)), or None for identity.
-# `forward`, `_backward`, `forward_graph` and `losses.bce_rows` all read
-# this one entry.
+# name -> (fn(x, out=None), deriv(pre-activation, activation, buf=None)), or
+# None for identity. `fn` writes into `out` when given one; `deriv` may use
+# `buf` (which may be `pre`) in place of a new array. `forward`, `InputVJP`,
+# `_backward`, `forward_graph` and `losses.bce_rows` all read this one entry.
 _ACTIVATIONS: dict[str, tuple[Callable, Callable] | None] = {
-    "relu": (lambda x: np.maximum(x, 0.0), lambda pre, out: pre > 0),
-    "tanh": (np.tanh, lambda pre, out: 1.0 - out * out),
-    "softplus": (lambda x: np.logaddexp(0.0, x), lambda pre, out: ad._sigmoid(pre)),
+    "relu": (lambda x, out=None: np.maximum(x, 0.0, out=out),
+             lambda pre, out, buf=None: np.greater(pre, 0, out=buf)),
+    "tanh": (np.tanh, lambda pre, out, buf=None:
+             np.subtract(1.0, np.multiply(out, out, out=buf), out=buf)),
+    "softplus": (lambda x, out=None: np.logaddexp(0.0, x, out=out),
+                 lambda pre, out, buf=None: ad._sigmoid(pre)),
     "identity": None,
 }
 ACTIVATIONS = tuple(_ACTIVATIONS)
@@ -67,21 +72,18 @@ def _walk(h: Array, layers: Sequence[Layer]) -> tuple[Array, list]:
     return h, kept
 
 
-def _backward(kept: list, g: Array, x: Array | None = None):
-    """Logit gradient `g` walked back through `_walk`'s kept layers: the
-    input gradient, or, given the walk's input `x`, the parameter
-    gradients in `layout()` order (skipping the first layer's `g @ W.T`)."""
+def _backward(kept: list, g: Array, x: Array) -> list[Array]:
+    """Logit gradient `g` walked back through `_walk`'s kept layers on the
+    input `x`: the parameter gradients in `layout()` order."""
     blocks: list[Array] = []
     for i in reversed(range(len(kept))):
         weight, act, pre, out = kept[i]
         if act is not None:
             g = g * act[1](pre, out)
-        if x is not None:
-            blocks[:0] = [(kept[i - 1][3] if i else x).T @ g, g.sum(axis=0)]
-            if i == 0:
-                return blocks
-        g = g @ weight.T
-    return g
+        blocks[:0] = [(kept[i - 1][3] if i else x).T @ g, g.sum(axis=0)]
+        if i:
+            g = g @ weight.T
+    return blocks
 
 
 class Network:
@@ -165,16 +167,6 @@ class Network:
         """Penultimate-layer activations (input to the final linear head)."""
         return _walk(self._check_input(x), self.layers[:-1])[0]
 
-    def input_vjp(self, x: Array) -> tuple[Array, Callable[[Array], Array]]:
-        """Logits of `x` and the map from a logit gradient to the input gradient.
-
-        The forward pass is `forward`'s walk (without its checks); the
-        returned map is `_backward` through its kept layers. Weights are
-        constants: this is the input gradient of a frozen network.
-        """
-        h, kept = _walk(x, self.layers)
-        return h, lambda g: _backward(kept, g)
-
     def forward_graph(self, x, leaves: Sequence[Node] | None = None) -> Node:
         """Forward pass as a graph on `leaves` (one per array, `layout()`
         order; default: constant weights): the kernels' reference."""
@@ -227,6 +219,50 @@ class Network:
                 layer.bias.setflags(write=False)
         return Network(layers, list(self.head_boundaries), self.input_dim,
                        seed=self.seed, frozen=frozen)
+
+
+class InputVJP:
+    """`net`'s forward pass and input VJP on `rows` rows, in buffers made once.
+
+    Each layer owns a pre-activation, an activation and an input-gradient
+    buffer, so neither call allocates an array as wide as a layer (but for
+    softplus's derivative). `forward(x)` returns the logits buffer. `vjp(g)`
+    reads `g`, walks it back through the last `forward`, whose
+    pre-activation buffers it spends on the derivatives, and returns the
+    input-gradient buffer: one `vjp` per `forward`, and each call
+    overwrites what the last one returned. The arithmetic is `_walk`'s and
+    `_backward`'s, so both equal them bit for bit. Weights are constants:
+    this is the input gradient of a frozen network.
+    """
+
+    def __init__(self, net: Network, rows: int):
+        self._layers = []
+        for layer in net.layers:
+            act = _ACTIVATIONS[layer.activation]
+            pre = np.empty((rows, layer.weight.shape[1]))
+            out = pre if act is None else np.empty_like(pre)
+            grad = np.empty((rows, layer.weight.shape[0]))
+            self._layers.append((layer.weight, layer.bias, act, pre, out, grad))
+
+    def forward(self, x: Array) -> Array:
+        h = x
+        for weight, bias, act, pre, out, _ in self._layers:
+            np.matmul(h, weight, out=pre)
+            pre += bias
+            if act is not None:
+                act[0](pre, out=out)
+            h = out
+        return h
+
+    def vjp(self, g: Array) -> Array:
+        top = g
+        for weight, _, act, pre, out, grad in reversed(self._layers):
+            if act is not None:
+                # the derivative overwrites `pre`, which only `forward` reads
+                g = np.multiply(g, act[1](pre, out, pre), out=None if g is top else g)
+            # `weight.T` stays a view: a contiguous copy rounds differently
+            g = np.matmul(g, weight.T, out=grad)
+        return g
 
 
 # ---------------------------------------------------------------------------
@@ -291,13 +327,14 @@ def grad_params(net: Network, scalar_loss: Callable, batch: tuple) -> Array:
 def grad_input(net: Network, scalar_loss: Callable, x: Array, aux) -> Array:
     """Exact gradient of the loss w.r.t. each input coordinate.
 
-    The loss is a graph on a logits leaf only; `input_vjp` carries its
-    gradient back through the network.
+    The loss is a graph on a logits leaf only; an `InputVJP` of this call's
+    own carries its gradient back through the network.
     """
-    logits, vjp = net.input_vjp(net._check_input(x))
-    z = Node(logits)
+    x = net._check_input(x)
+    kernel = InputVJP(net, len(x))
+    z = Node(kernel.forward(x))
     _backward_loss(scalar_loss, z, aux)
-    grad = vjp(z.grad)
+    grad = kernel.vjp(z.grad)
     _check_finite(grad, "input gradient")
     return grad
 

@@ -36,7 +36,8 @@ from .seeding import derive_seed
 Array = np.ndarray
 
 CHECKPOINT_VERSION = 1
-_REPORT_FILE = "report.json"
+# what `emit_report` writes into the output directory, in write order
+_OUTPUT_FILES = ("report.json", "ca_matrix.csv", "ra_matrix.csv", "task_logs.csv")
 _REQUIRED = object()   # the default of a config key that must be given
 
 
@@ -416,13 +417,26 @@ def emit_report(report: RunReport, out_dir: str) -> None:
     out.mkdir(parents=True, exist_ok=True)
     payload = _round6(asdict(report))
     payload["wall_clock_sec"] = report.wall_clock_sec
-    _atomic_write_bytes(str(out / _REPORT_FILE),
-                        (json.dumps(payload, indent=2) + "\n").encode())
-    _atomic_write_bytes(str(out / "ca_matrix.csv"), _csv(None, report.clean_matrix))
-    _atomic_write_bytes(str(out / "ra_matrix.csv"), _csv(None, report.robust_matrix))
     header = ("task", "epoch", "train_loss", "clean_acc", "robust_acc")
     logs = ([row[k] for k in header] for row in report.task_logs)
-    _atomic_write_bytes(str(out / "task_logs.csv"), _csv(header, logs))
+    files = ((json.dumps(payload, indent=2) + "\n").encode(),
+             _csv(None, report.clean_matrix), _csv(None, report.robust_matrix),
+             _csv(header, logs))
+    for name, data in zip(_OUTPUT_FILES, files):
+        _atomic_write_bytes(str(out / name), data)
+
+
+def _probe_outputs(out_dir: str) -> None:
+    """Make `out_dir` and check that `emit_report` could write each of its
+    files there (an OSError if not), so a bad target fails before training."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name in _OUTPUT_FILES:
+        if (out / name).is_dir():
+            raise IsADirectoryError(f"{out / name} is a directory")
+        tmp = out / f"{name}.tmp"
+        tmp.open("wb").close()
+        tmp.unlink()
 
 
 # ---------------------------------------------------------------------------
@@ -485,6 +499,10 @@ def evaluate_row(cfg: ExperimentConfig, model: Network,
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full task loop; writes checkpoints and the report into output_dir.
 
+    An output file that could not be written is a `ConfigurationError`
+    before any training. An exception or interrupt in the task loop
+    flushes the partial report of the completed tasks, then propagates.
+
     Numpy overflow, invalid-value and divide-by-zero faults raise where they
     start (underflow stays quiet). Each one surfaces as a `NumericError` that
     names the task, epoch and batch, or else the task, the flatness stage or
@@ -498,10 +516,11 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     # only after the split succeeded: a bad split leaves no output behind
     ckpt_dir = Path(cfg.output_dir) / "checkpoints"
     try:
+        _probe_outputs(cfg.output_dir)
         ckpt_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise ConfigurationError(f"cannot create output directory {ckpt_dir}: "
-                                 f"{exc}") from exc
+        raise ConfigurationError(f"cannot write the output directory "
+                                 f"{cfg.output_dir}: {exc}") from exc
     t_count = cfg.n_tasks
     buffer = _make_buffer(cfg)
     info = cfg.method.info
@@ -564,8 +583,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             drift = vars(flatness_forgetting(snapshots, test_tasks[:t_count - 1],
                                              subsample=cfg.flatness_subsample,
                                              seed=cfg.seed))
-    except Exception as exc:
-        # flush whatever is complete so a crashed run still leaves evidence
+    except BaseException as exc:
+        # flush whatever is complete so a crashed or interrupted run still
+        # leaves evidence
         emit_report(report(complete=False), cfg.output_dir)
         if isinstance(exc, FloatingPointError):
             raise NumericError(f"{stage}: {exc}") from exc

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl import losses
-from robustcl.attacks import OBJECTIVES, _values_and_grad, parse_rational
+from robustcl.attacks import OBJECTIVES, parse_rational
 from robustcl.errors import (ArgumentError, ConfigurationError, DimensionError,
                              LabelError)
 from robustcl.network import ACTIVATIONS
 
-from conftest import attack_values, batch_mean_head
+from conftest import attack_values, batch_mean_head, kernel_values_and_grad
 
 
 def linear_model(w, boundaries=None):
@@ -178,6 +178,24 @@ def test_pgd_reads_a_live_model_without_writing_it(objective):
     assert out.tobytes() == rc.pgd(rc.snapshot(live), x, y, c).tobytes()
 
 
+@pytest.mark.parametrize("random_start", [True, False], ids=["random-start", "clean-start"])
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_pgd_leaves_its_input_and_earlier_results_alone(objective, random_start):
+    # each call runs in a workspace of its own: no later call writes into
+    # the input or into a result handed out before
+    model = expanded_net("tanh")
+    rng = np.random.default_rng(5)
+    x, x2 = rng.uniform(size=(2, 6, 4))
+    y = rng.integers(0, 4, size=6)
+    c = cfg(objective=objective, random_start=random_start, clamp_range=(0.0, 1.0))
+    before = x.tobytes()
+    first = rc.pgd(model, x, y, c)
+    assert x.tobytes() == before
+    kept = first.tobytes()
+    second = rc.pgd(model, x2, y, c)
+    assert first.tobytes() == kept and not np.array_equal(first, second)
+
+
 def test_rejects_input_outside_clamp_range(frozen_tanh):
     with pytest.raises(ArgumentError):
         rc.pgd(frozen_tanh, np.full((1, 4), 2.0), [0],
@@ -232,7 +250,7 @@ def test_objective_values_equal_the_gradient_path_bit_for_bit(objective):
     y = rng.integers(0, 4, size=6)
     points = x + rng.uniform(-0.1, 0.1, size=x.shape)
     c = cfg(objective=objective)
-    values, grad = _values_and_grad(model, batch_mean_head(model, x, y, c), points)
+    values, grad = kernel_values_and_grad(model, batch_mean_head(model, x, y, c), points)
     assert np.array_equal(attack_values(model, points, x, y, c), values)
     assert grad.shape == points.shape and np.any(grad != 0.0)
 
@@ -286,17 +304,25 @@ def reference_pgd(model, x, y, c):
     return best_x
 
 
-@pytest.mark.parametrize("objective", OBJECTIVES)
-@pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_input_kernel_equals_the_graph_bit_for_bit(activation, objective):
+# case -> (rows, attack config changes); the default case keeps the bare id
+KERNEL_CASES = {"": (7, {}), "clean-start": (7, {"random_start": False}),
+                "unclamped": (7, {"clamp_range": None}), "one-row": (1, {})}
+
+
+@pytest.mark.parametrize("activation, objective, rows, changes", [
+    pytest.param(activation, objective, rows, changes,
+                 id="-".join(filter(None, (activation, objective, case))))
+    for activation in ACTIVATIONS for objective in OBJECTIVES
+    for case, (rows, changes) in KERNEL_CASES.items()])
+def test_input_kernel_equals_the_graph_bit_for_bit(activation, objective, rows, changes):
     model = expanded_net(activation)
     rng = np.random.default_rng(11)
-    x = rng.uniform(size=(7, 4))   # some coordinates sit within epsilon of the range
-    y = rng.integers(0, 4, size=7)
+    x = rng.uniform(size=(rows, 4))   # some coordinates sit within epsilon of the range
+    y = rng.integers(0, 4, size=rows)
     points = x + rng.uniform(-0.05, 0.05, size=x.shape)
-    c = cfg(objective=objective, epsilon=0.05, step_size=0.02, n_steps=4,
-            clamp_range=(0.0, 1.0), seed=6)
-    values, grad = _values_and_grad(model, batch_mean_head(model, x, y, c), points)
+    c = replace(cfg(objective=objective, epsilon=0.05, step_size=0.02, n_steps=4,
+                    clamp_range=(0.0, 1.0), seed=6), **changes)
+    values, grad = kernel_values_and_grad(model, batch_mean_head(model, x, y, c), points)
     ref_values, ref_grad = graph_values_and_grad(model, points, x, y, objective)
     assert np.array_equal(values, ref_values)
     assert np.array_equal(grad, ref_grad) and np.any(grad != 0.0)

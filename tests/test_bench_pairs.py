@@ -1,4 +1,5 @@
-"""`tools/bench_pairs.py` refuses a benchmark run that reads as incorrect.
+"""`tools/bench_pairs.py` refuses a benchmark run that reads as incorrect,
+and reads its verdicts against the bounds in `BENCHMARK.json`.
 
 `subprocess.run` is stubbed with `perfbench/run.py`'s output lines, so no
 benchmark starts.
@@ -41,3 +42,26 @@ def test_bench_pairs_stops_at_an_incorrect_run(tmp_path, monkeypatch, correct, f
     assert f"correct={correct} and failed={failed}" in message
     assert len(calls) == 2   # both sides of pair 1 ran, pair 2 never started
     assert not (ROOT / "BENCH_never-written.json").exists()
+
+
+# the parent's run_s: median 2.0, quartiles 1.825 and 2.175
+PARENT_RUN_S = [1.6, 1.7, 1.8, 1.9, 2.0, 2.0, 2.1, 2.2, 2.3, 2.4]
+
+
+@pytest.mark.parametrize("name, parent, change, gain, regression", [
+    ("run_s", PARENT_RUN_S, [1.5] * 9 + [2.5], True, False),
+    ("run_s", PARENT_RUN_S, [1.5] * 8 + [2.5] * 2, False, False),
+    ("run_s", PARENT_RUN_S, [v - 0.01 for v in PARENT_RUN_S], False, False),
+    ("run_s", PARENT_RUN_S, [2.4] * 10, False, False),
+    ("run_s", PARENT_RUN_S, [2.6] * 10, False, True),
+    ("ok_frac", [1.0] * 10, [0.85] * 10, False, True),
+], ids=["gain", "eight-wins", "gap-within-iqr", "worse-within-bound",
+        "worse-past-bound", "higher-is-better-past-bound"])
+def test_verdicts_follow_the_benchmark_bounds(name, parent, change, gain, regression):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    metric = next(m for m in spec["end_to_end"] if m["name"] == name)
+    assert metric["bound"] == {"run_s": 0.25, "ok_frac": 0.1}[name]   # the cases' premise
+    pairs = [{"parent": {"metrics": {name: p}}, "change": {"metrics": {name: c}}}
+             for p, c in zip(parent, change)]
+    summary = bench_pairs.summarize(pairs, [metric])[name]
+    assert (summary["gain"], summary["regression"]) == (gain, regression)

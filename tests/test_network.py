@@ -5,7 +5,7 @@ import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl.errors import (ArgumentError, CapacityError, ContractError,
                              DimensionError, NumericError)
-from robustcl.network import ACTIVATIONS
+from robustcl.network import ACTIVATIONS, InputVJP
 
 from conftest import finite_difference_input_grad, finite_difference_param_grad
 
@@ -118,6 +118,16 @@ def test_grad_input_constant_loss_zero(small_tanh_net):
     assert np.array_equal(g, np.zeros_like(x))
 
 
+def test_grad_input_result_survives_a_later_call(small_tanh_net):
+    rng = np.random.default_rng(14)
+    x, x2 = rng.uniform(size=(2, 5, 4))
+    y = rng.integers(0, 3, size=5)
+    g = rc.grad_input(small_tanh_net, ce_adapter, x, y)
+    kept = g.tobytes()
+    g2 = rc.grad_input(small_tanh_net, ce_adapter, x2, y)
+    assert g.tobytes() == kept and not np.array_equal(g, g2)
+
+
 def test_grad_input_matches_finite_differences(small_tanh_net):
     rng = np.random.default_rng(4)
     x = rng.uniform(size=(3, 4))
@@ -150,7 +160,7 @@ def test_grad_input_equals_the_graph_bit_for_bit(activation, scalar):
     g = rc.grad_input(net, loss, x, aux)
     assert np.array_equal(g, xn.grad) and np.any(g != 0.0)
     # all three forward paths apply the one activation entry
-    assert np.array_equal(net.forward(x), net.input_vjp(x)[0])
+    assert np.array_equal(net.forward(x), InputVJP(net, len(x)).forward(x))
     assert np.array_equal(net.forward(x), logits.value)
 
 

@@ -300,6 +300,18 @@ def test_cli_uncreatable_output_dir_exits_2_without_traceback(tmp_path, capsys):
     assert "afile" in err and "Traceback" not in err
 
 
+def test_cli_unwritable_report_target_exits_2_before_training(tmp_path, capsys):
+    out = tmp_path / "out"
+    (out / "report.json").mkdir(parents=True)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(out)))
+    assert cli_main(["run", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "report.json is a directory" in err and "Traceback" not in err
+    assert not (out / "checkpoints").exists()
+    assert sorted(p.name for p in out.iterdir()) == ["report.json"]
+
+
 @pytest.mark.parametrize("alphas", [[0.5, 0.5], [0.1, 0.10000001]])
 def test_cli_grid_values_sharing_an_output_tag_exit_2(tmp_path, capsys, alphas):
     cfg_path = tmp_path / "cfg.json"
@@ -939,6 +951,26 @@ def test_crashed_run_pads_unfinished_rows_with_null(tmp_path, monkeypatch):
         assert len((out / csv).read_text().splitlines()) == 3
     for key in ("final_clean_acc", "final_robust_acc", "r_bwt"):
         assert payload[key] is None
+
+
+def test_interrupted_run_keeps_the_completed_prefix(tmp_path, monkeypatch):
+    calls = []
+
+    def interrupt_second_task(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return train_task(*args, **kwargs)
+    train_task = rc.runner.run_task
+    monkeypatch.setattr(rc.runner, "run_task", interrupt_second_task)
+    out = tmp_path / "interrupted"
+    with pytest.raises(KeyboardInterrupt):
+        rc.run_experiment(rc.config_from_dict(tiny_config(out)))
+    payload = json.loads((out / "report.json").read_text())
+    assert payload["clean_matrix"][0][0] is not None
+    assert payload["robust_matrix"][0][0] is not None
+    assert payload["robust_matrix"][1] == [None, None]
+    assert payload["final_robust_acc"] is None
 
 
 def test_cli_exit_code_3_on_numeric_abort(tmp_path, capsys):

@@ -7,9 +7,14 @@ For each workload and seed, runs `perfbench/run.py --trace 0` N times in
 each checkout, alternating between them (the side that goes first
 alternates too, so neither always runs on a cooler or warmer machine).
 Every invocation is a fresh process. For each end-to-end metric of
-`BENCHMARK.json` it prints each side's median and quartiles and the
-number of pairs in which this checkout did better, and it writes every
-run and the summary to `BENCH_<tag>.json` in this checkout's root. It
+`BENCHMARK.json` it prints each side's median and quartiles, the
+number of pairs in which this checkout did better, and two verdicts read
+against that file's bounds (it never edits them): `gain` when this
+checkout won at least 9 pairs in 10 and its median is better by more
+than the parent's interquartile range, and `regression` when its median
+is worse than the parent's by more than the metric's bound, a fraction
+of the parent's median. It writes every run and the summary to
+`BENCH_<tag>.json` in this checkout's root. It
 stops at the first run that reads `"correct": false` or a nonzero
 `failed`, naming its checkout, workload, seed and pair.
 
@@ -90,17 +95,21 @@ def spread(values: list[float]) -> dict:
 
 
 def summarize(pairs: list[dict], spec: list[dict]) -> dict:
-    """Per metric: each side's median and quartiles, and this side's wins."""
+    """Per metric: each side's median and quartiles, this side's wins (ties
+    count for neither side), and the `gain` and `regression` verdicts."""
     out = {}
     for m in spec:
         name = m["name"]
         parent = [p["parent"]["metrics"][name] for p in pairs]
         change = [p["change"]["metrics"][name] for p in pairs]
         sign = -1.0 if m["better"] == "lower" else 1.0
-        out[name] = {"unit": m["unit"], "better": m["better"],
-                     "parent": spread(parent), "change": spread(change),
-                     "wins": sum(sign * (c - p) > 0 for p, c in zip(parent, change)),
-                     "pairs": len(pairs)}
+        wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+        p, c = spread(parent), spread(change)
+        better_by = sign * (c["median"] - p["median"])
+        out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
+                     "parent": p, "change": c, "wins": wins, "pairs": len(pairs),
+                     "gain": 10 * wins >= 9 * len(pairs) and better_by > p["q3"] - p["q1"],
+                     "regression": -better_by > m["bound"] * abs(p["median"])}
     return out
 
 
@@ -156,12 +165,16 @@ def main(argv=None) -> int:
             summary = summarize(pairs, spec["end_to_end"])
             record["comparisons"].append({"workload": workload, "seed": seed,
                                           "summary": summary, "pairs": pairs})
-            print(f"{workload} seed {seed}: median [q1, q3], wins of {args.pairs}")
+            print(f"{workload} seed {seed}: median [q1, q3], wins of {args.pairs}, "
+                  "verdicts")
             for name, s in summary.items():
                 p, c = s["parent"], s["change"]
                 print(f"  {name:22s} parent {p['median']:.4g} [{p['q1']:.4g}, "
                       f"{p['q3']:.4g}]  change {c['median']:.4g} [{c['q1']:.4g}, "
-                      f"{c['q3']:.4g}]  wins {s['wins']}")
+                      f"{c['q3']:.4g}]  wins {s['wins']}  "
+                      f"gain {'yes' if s['gain'] else 'no'}  "
+                      f"regression {'YES' if s['regression'] else 'no'} "
+                      f"(bound {s['bound']:g})")
     out = ROOT / f"BENCH_{args.tag}.json"
     out.write_text(json.dumps(record, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {out}")
