@@ -7,9 +7,10 @@ an evaluation device: `metrics.robust_accuracy` runs one attack per start.
 Everything is deterministic given the config seed. One call can also
 attack several batches stacked in `x` (`pgd`'s `parts`): each keeps its
 own seed and batch mean, so its rows come out as a call of their own
-would return them. A call runs its steps in one `network.InputVJP`
-workspace and updates its iterate and best point in place, so a step
-allocates only the objective head's temporaries.
+would return them. A call runs its steps in one `network.Walk`, the
+layer walk behind every forward pass and network gradient, and updates
+its iterate and best point in place, so a step allocates only the
+objective head's temporaries.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from . import losses
 from .errors import ArgumentError, ConfigurationError, DimensionError
-from .network import InputVJP, Network
+from .network import Network, Walk
 
 Array = np.ndarray
 # logits -> (per-example objective values, d sum(w * values) / d logits),
@@ -74,7 +75,7 @@ class AttackConfig:
 
 # ---------------------------------------------------------------------------
 # objectives: heads that map logits to per-example values (maximized) and
-# the gradient of their per-part means w.r.t. the logits. `network.InputVJP`
+# the gradient of their per-part means w.r.t. the logits. `network.Walk.vjp`
 # carries that gradient back to the input, so no attack step builds a graph
 # through the network.
 
@@ -188,19 +189,19 @@ def pgd(model: Network, x: Array, y, cfg: AttackConfig, *,
         return x.copy()
     w = np.concatenate([np.full(rows, 1.0 / rows) for rows, _ in parts])
     head = _make_head(model, x, y, cfg, w)
-    kernel = InputVJP(model, len(x))
+    walk = Walk(model.layers, len(x))
     x_cur = _start(x, lo, hi, cfg, parts)
     best_x, best_v = x_cur.copy(), np.full(len(x), -np.inf)
     for _ in range(cfg.n_steps):
-        values, grad = head(kernel.forward(x_cur))
+        values, grad = head(walk.forward(x_cur))
         _keep_best(best_x, best_v, x_cur, values)
         # x_cur + step_size * sign(grad), built in the input-gradient
         # buffer, which the next `vjp` overwrites anyway
-        step = kernel.vjp(grad)
+        step = walk.vjp(grad)
         np.sign(step, out=step)
         step *= cfg.step_size
         step += x_cur
         np.clip(step, lo, hi, out=x_cur)
     # the last iterate's input gradient would go unused
-    _keep_best(best_x, best_v, x_cur, head(kernel.forward(x_cur))[0])
+    _keep_best(best_x, best_v, x_cur, head(walk.forward(x_cur))[0])
     return best_x

@@ -12,8 +12,8 @@ and keeps the gradient of the last `backward` call; a raw value wrapped by
 requires a gradient when a parent does. `backward` works only along paths
 to variables: constants (frozen weights, data, teacher logits) cost it
 nothing and keep ``.grad is None``. Losses are built on logits leaves;
-`network.InputVJP` and `network.Passes` carry a leaf's gradient back to
-the input and the parameters.
+`network.Walk` carries a leaf's gradient back to the input (`vjp`) and,
+through `network.Passes`, to the parameters (`param_grads`).
 
 Gradients are exact (no numerical approximation) and accumulate correctly
 when a node is consumed by several downstream ops, including when the

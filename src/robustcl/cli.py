@@ -4,12 +4,14 @@ Subcommands: `run` executes an experiment config (expanding an alpha/beta
 grid when one is present), `eval` measures clean and robust accuracy of a
 checkpoint on a CSV dataset, `landscape` exports a 2-D loss grid, and
 `flatness` compares a directory of per-task checkpoints on per-task data.
-Exit codes: 0 success, 2 configuration problems, 3 numeric aborts.
+Exit codes: 0 success, 2 configuration problems, 3 numeric aborts; a `run`
+stopped by SIGTERM exits 143 (128 + 15) after flushing the partial report.
 """
 from __future__ import annotations
 
 import argparse
 import math
+import signal
 import sys
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from .runner import (_atomic_write_bytes, _csv, expand_grid, load_checkpoint,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+EXIT_TERMINATED = 128 + signal.SIGTERM
 
 
 def _fmt(x: float) -> str:
@@ -46,13 +49,21 @@ def _finite(text: str) -> float:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config)
-    for tag, sub in expand_grid(cfg):
-        report = run_experiment(sub)
-        prefix = "" if tag == "single" else f"[{tag}] "
-        bwt = "undefined" if report.r_bwt is None else _fmt(report.r_bwt)
-        print(f"{prefix}method={report.method} clean={_fmt(report.final_clean_acc)} "
-              f"robust={_fmt(report.final_robust_acc)} r_bwt={bwt} "
-              f"-> {sub.output_dir}")
+
+    def terminate(signum, frame):
+        # raised where the run is, so `run_experiment` flushes as on Ctrl-C
+        raise SystemExit(EXIT_TERMINATED)
+    previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        for tag, sub in expand_grid(cfg):
+            report = run_experiment(sub)
+            prefix = "" if tag == "single" else f"[{tag}] "
+            bwt = "undefined" if report.r_bwt is None else _fmt(report.r_bwt)
+            print(f"{prefix}method={report.method} clean={_fmt(report.final_clean_acc)} "
+                  f"robust={_fmt(report.final_robust_acc)} r_bwt={bwt} "
+                  f"-> {sub.output_dir}")
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     return EXIT_OK
 
 

@@ -15,9 +15,9 @@ attacked rows, labels and stored logits. When a replay term reads the
 replay rows, the reservoir builders run the student once over the batch
 and the replay rows stacked and split the logits with
 `autodiff.take_rows`. Builders return graph nodes on the leaves of a
-`network.Passes` recorder, one pass per (model, input), plus the flat
-parameter leaf `Passes.params` that EWC and SI penalize, so one backward
-pass and `Passes.grads()` yield exact parameter gradients; zero-weighted
+`network.Passes` recorder, one `network.Walk` per (model, input), plus
+the flat parameter leaf `Passes.params` that EWC and SI penalize, so one
+backward pass and `Passes.grads()` yield exact parameter gradients; zero-weighted
 terms are skipped entirely, which makes endpoint reductions bit-exact.
 `build_training_loss(cfg, passes, teacher, x, y, x_adv, replay, reg)` is
 the one entry point: it checks the teacher against the student once and

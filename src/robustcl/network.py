@@ -4,14 +4,13 @@ A `Network` is a stack of (weight, bias, activation) layers in float64.
 The final layer emits pre-softmax logits; `head_boundaries` records the
 cumulative class count after each task so losses can slice the head by
 task range. Each activation is one `(fn, deriv)` entry of `_ACTIVATIONS`
-that `forward`, `InputVJP`, `_backward` and `forward_graph` (via
-`autodiff.pointwise`) all apply. Every exact gradient is a forward walk
-that keeps each layer's activations plus a backward walk through them: to
-the input in `InputVJP`'s buffers, allocated once for a fixed row count, or
-to the parameters (`_backward`, through `Passes`). Only the loss on the
-logits is a graph, and the gradients equal those of `backward` through
-`forward_graph` bit for bit. Input Hessians are central finite
-differences of exact input gradients.
+that `Walk` and `forward_graph` (via `autodiff.pointwise`) apply. Every
+forward pass is one `Walk` in buffers made once for a fixed row count, and
+so are both backward walks: to the input (`vjp`) and to the parameters
+(`param_grads`, through `Passes`). Only the loss on the logits is a graph,
+and the gradients equal those of `backward` through `forward_graph` bit
+for bit. Input Hessians are central finite differences of exact input
+gradients.
 """
 from __future__ import annotations
 
@@ -30,8 +29,8 @@ Array = np.ndarray
 
 # name -> (fn(x, out=None), deriv(pre-activation, activation, buf=None)), or
 # None for identity. `fn` writes into `out` when given one; `deriv` may use
-# `buf` (which may be `pre`) in place of a new array. `forward`, `InputVJP`,
-# `_backward`, `forward_graph` and `losses.bce_rows` all read this one entry.
+# `buf` (which may be `pre`) in place of a new array. `Walk`, `forward_graph`
+# and `losses.bce_rows` all read this one entry.
 _ACTIVATIONS: dict[str, tuple[Callable, Callable] | None] = {
     "relu": (lambda x, out=None: np.maximum(x, 0.0, out=out),
              lambda pre, out, buf=None: np.greater(pre, 0, out=buf)),
@@ -58,32 +57,6 @@ def _check_finite(x: Array, what: str) -> None:
     if not np.isfinite(x).all():
         bad = np.argwhere(~np.isfinite(x))
         raise NumericError(f"non-finite values in {what} (first at index {bad[0].tolist()})")
-
-
-def _walk(h: Array, layers: Sequence[Layer]) -> tuple[Array, list]:
-    """Output of `layers` on `h`, plus each layer's (weight, activation
-    entry, pre-activation, activation)."""
-    kept = []
-    for layer in layers:
-        act = _ACTIVATIONS[layer.activation]
-        pre = h @ layer.weight + layer.bias
-        h = pre if act is None else act[0](pre)
-        kept.append((layer.weight, act, pre, h))
-    return h, kept
-
-
-def _backward(kept: list, g: Array, x: Array) -> list[Array]:
-    """Logit gradient `g` walked back through `_walk`'s kept layers on the
-    input `x`: the parameter gradients in `layout()` order."""
-    blocks: list[Array] = []
-    for i in reversed(range(len(kept))):
-        weight, act, pre, out = kept[i]
-        if act is not None:
-            g = g * act[1](pre, out)
-        blocks[:0] = [(kept[i - 1][3] if i else x).T @ g, g.sum(axis=0)]
-        if i:
-            g = g @ weight.T
-    return blocks
 
 
 class Network:
@@ -159,17 +132,19 @@ class Network:
 
     def forward(self, x: Array) -> Array:
         """Logits for a (batch, input_dim) array. Pure and deterministic."""
-        h = _walk(self._check_input(x), self.layers)[0]
+        x = self._check_input(x)
+        h = Walk(self.layers, len(x)).forward(x)
         _check_finite(h, "logits")
         return h
 
     def features(self, x: Array) -> Array:
         """Penultimate-layer activations (input to the final linear head)."""
-        return _walk(self._check_input(x), self.layers[:-1])[0]
+        x = self._check_input(x)
+        return Walk(self.layers[:-1], len(x)).forward(x)
 
     def forward_graph(self, x, leaves: Sequence[Node] | None = None) -> Node:
         """Forward pass as a graph on `leaves` (one per array, `layout()`
-        order; default: constant weights): the kernels' reference."""
+        order; default: constant weights): the walks' reference."""
         h = ad.lift(x)
         if h.value.ndim != 2 or h.value.shape[1] != self.input_dim:
             raise DimensionError(f"expected (batch, {self.input_dim}) input, "
@@ -184,18 +159,10 @@ class Network:
     # ------------------------------------------------------------------
     def flatten(self) -> Array:
         """All parameters as one plain float64 vector in `layout()` order."""
-        parts = []
-        for layer in self.layers:
-            parts.append(layer.weight.ravel())
-            parts.append(layer.bias)
-        return np.concatenate(parts)
+        return np.concatenate([a.ravel() for l in self.layers for a in (l.weight, l.bias)])
 
     def layout(self) -> tuple[tuple[int, ...], ...]:
-        shapes: list[tuple[int, ...]] = []
-        for layer in self.layers:
-            shapes.append(layer.weight.shape)
-            shapes.append(layer.bias.shape)
-        return tuple(shapes)
+        return tuple(a.shape for l in self.layers for a in (l.weight, l.bias))
 
     def load_params(self, vec: Array) -> None:
         if self.frozen:
@@ -221,32 +188,30 @@ class Network:
                        seed=self.seed, frozen=frozen)
 
 
-class InputVJP:
-    """`net`'s forward pass and input VJP on `rows` rows, in buffers made once.
+class Walk:
+    """The walk through `layers` on `rows` rows, in buffers made once.
 
-    Each layer owns a pre-activation, an activation and an input-gradient
-    buffer, so neither call allocates an array as wide as a layer (but for
-    softplus's derivative). `forward(x)` returns the logits buffer. `vjp(g)`
-    reads `g`, walks it back through the last `forward`, whose
-    pre-activation buffers it spends on the derivatives, and returns the
-    input-gradient buffer: one `vjp` per `forward`, and each call
-    overwrites what the last one returned. The arithmetic is `_walk`'s and
-    `_backward`'s, so both equal them bit for bit. Weights are constants:
-    this is the input gradient of a frozen network.
+    Each layer owns a pre-activation and an activation buffer, and the first
+    `vjp` adds an input-gradient buffer. `forward(x)` returns the last
+    activation buffer, which the next `forward` overwrites. Both backward
+    walks take the logit gradient `g` of the last `forward`: `vjp(g)` spends
+    the pre-activation buffers on the derivatives and returns the
+    input-gradient buffer (one `vjp` per `forward`); `param_grads(g)`
+    changes no buffer, so it can run again.
     """
 
-    def __init__(self, net: Network, rows: int):
+    def __init__(self, layers: Sequence[Layer], rows: int):
         self._layers = []
-        for layer in net.layers:
+        for layer in layers:
             act = _ACTIVATIONS[layer.activation]
             pre = np.empty((rows, layer.weight.shape[1]))
             out = pre if act is None else np.empty_like(pre)
-            grad = np.empty((rows, layer.weight.shape[0]))
-            self._layers.append((layer.weight, layer.bias, act, pre, out, grad))
+            self._layers.append((layer.weight, layer.bias, act, pre, out))
+        self._grads: list[Array] | None = None
 
     def forward(self, x: Array) -> Array:
-        h = x
-        for weight, bias, act, pre, out, _ in self._layers:
+        h = self._input = x  # the first layer's input, for `param_grads`
+        for weight, bias, act, pre, out in self._layers:
             np.matmul(h, weight, out=pre)
             pre += bias
             if act is not None:
@@ -255,14 +220,31 @@ class InputVJP:
         return h
 
     def vjp(self, g: Array) -> Array:
+        """The input gradient: `g` walked back through every layer."""
+        if self._grads is None:  # made up front, they multiplied page faults
+            self._grads = [np.empty((len(g), w.shape[0])) for w, *_ in self._layers]
         top = g
-        for weight, _, act, pre, out, grad in reversed(self._layers):
+        for (weight, _, act, pre, out), grad in zip(reversed(self._layers),
+                                                    reversed(self._grads)):
             if act is not None:
                 # the derivative overwrites `pre`, which only `forward` reads
                 g = np.multiply(g, act[1](pre, out, pre), out=None if g is top else g)
             # `weight.T` stays a view: a contiguous copy rounds differently
             g = np.matmul(g, weight.T, out=grad)
         return g
+
+    def param_grads(self, g: Array) -> list[Array]:
+        """The parameter gradients, in `layout()` order."""
+        blocks: list[Array] = []
+        for i in reversed(range(len(self._layers))):
+            weight, _, act, pre, out = self._layers[i]
+            if act is not None:
+                g = g * act[1](pre, out)
+            blocks[:0] = [(self._layers[i - 1][4] if i else self._input).T @ g,
+                          g.sum(axis=0)]
+            if i:
+                g = g @ weight.T
+        return blocks
 
 
 # ---------------------------------------------------------------------------
@@ -282,29 +264,29 @@ def split(vector: Array, layout: Sequence[tuple[int, ...]]) -> list[Array]:
 class Passes:
     """Forward passes of one network whose parameter gradients are summed.
 
-    `logits(x)` is one `_walk` with its logits as a graph leaf; `params`
-    is one variable leaf holding the flat parameter vector, for losses on
-    the parameters themselves. After `autodiff.backward`, `grads()` adds to
-    `params`' gradient, in call order, each reached logits leaf's gradient
-    walked back through its pass (`_backward`)."""
+    `logits(x)` is one `Walk` forward with its logits as a graph leaf;
+    `params` is one variable leaf holding the flat parameter vector, for
+    losses on the parameters themselves. After `autodiff.backward`,
+    `grads()` adds to `params`' gradient, in call order, each reached
+    logits leaf's gradient walked back through its pass (`param_grads`)."""
 
     def __init__(self, net: Network):
         self.net = net
         self.params = Node(net.flatten())
-        self._passes: list[tuple[Array, list, Node]] = []
+        self._passes: list[tuple[Walk, Node]] = []
 
     def logits(self, x: Array) -> Node:
         x = self.net._check_input(x)
-        h, kept = _walk(x, self.net.layers)
-        self._passes.append((x, kept, Node(h)))
-        return self._passes[-1][2]
+        walk = Walk(self.net.layers, len(x))
+        self._passes.append((walk, Node(walk.forward(x))))
+        return self._passes[-1][1]
 
     def grads(self) -> Array:
         """The sum as one vector in `layout()` order (zeros where no loss reached)."""
         total = self.params.grad
-        for x, kept, z in self._passes:
+        for walk, z in self._passes:
             if z.grad is not None:
-                g = np.concatenate([b.ravel() for b in _backward(kept, z.grad, x)])
+                g = np.concatenate([b.ravel() for b in walk.param_grads(z.grad)])
                 total = g if total is None else total + g
         return np.zeros_like(self.params.value) if total is None else total
 
@@ -327,14 +309,14 @@ def grad_params(net: Network, scalar_loss: Callable, batch: tuple) -> Array:
 def grad_input(net: Network, scalar_loss: Callable, x: Array, aux) -> Array:
     """Exact gradient of the loss w.r.t. each input coordinate.
 
-    The loss is a graph on a logits leaf only; an `InputVJP` of this call's
-    own carries its gradient back through the network.
+    The loss is a graph on a logits leaf only; a `Walk` of this call's own
+    carries its gradient back through the network.
     """
     x = net._check_input(x)
-    kernel = InputVJP(net, len(x))
-    z = Node(kernel.forward(x))
+    walk = Walk(net.layers, len(x))
+    z = Node(walk.forward(x))
     _backward_loss(scalar_loss, z, aux)
-    grad = kernel.vjp(z.grad)
+    grad = walk.vjp(z.grad)
     _check_finite(grad, "input gradient")
     return grad
 

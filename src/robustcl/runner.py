@@ -500,8 +500,9 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Full task loop; writes checkpoints and the report into output_dir.
 
     An output file that could not be written is a `ConfigurationError`
-    before any training. An exception or interrupt in the task loop
-    flushes the partial report of the completed tasks, then propagates.
+    before any training. The partial report of the completed tasks is
+    written after each task, and again when an exception or interrupt
+    stops the task loop, which then propagates; the full report replaces it.
 
     Numpy overflow, invalid-value and divide-by-zero faults raise where they
     start (underflow stays quiet). Each one surfaces as a `NumericError` that
@@ -577,6 +578,8 @@ def run_experiment(cfg: ExperimentConfig) -> RunReport:
             clean_row, robust_row = evaluate_row(cfg, snapshots[-1], test_tasks)
             clean_rows.append(clean_row)
             robust_rows.append(robust_row)
+            # a kill that no handler sees still leaves the completed rows
+            emit_report(report(complete=False), cfg.output_dir)
         if t_count >= 2:
             stage = "flatness"
             bwt = r_bwt(robust_rows)

@@ -12,7 +12,7 @@ import pytest
 
 import robustcl as rc
 from robustcl.attacks import _make_head
-from robustcl.network import InputVJP
+from robustcl.network import Walk
 
 
 @pytest.fixture
@@ -53,16 +53,16 @@ def batch_mean_head(model, x, y, cfg):
 def attack_values(model, points, x, y, cfg):
     """Per-example values of `cfg`'s objective at `points`, around clean `x`:
     the evaluation `pgd` applies to its last iterate."""
-    logits = InputVJP(model, len(points)).forward(points)
+    logits = Walk(model.layers, len(points)).forward(points)
     return batch_mean_head(model, x, y, cfg)(logits)[0]
 
 
 def kernel_values_and_grad(model, head, points):
     """`head`'s values at `points` and the input gradient of their weighted
-    sum, through one `InputVJP` as a `pgd` step takes them."""
-    kernel = InputVJP(model, len(points))
-    values, grad = head(kernel.forward(points))
-    return values, kernel.vjp(grad)
+    sum, through one `Walk` as a `pgd` step takes them."""
+    walk = Walk(model.layers, len(points))
+    values, grad = head(walk.forward(points))
+    return values, walk.vjp(grad)
 
 
 def finite_difference_input_grad(net, loss_value_fn, x, step=1e-4):

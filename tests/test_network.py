@@ -5,7 +5,7 @@ import robustcl as rc
 from robustcl import autodiff as ad
 from robustcl.errors import (ArgumentError, CapacityError, ContractError,
                              DimensionError, NumericError)
-from robustcl.network import ACTIVATIONS, InputVJP
+from robustcl.network import ACTIVATIONS
 
 from conftest import finite_difference_input_grad, finite_difference_param_grad
 
@@ -55,6 +55,14 @@ def test_forward_matches_straight_line_reevaluation():
     h = np.tanh(x @ net.layers[0].weight + net.layers[0].bias)
     expected = h @ net.layers[1].weight + net.layers[1].bias
     assert np.allclose(net.forward(x), expected, atol=0, rtol=0)
+
+
+def test_forward_result_survives_a_later_forward(small_tanh_net):
+    x, x2 = np.random.default_rng(15).uniform(size=(2, 5, 4))
+    z = small_tanh_net.forward(x)
+    kept = z.tobytes()
+    z2 = small_tanh_net.forward(x2)
+    assert z.tobytes() == kept and not np.array_equal(z, z2)
 
 
 def test_features_of_a_one_layer_net_is_its_input():
@@ -159,21 +167,25 @@ def test_grad_input_equals_the_graph_bit_for_bit(activation, scalar):
     ad.backward(loss(logits, aux))
     g = rc.grad_input(net, loss, x, aux)
     assert np.array_equal(g, xn.grad) and np.any(g != 0.0)
-    # all three forward paths apply the one activation entry
-    assert np.array_equal(net.forward(x), InputVJP(net, len(x)).forward(x))
+    # the walk and the graph apply the one activation entry
     assert np.array_equal(net.forward(x), logits.value)
 
 
-@pytest.mark.parametrize("n_passes", [1, 2], ids=["one-pass", "two-passes"])
+@pytest.mark.parametrize("passes_of", ["one-pass", "two-passes", "x-adv-and-x"])
 @pytest.mark.parametrize("activation", ACTIVATIONS)
-def test_passes_grads_equal_the_graph_bit_for_bit(activation, n_passes):
+def test_passes_grads_equal_the_graph_bit_for_bit(activation, passes_of):
     # reference: backward through forward_graph, every pass on the same
     # parameter leaves; two addends per leaf sum the same in either order
     net = rc.expand_head(rc.Network.init_mlp(4, [8, 8], 2, activation=activation,
                                              seed=3), 2, seed=4)
     rng = np.random.default_rng(13)
     batches = [(rng.uniform(size=(6, 4)), rng.integers(0, 4, size=6))
-               for _ in range(n_passes)]
+               for _ in range(1 if passes_of == "one-pass" else 2)]
+    if passes_of == "x-adv-and-x":
+        # FLAIR's two live passes: an attacked batch, then the clean batch
+        x, y = batches[0]
+        attack = rc.AttackConfig(epsilon=0.1, step_size=0.025, n_steps=3, seed=2)
+        batches = [(rc.pgd(net, x, y, attack), y), (x, y)]
 
     def total(logits_of):
         losses = [rc.ce(logits_of(x), y) for x, y in batches]
@@ -186,6 +198,7 @@ def test_passes_grads_equal_the_graph_bit_for_bit(activation, n_passes):
     got = passes.grads()
     assert np.array_equal(got, np.concatenate([leaf.grad.ravel() for leaf in leaves]))
     assert np.any(got != 0.0)
+    assert np.array_equal(passes.grads(), got)
 
 
 def test_grad_params_reports_offending_batch_index():

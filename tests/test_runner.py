@@ -3,6 +3,7 @@ import hashlib
 import json
 import re
 import runpy
+import signal
 from pathlib import Path
 
 import numpy as np
@@ -971,6 +972,58 @@ def test_interrupted_run_keeps_the_completed_prefix(tmp_path, monkeypatch):
     assert payload["robust_matrix"][0][0] is not None
     assert payload["robust_matrix"][1] == [None, None]
     assert payload["final_robust_acc"] is None
+
+
+def test_report_holds_every_completed_row_when_the_next_task_starts(tmp_path,
+                                                                   monkeypatch):
+    out = tmp_path / "prefix"
+    seen = []
+
+    def read_report_then_train(*args, **kwargs):
+        path = out / "report.json"
+        seen.append(json.loads(path.read_text()) if path.exists() else None)
+        return train_task(*args, **kwargs)
+    train_task = rc.runner.run_task
+    monkeypatch.setattr(rc.runner, "run_task", read_report_then_train)
+    cfg = tiny_config(out, tasks={"n_tasks": 3, "classes_per_task": 2})
+    cfg["dataset"]["n_classes"] = 6
+    final = rc.run_experiment(rc.config_from_dict(cfg))
+    assert seen[0] is None
+    for k, payload in enumerate(seen[1:], 1):
+        for key, rows in (("clean_matrix", final.clean_matrix),
+                          ("robust_matrix", final.robust_matrix)):
+            assert payload[key][:k] == [[rc.runner._round6(v) for v in row]
+                                        for row in rows[:k]]
+            assert payload[key][k:] == [[None] * 3] * (3 - k)
+        assert payload["final_robust_acc"] is None
+    assert json.loads((out / "report.json").read_text())["final_robust_acc"] is not None
+
+
+def test_cli_sigterm_flushes_the_completed_prefix_and_exits_143(tmp_path, monkeypatch):
+    before = signal.getsignal(signal.SIGTERM)
+    calls = []
+
+    def terminate_after_first_task(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            # what the interpreter does when SIGTERM arrives: call the handler
+            signal.getsignal(signal.SIGTERM)(signal.SIGTERM, None)
+        return train_task(*args, **kwargs)
+    train_task = rc.runner.run_task
+    monkeypatch.setattr(rc.runner, "run_task", terminate_after_first_task)
+    out = tmp_path / "terminated"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(tiny_config(out)))
+    with pytest.raises(SystemExit) as info:
+        cli_main(["run", "--config", str(cfg_path)])
+    assert info.value.code == 143
+    assert signal.getsignal(signal.SIGTERM) is before
+    payload = json.loads((out / "report.json").read_text())
+    for key in ("clean_matrix", "robust_matrix"):
+        assert payload[key][0][0] is not None and payload[key][0][1] is None
+        assert payload[key][1] == [None, None]
+    assert payload["final_robust_acc"] is None
+    assert len(payload["task_logs"]) == 2  # task 1's two epochs
 
 
 def test_cli_exit_code_3_on_numeric_abort(tmp_path, capsys):
